@@ -12,7 +12,7 @@ traced cold processes with the same seed and checks that
 * every call count of the two traced runs repeats exactly.
 
 It prints the tracing overhead (traced run_s minus untraced run_s) and
-exits non-zero if a check fails.  Takes about seven minutes on 2 vCPUs.
+exits non-zero if a check fails.  Takes seven to ten minutes on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ SHOULD_MOVE = {f"{stem}.{field}": wls
 MAY_BE_ZERO = ("unknown_ratio", "undecided_ratio")
 
 
-def _traced(target, names, tag):
+def _traced(target, tag):
     path = os.path.join(run.HERE, "out", f"check-{target.workload}-{tag}.json.gz")
-    res = run._child(target, ["--trace-out", path, "--layer-metrics", ",".join(names)])
+    res = run._child(target, ["--trace-out", path])
     with gzip.open(path, "rt") as fh:
         res["summary"] = json.load(fh)["summary"]
     return res
@@ -79,8 +79,8 @@ def main(argv=None):
     for w in args.workloads:
         target = argparse.Namespace(workload=w, seed=args.seed)
         plain = run._child(target, [])
-        first = _traced(target, names, "a")
-        second = _traced(target, names, "b")
+        first = _traced(target, "a")
+        second = _traced(target, "b")
         for n in names:
             if w in SHOULD_MOVE.get(n, ()) and not n.endswith(MAY_BE_ZERO) \
                     and not first["layers"][n]:

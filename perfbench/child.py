@@ -36,17 +36,26 @@ def _assert_cold():
 
 
 def _classify(op, result, error):
+    """(status, detail, tolerated) of one op; see workloads.py."""
+    from workloads import REFUSALS
+
     if error is not None:
-        if isinstance(error, ValueError) and "too large" in str(error):
-            return "undecided", str(error)
-        return "exception", f"{type(error).__name__}: {error}"
+        detail = f"{type(error).__name__}: {error}"
+        if type(error) is ValueError and str(error) in op.refusals:
+            return REFUSALS[str(error)], detail, True
+        return "exception", detail, False
     try:
         status = op.check(result)
     except Exception as exc:  # a malformed answer fails its check
-        return "mismatch", f"check raised {type(exc).__name__}: {exc}"
+        return "mismatch", f"check raised {type(exc).__name__}: {exc}", False
     if status == "ok" or status == "undecided":
-        return status, ""
-    return "mismatch", status.removeprefix("mismatch: ")
+        return status, "", True
+    return "mismatch", status.removeprefix("mismatch: "), op.tolerate_mismatch
+
+
+def _cpu_s():
+    ru = resource.getrusage(resource.RUSAGE_SELF)
+    return ru.ru_utime + ru.ru_stime
 
 
 def main(argv=None):
@@ -57,17 +66,17 @@ def main(argv=None):
                     help="time.monotonic() of the parent just before the spawn")
     ap.add_argument("--setup-only", action="store_true")
     ap.add_argument("--trace-out", default=None,
-                    help="install the tracer and write its spans to this file")
-    ap.add_argument("--layer-metrics", default="",
-                    help="comma-separated per-layer metric names to report")
+                    help="install the tracer, write its spans to this file and "
+                         "report the per_layer metrics of BENCHMARK.json")
     args = ap.parse_args(argv)
 
     import workloads
 
     ops = workloads.SETUPS[args.workload](args.seed)
     setup_s = time.monotonic() - args.spawned_at
+    setup_cpu_s = _cpu_s()
     if args.setup_only:
-        print(json.dumps({"setup_s": setup_s}))
+        print(json.dumps({"setup_s": setup_s, "setup_cpu_s": setup_cpu_s}))
         return 0
     _assert_cold()
 
@@ -80,7 +89,7 @@ def main(argv=None):
     results = []
     latencies = []
     clock = time.perf_counter
-    start = clock()
+    start, cpu_start = clock(), _cpu_s()
     for op in ops:
         t0 = clock()
         try:
@@ -88,25 +97,26 @@ def main(argv=None):
         except Exception as exc:  # an op that raises is a counted failure
             results.append((None, exc))
         latencies.append(clock() - t0)
-    run_s = clock() - start
+    run_s, run_cpu_s = clock() - start, _cpu_s() - cpu_start
     if tracer is not None:
         tracer.uninstall()
 
-    outcomes = []
-    for op, (result, error) in zip(ops, results):
-        status, detail = _classify(op, result, error)
-        outcomes.append([op.kind, op.label, status, detail,
-                         status == "ok" or status in op.tolerate])
+    outcomes = [[op.kind, op.label, *_classify(op, result, error)]
+                for op, (result, error) in zip(ops, results)]
 
     out = {
         "setup_s": setup_s,
+        "setup_cpu_s": setup_cpu_s,
         "run_s": run_s,
+        "run_cpu_s": run_cpu_s,
         "latencies": latencies,
         "outcomes": outcomes,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     if tracer is not None:
-        names = [n for n in args.layer_metrics.split(",") if n]
+        from run import _spec
+
+        names = [m["name"] for m in _spec()["per_layer"]]
         layers = {n: tracer.metric(n) for n in names if not n.startswith("traced.")}
         layers["traced.run_s"] = run_s
         layers["traced.spans"] = len(tracer.sp_start)

@@ -11,7 +11,10 @@ one caller in one single-threaded process runs the ops back to back.
 sampled in SETUP_SAMPLES set-up-only processes, half before and half after
 the timed processes, plus the timed ones, and reported as the median; the
 workload runs in cold processes until at least --seconds of timed work are
-done (one process for every workload at the recorded sizes).
+done (one process for every workload at the recorded sizes).  The process
+CPU time (user + system) of set-up and of the timed phase is printed next
+to the wall times, so that time the host took away can be told apart from
+the program's own cost.
 --trace 1 runs the workload once more in a cold process with the tracer
 installed and reports the per-layer metrics; spans are written to
 perfbench/out/.
@@ -32,7 +35,7 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-SETUP_SAMPLES = 2
+SETUP_SAMPLES = 11
 CHILD_TIMEOUT_S = 170
 PINNED_ENV = {
     "PYTHONHASHSEED": "0",
@@ -101,26 +104,25 @@ def main(argv=None):
         return 2
 
     if args.trace:
-        names = [m["name"] for m in spec["per_layer"]]
         trace_out = os.path.join(HERE, "out", f"trace-{args.workload}-seed{args.seed}.json.gz")
-        res = _child(args, ["--trace-out", trace_out, "--layer-metrics", ",".join(names)])
+        res = _child(args, ["--trace-out", trace_out])
         values = res["layers"]
         runs = [res]
         metrics = spec["per_layer"]
     else:
         # set-up samples come from before and after the timed phase, so that
         # one burst of host noise does not move all of them
-        setup_only = lambda: _child(args, ["--setup-only"])["setup_s"]
+        setup_only = lambda: _child(args, ["--setup-only"])
         setups = [setup_only() for _ in range(SETUP_SAMPLES // 2)]
         runs = []
         while not runs or sum(r["run_s"] for r in runs) < args.seconds:
             runs.append(_child(args, []))
         setups += [setup_only() for _ in range(SETUP_SAMPLES - SETUP_SAMPLES // 2)]
-        setups += [r["setup_s"] for r in runs]
+        setups += runs
         lat = [x for r in runs for x in r["latencies"]]
         ok = sum(o[2] == "ok" for r in runs for o in r["outcomes"])
         values = {
-            "setup_s": statistics.median(setups),
+            "setup_s": statistics.median(r["setup_s"] for r in setups),
             "run_s": statistics.median(r["run_s"] for r in runs),
             "ops_per_s": len(lat) / sum(r["run_s"] for r in runs),
             "ok_frac": ok / len(lat),
@@ -128,6 +130,9 @@ def main(argv=None):
         }
         metrics = spec["end_to_end"]
         p95 = statistics.quantiles(lat, n=20, method="inclusive")[-1]
+        print(f"CPU time: set-up {statistics.median(r['setup_cpu_s'] for r in setups):.4g} s "
+              f"(median of {len(setups)}), timed phase "
+              f"{statistics.median(r['run_cpu_s'] for r in runs):.4g} s")
         print(f"op latency (reported, not gated): p50 {1000 * statistics.median(lat):.4g} ms, "
               f"p95 {1000 * p95:.4g} ms, {len(lat)} ops, {sum(x > p95 for x in lat)} beyond p95")
 

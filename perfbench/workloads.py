@@ -3,14 +3,14 @@ the checks applied to each op's output after the timed phase.
 
 Every op is a thunk that calls into cubefunc through module attributes at
 call time, so the tracer's wrappers see the call.  A check returns "ok",
-"undecided" or "mismatch: <reason>"; an op that raises is an "exception"
-("undecided" when the program says the problem is too large).
+"undecided" or "mismatch: <reason>"; an op that raises is an "exception".
 
-Every outcome other than "ok" counts as failed.  An op's ``tolerate`` lists
-the failures that leave the run correct: honest refusals of the deciders
-("unknown", "inconclusive", "too large", size limits) and round-trip
-mismatches, where the benchmark cannot tell whether realize or decompose is
-at fault.  Any other failure, such as a witness that does not verify, a
+Every outcome other than "ok" counts as failed.  Some failures leave the
+run correct: undecided verdicts ("unknown", "inconclusive"), the honest
+refusals in REFUSALS, matched by exception type and message and allowed
+only on the ops that list them, and round-trip mismatches, where the
+benchmark cannot tell whether realize or decompose is at fault.  Any other
+failure, such as another exception, a witness that does not verify, a
 verdict against the construction or a false identity, makes the run
 incorrect.
 """
@@ -51,11 +51,15 @@ class Op:
     label: str
     run: Callable[[], object]
     check: Callable[[object], str]
-    tolerate: tuple = ()
+    refusals: tuple = ()            # messages of REFUSALS this op may raise
+    tolerate_mismatch: bool = False
 
 
-REFUSALS = ("undecided", "exception")
-ROUND_TRIP = REFUSALS + ("mismatch",)
+TOO_LARGE = "endomorphism algebra too large to certify locality"
+NO_DATUM = "no string or band datum matches this space"
+RANK_LIMIT = "exhaustive idempotent search is limited to rank <= 4"
+# ValueError message -> outcome status; "too large" is an undecided verdict
+REFUSALS = {TOO_LARGE: "undecided", NO_DATUM: "exception", RANK_LIMIT: "exception"}
 
 
 def _truth(label):
@@ -468,7 +472,7 @@ def setup_decide(seed):
         sp = gf2.random_space(rng)
         ops.append(Op("decompose", f"decompose random_space #{i}",
                       lambda sp=sp: gf2.decompose(sp), _check_dims(sp.dims),
-                      REFUSALS))
+                      (TOO_LARGE, NO_DATUM)))
 
     def round_trips(kind, rng, n, make):
         for i in range(n):
@@ -482,7 +486,8 @@ def setup_decide(seed):
                 return gf2.decompose(space)
 
             ops.append(Op(kind, f"{kind} {data!r}", run,
-                          _check_round_trip(want), ROUND_TRIP))
+                          _check_round_trip(want), (TOO_LARGE, NO_DATUM),
+                          tolerate_mismatch=True))
 
     round_trips("string_round_trip", rngs[1], c["string_round_trip"],
                 lambda r: [gf2.random_string_datum(r)])
@@ -498,7 +503,7 @@ def setup_decide(seed):
         for lvl in (1, 2, 3):
             ops.append(Op("probe", f"probe {name} level {lvl}",
                           lambda m=m, lvl=lvl: strings_bands.indecomposability_probe(m, level=lvl),
-                          _check_probe(known.get((name, lvl)), 3 ** lvl), REFUSALS))
+                          _check_probe(known.get((name, lvl)), 3 ** lvl)))
 
     rng = rngs[4]
     for d in range(1, 6):
@@ -508,20 +513,21 @@ def setup_decide(seed):
             la, lb = wildness.SigmaModule(2, d, a), wildness.SigmaModule(2, d, b)
             ops.append(Op("iso", f"iso conjugate rank {d} #{i}",
                           lambda la=la, lb=lb: wildness.iso_test_mod2(la, lb),
-                          _check_iso(True, a, b), REFUSALS))
+                          _check_iso(True, a, b)))
             a, b = _rank_differing(rng, d)
             la, lb = wildness.SigmaModule(2, d, a), wildness.SigmaModule(2, d, b)
             ops.append(Op("iso", f"iso rank-differing rank {d} #{i}",
                           lambda la=la, lb=lb: wildness.iso_test_mod2(la, lb),
-                          _check_iso(False, a, b), REFUSALS))
+                          _check_iso(False, a, b)))
 
     rng = rngs[5]
     for d in range(1, 6):
+        limit = (RANK_LIMIT,) if d > 4 else ()
         for i in range(c["indec_per_rank_kind"]):
             lm = wildness.SigmaModule(2, d, _conjugate(rng, _jordan_tuple(rng, d)))
             ops.append(Op("indecomposable", f"indecomposable Jordan rank {d} #{i}",
                           lambda lm=lm: wildness.indecomposable_mod2(lm),
-                          _check_indecomposable(True), REFUSALS))
+                          _check_indecomposable(True), limit))
             if d < 2:
                 continue
             k = int(rng.integers(1, d))
@@ -529,7 +535,7 @@ def setup_decide(seed):
             lm = wildness.SigmaModule(2, d, _conjugate(rng, mats))
             ops.append(Op("indecomposable", f"indecomposable sum {k}+{d - k} #{i}",
                           lambda lm=lm: wildness.indecomposable_mod2(lm),
-                          _check_indecomposable(False), REFUSALS))
+                          _check_indecomposable(False), limit))
 
     order = rngs[6].permutation(len(ops))
     return [ops[i] for i in order]
