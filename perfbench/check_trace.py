@@ -11,8 +11,8 @@ traced cold processes with the same seed and checks that
 * traced and untraced runs give the same per-op check outcomes;
 * every call count of the two traced runs repeats exactly.
 
-It prints the tracing overhead (traced run_s minus untraced run_s) and
-exits non-zero if a check fails.  Takes seven to ten minutes on a 2-vCPU VM.
+It prints the tracing overhead (traced minus untraced wall time of the
+timed phase) and exits non-zero if a check fails.  Takes seven to ten minutes on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ def main(argv=None):
         if calls(first) != calls(second):
             diff = sorted(k for k in calls(first) if calls(first)[k] != calls(second).get(k))
             problems.append(f"{w}: call counts differ between traced runs: {diff[:8]}")
-        print(f"{w}: untraced run_s {plain['run_s']:.2f} s, traced run_s "
-              f"{first['run_s']:.2f} / {second['run_s']:.2f} s, overhead "
-              f"{first['run_s'] - plain['run_s']:.2f} s, "
+        print(f"{w}: untraced wall time {plain['run_wall_s']:.2f} s, traced "
+              f"{first['run_wall_s']:.2f} / {second['run_wall_s']:.2f} s, overhead "
+              f"{first['run_wall_s'] - plain['run_wall_s']:.2f} s, "
               f"{len(first['summary'])} traced names, {first['layers']['traced.spans']} spans")
     for p in problems:
         print("FAIL", p)

@@ -13,8 +13,9 @@ the timed processes, plus the timed ones, and reported as the median; the
 workload runs in cold processes until at least --seconds of timed work are
 done (one process for every workload at the recorded sizes).  The process
 CPU time (user + system) of set-up and of the timed phase is printed next
-to the wall times, so that time the host took away can be told apart from
-the program's own cost.
+to the wall times.  setup_s and run_s are reported at a reference host
+speed, measured by a probe in each child (see child.py), because the speed
+of the shared host drifts by more than the metrics' bounds.
 --trace 1 runs the workload once more in a cold process with the tracer
 installed and reports the per-layer metrics; spans are written to
 perfbench/out/.
@@ -130,9 +131,13 @@ def main(argv=None):
         }
         metrics = spec["end_to_end"]
         p95 = statistics.quantiles(lat, n=20, method="inclusive")[-1]
-        print(f"CPU time: set-up {statistics.median(r['setup_cpu_s'] for r in setups):.4g} s "
-              f"(median of {len(setups)}), timed phase "
-              f"{statistics.median(r['run_cpu_s'] for r in runs):.4g} s")
+        med = lambda key, rs: statistics.median(r[key] for r in rs)
+        print(f"wall time: set-up {med('setup_wall_s', setups):.4g} s (median of "
+              f"{len(setups)}), timed phase {med('run_wall_s', runs):.4g} s; host speed "
+              f"{med('setup_speed', setups):.4g} in set-up, {med('run_speed', runs):.4g} "
+              f"in the timed phase")
+        print(f"CPU time: set-up {med('setup_cpu_s', setups):.4g} s, timed phase "
+              f"{med('run_cpu_s', runs):.4g} s")
         print(f"op latency (reported, not gated): p50 {1000 * statistics.median(lat):.4g} ms, "
               f"p95 {1000 * p95:.4g} ms, {len(lat)} ops, {sum(x > p95 for x in lat)} beyond p95")
 
