@@ -196,9 +196,7 @@ class BuiltinFunctor:
                 for js in cols_in:
                     row.append(_minor(a, iis, js))
                 out.append(row)
-            if not rows_out:
-                return [[] for _ in range(0)]
-            return out if rows_out else []
+            return out
         # ext2_tensor_id
         e2 = BuiltinFunctor("ext2", ZZ)
         left = e2._act_int(a, m, n)
@@ -255,6 +253,36 @@ def _minor(a, iis, js):
 # ---------------------------------------------------------------------------
 
 
+def _cross_effect_int(f, n, S, cache):
+    """f(S) as plain-int rows, for S a subset of {0..n-1}.
+
+    f(S) = sum over T subset of S of (-1)^{|S|-|T|} F(e_T), where e_T is the
+    coordinate projection of Z^n onto the coordinates in T.  The F(e_T) are
+    the integer matrices of f._act_int, kept in cache (keyed by T) so the
+    subsets S of one n share them.  Mapping the sum into the base domain
+    afterwards gives the same matrix as summing there, because Z -> base is
+    a ring homomorphism; act maps its integer matrix the same way.
+    """
+    r = f.rank(n)
+    acc = [[0] * r for _ in range(r)]
+    for k in range(len(S) + 1):
+        sign = -1 if (len(S) - k) % 2 else 1
+        for T in combinations(S, k):
+            if T not in cache:
+                e = [[1 if (i == j and i in T) else 0 for j in range(n)] for i in range(n)]
+                cache[T] = f._act_int(e, n, n)
+            for acc_row, row in zip(acc, cache[T]):
+                for j, x in enumerate(row):
+                    if x:
+                        acc_row[j] += sign * x
+    return acc
+
+
+def _top_cross_effect(f, m):
+    """The full-set idempotent f(0..m-1) over the base domain."""
+    return Mat(f.base, _cross_effect_int(f, m, tuple(range(m)), {}))
+
+
 def cross_effect_idempotents(f, n):
     """The family { S : f(S) } over all nonempty S subset of {0..n-1}.
 
@@ -262,40 +290,22 @@ def cross_effect_idempotents(f, n):
     coordinate projection of Z^n onto the coordinates in T.
     """
     cache = {}
-
-    def F_of(T):
-        if T not in cache:
-            e = [[1 if (i == j and i in T) else 0 for j in range(n)] for i in range(n)]
-            cache[T] = f.act(e)
-        return cache[T]
-
-    fam = {}
-    r = f.rank(n)
-    for m in range(1, n + 1):
-        for S in combinations(range(n), m):
-            acc = Mat.zeros(f.base, r, r)
-            for k in range(m + 1):
-                for T in combinations(S, k):
-                    term = F_of(T)
-                    acc = acc + term if (m - k) % 2 == 0 else acc - term
-            fam[S] = acc
-    return fam
+    return {
+        S: Mat(f.base, _cross_effect_int(f, n, S, cache))
+        for m in range(1, n + 1)
+        for S in combinations(range(n), m)
+    }
 
 
 def cross_effect_ranks(f, upto=3):
     """Ranks (r1, ..., r_upto) of the multi-diagonal cross-effects."""
-    out = []
-    for m in range(1, upto + 1):
-        fam = cross_effect_idempotents(f, m)
-        out.append(mat_rank(fam[tuple(range(m))]))
-    return tuple(out)
+    return tuple(mat_rank(_top_cross_effect(f, m)) for m in range(1, upto + 1))
 
 
 def first_nonvanishing_above(f, degree):
     """Smallest m > degree with F_m != 0, or None if none up to degree+2."""
     for m in range(degree + 1, degree + 3):
-        fam = cross_effect_idempotents(f, m)
-        if not fam[tuple(range(m))].is_zero():
+        if not _top_cross_effect(f, m).is_zero():
             return m
     return None
 

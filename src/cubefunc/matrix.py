@@ -715,13 +715,14 @@ class RationalSpan:
 
 
 def det(m):
-    """Determinant by fraction-free expansion on the Smith form."""
+    """Determinant by Gaussian elimination: in Fraction arithmetic over the
+    Z-like domains, and with the field operations over GF(q) and Z/p."""
     if m.rows != m.cols:
         raise ValueError("det needs a square matrix")
     d = m.dom
     if m.rows == 0:
         return d.one()
-    # Bareiss over Z-like domains via fractions for robustness
+    # Fraction entries over the Z-like domains, domain elements otherwise
     n = m.rows
     a = [[Fraction(x) if not (d.kind == "gf" or d.kind == "mod") else x for x in row] for row in m.a]
     if d.kind in ("gf", "mod"):

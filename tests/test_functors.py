@@ -1,9 +1,10 @@
 import random
+from itertools import product
 from math import comb
 
 import pytest
 
-from cubefunc.domains import ZZ, GF2
+from cubefunc.domains import ZZ, GF2, Z_HALF, Zloc
 from cubefunc.functors import (
     BuiltinFunctor,
     FUNCTOR_IDS,
@@ -11,6 +12,7 @@ from cubefunc.functors import (
     cross_effect_idempotents,
     cross_effect_ranks,
     extract_diagram,
+    first_nonvanishing_above,
     split_idempotent,
     structure_maps,
 )
@@ -135,8 +137,6 @@ def test_group_ring_ph_matrix():
 
 def test_degree_guard():
     # every builtin is cubic: 4th cross-effect vanishes
-    from cubefunc.functors import first_nonvanishing_above
-
     for fid in FUNCTOR_IDS:
         assert first_nonvanishing_above(builtin(fid), 3) is None
 
@@ -156,3 +156,46 @@ def test_diagram_direct_sum():
     s = a.direct_sum(b)
     assert s.F3.gens == a.F3.gens + b.F3.gens
     assert verify_relations(s)[0]
+
+
+@pytest.mark.parametrize("dom", [Z_HALF, GF2, Zloc(3)], ids=str)
+def test_diagram_base_change(dom):
+    # the diagram over dom is the Z diagram with its entries mapped into dom
+    for fid in FUNCTOR_IDS:
+        dz = extract_diagram(builtin(fid))
+        d = extract_diagram(builtin(fid, dom))
+        for k in ("F1", "F2", "F3"):
+            mz, m = getattr(dz, k), getattr(d, k)
+            assert m.dom == dom and m.gens == mz.gens, (fid, k)
+            assert m.relations == mz.relations.to_domain(dom), (fid, k)
+        for name, mor in dz.maps().items():
+            got = d.maps()[name].matrix
+            assert (got.rows, got.cols) == (mor.matrix.rows, mor.matrix.cols), (fid, name)
+            assert got == mor.matrix.to_domain(dom), (fid, name)
+
+
+class _TensorFourth(BuiltinFunctor):
+    """The fourth tensor power, of degree 4."""
+
+    def __init__(self, base=ZZ):
+        self.fid = "tensor_fourth"
+        self.base = base
+
+    def basis(self, n):
+        return list(product(range(n), repeat=4))
+
+    def _act_int(self, a, m, n):
+        a2 = _kron(a, a)
+        return _kron(a2, a2)
+
+
+def _kron(x, y):
+    return [[p * q for p in xr for q in yr] for xr in x for yr in y]
+
+
+@pytest.mark.parametrize("dom", [ZZ, Z_HALF], ids=str)
+def test_degree_guard_fires(dom):
+    f = _TensorFourth(dom)
+    assert first_nonvanishing_above(f, 3) == 4
+    with pytest.raises(ValueError, match="nonvanishing cross-effect in degree 4"):
+        extract_diagram(f)
