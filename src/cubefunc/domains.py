@@ -132,13 +132,15 @@ class Domain:
     def canon(self, x):
         """Canonical form of an element given as int / Fraction / coeff tuple."""
         if self.kind == "Z":
+            if type(x) is int:
+                return x
             if isinstance(x, Fraction):
                 if x.denominator != 1:
                     raise ValueError(f"{x} is not an integer")
                 return int(x)
             return int(x)
         if self.kind in ("loc", "inv"):
-            f = Fraction(x)
+            f = x if type(x) is Fraction else Fraction(x)
             self._check_denominator(f.denominator)
             return f
         if self.kind == "mod":

@@ -2,19 +2,35 @@
 normal forms, solving, kernels, and lattice operations.
 
 Everything is list-of-lists with canonical domain elements; no floats ever.
+``Mat(dom, entries)`` canonicalizes what it is given.  Arithmetic and
+slicing results are built from entries that are canonical already and are
+trusted, not re-canonicalized: the domain's element operations return
+canonical elements, and so do the native int/Fraction ``+`` and ``*`` with
+which products over Z, Z_(p) and Z[1/S] accumulate.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from math import gcd
 
 from .domains import Domain, UnsupportedDomainError, ZZ
+
+# the Z-like domain kinds: their canonical elements are ints (Z) or Fractions
+# (Z_(p), Z[1/S]), which add and multiply natively to canonical results, and
+# their Smith and Hermite forms run on integer matrices
+_NATIVE = frozenset(("Z", "loc", "inv"))
 
 
 class Mat:
     """An exact matrix over a Domain.
 
-    rows are stored as lists; entries are canonical domain elements.
+    rows are stored as lists.  Invariant: every entry is a canonical domain
+    element (``dom.canon(x) == x``, of the same type).  The constructor
+    canonicalizes; products, sums, differences, negation, ``scale``,
+    ``copy``, ``transpose``, ``hstack``/``vstack`` and ``submatrix`` come
+    from ``Mat._trusted``, which takes its entries as they are.
     """
 
     __slots__ = ("dom", "rows", "cols", "a")
@@ -28,19 +44,29 @@ class Mat:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
 
+    @staticmethod
+    def _trusted(dom, a, rows, cols):
+        """A matrix on rows ``a`` of canonical entries, taken without a copy
+        or a check; ``rows``/``cols`` give the shape, also when it is empty."""
+        m = Mat.__new__(Mat)
+        m.dom = dom
+        m.a = a
+        m.rows = rows
+        m.cols = cols
+        return m
+
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zeros(dom, r, c):
         z = dom.zero()
-        m = Mat(dom, [[z] * c for _ in range(r)])
-        m.cols = c  # preserved even when r == 0
-        return m
+        return Mat._trusted(dom, [[z] * c for _ in range(r)], r, c)
 
     @staticmethod
     def identity(dom, n):
         z, o = dom.zero(), dom.one()
-        return Mat(dom, [[o if i == j else z for j in range(n)] for i in range(n)])
+        a = [[o if i == j else z for j in range(n)] for i in range(n)]
+        return Mat._trusted(dom, a, n, n)
 
     @staticmethod
     def diag(dom, entries, rows=None, cols=None):
@@ -61,15 +87,13 @@ class Mat:
         return Mat(dom, [list(entries)])
 
     def copy(self):
-        m = Mat.__new__(Mat)
-        m.dom = self.dom
-        m.a = [row[:] for row in self.a]
-        m.rows, m.cols = self.rows, self.cols
-        return m
+        return Mat._trusted(self.dom, [row[:] for row in self.a], self.rows, self.cols)
 
     def to_domain(self, dom):
         """Reinterpret entries in another domain (must be representable)."""
-        return Mat(dom, self.a)
+        m = Mat(dom, self.a)
+        m.cols = self.cols  # keep the column count of 0-row matrices
+        return m
 
     # -- basic ops -------------------------------------------------------
 
@@ -77,11 +101,13 @@ class Mat:
         return (
             isinstance(other, Mat)
             and self.dom == other.dom
+            and self.rows == other.rows
+            and self.cols == other.cols
             and self.a == other.a
         )
 
     def __hash__(self):
-        return hash((self.dom, tuple(tuple(r) for r in self.a)))
+        return hash((self.dom, self.rows, self.cols, tuple(tuple(r) for r in self.a)))
 
     def __repr__(self):
         body = "; ".join(
@@ -90,36 +116,43 @@ class Mat:
         return f"Mat({self.dom}, {self.rows}x{self.cols}: [{body}])"
 
     def _like(self, entries):
-        m = Mat(self.dom, entries)
-        m.cols = self.cols  # keep the column count of 0-row matrices
-        return m
+        return Mat._trusted(self.dom, entries, self.rows, self.cols)
+
+    def _check_addable(self, other):
+        _check_same_domain(self, other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(
+                f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
+            )
+
+    # A falsy entry is zero in every domain (coefficient tuples are never
+    # falsy), so the elementwise operations skip the zero operands.
 
     def __add__(self, other):
-        d = self.dom
+        self._check_addable(other)
+        add = self.dom.add
         return self._like(
-            [
-                [d.add(x, y) for x, y in zip(r1, r2)]
-                for r1, r2 in zip(self.a, other.a)
-            ]
+            [[add(x, y) if y else x for x, y in zip(r1, r2)]
+             for r1, r2 in zip(self.a, other.a)]
         )
 
     def __sub__(self, other):
-        d = self.dom
+        self._check_addable(other)
+        sub = self.dom.sub
         return self._like(
-            [
-                [d.sub(x, y) for x, y in zip(r1, r2)]
-                for r1, r2 in zip(self.a, other.a)
-            ]
+            [[sub(x, y) if y else x for x, y in zip(r1, r2)]
+             for r1, r2 in zip(self.a, other.a)]
         )
 
     def __neg__(self):
-        d = self.dom
-        return self._like([[d.neg(x) for x in row] for row in self.a])
+        neg = self.dom.neg
+        return self._like([[neg(x) for x in row] for row in self.a])
 
     def scale(self, c):
         d = self.dom
         c = d.canon(c)
-        return self._like([[d.mul(c, x) for x in row] for row in self.a])
+        mul = d.mul
+        return self._like([[mul(c, x) if x else x for x in row] for row in self.a])
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
@@ -128,45 +161,78 @@ class Mat:
             raise ValueError(
                 f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}"
             )
+        _check_same_domain(self, other)
         d = self.dom
         z = d.zero()
-        bt = list(zip(*other.a)) if other.a else []
-        if not bt or not self.a:
-            return Mat.zeros(d, self.rows, other.cols)
+        n = other.cols
         out = []
-        for row in self.a:
-            orow = []
-            for col in bt:
-                s = z
-                for x, y in zip(row, col):
-                    if not d.is_zero(x) and not d.is_zero(y):
-                        s = d.add(s, d.mul(x, y))
-                orow.append(s)
-            out.append(orow)
-        return Mat(d, out)
+        if d.kind in _NATIVE:
+            # nonzero (column, entry) pairs of each right row, indexed once
+            right = [
+                [(j, y) for j, y in enumerate(row) if y] if any(row) else ()
+                for row in other.a
+            ]
+            for row in self.a:
+                acc = [z] * n
+                if any(row):
+                    for x, pairs in zip(row, right):
+                        if x and pairs:
+                            for j, y in pairs:
+                                acc[j] += x * y
+                out.append(acc)
+        else:
+            add, mul = d.add, d.mul
+            right = [[(j, y) for j, y in enumerate(row) if y != z] for row in other.a]
+            for row in self.a:
+                acc = [z] * n
+                for x, pairs in zip(row, right):
+                    if pairs and x != z:
+                        for j, y in pairs:
+                            acc[j] = add(acc[j], mul(x, y))
+                out.append(acc)
+        return Mat._trusted(d, out, self.rows, n)
 
     def transpose(self):
-        return Mat(self.dom, [list(r) for r in zip(*self.a)]) if self.a and self.cols else Mat.zeros(self.dom, self.cols, self.rows)
+        a = [list(r) for r in zip(*self.a)] if self.a and self.cols else [
+            [] for _ in range(self.cols)
+        ]
+        return Mat._trusted(self.dom, a, self.cols, self.rows)
 
     def is_zero(self):
         d = self.dom
+        if d.kind in _NATIVE:
+            return not any(map(any, self.a))
         return all(d.is_zero(x) for row in self.a for x in row)
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return Mat(self.dom, [r1 + r2 for r1, r2 in zip(self.a, other.a)])
+        _check_same_domain(self, other)
+        return Mat._trusted(
+            self.dom,
+            [r1 + r2 for r1, r2 in zip(self.a, other.a)],
+            self.rows,
+            self.cols + other.cols,
+        )
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("col mismatch in vstack")
-        return Mat(self.dom, self.a + other.a)
+        _check_same_domain(self, other)
+        return Mat._trusted(
+            self.dom,
+            [r[:] for r in self.a] + [r[:] for r in other.a],
+            self.rows + other.rows,
+            self.cols,
+        )
 
     def submatrix(self, row_idx, col_idx):
-        return Mat(self.dom, [[self.a[i][j] for j in col_idx] for i in row_idx])
+        col_idx = list(col_idx)
+        a = [[self.a[i][j] for j in col_idx] for i in row_idx]
+        return Mat._trusted(self.dom, a, len(a), len(col_idx))
 
     def col(self, j):
-        return Mat(self.dom, [[self.a[i][j]] for i in range(self.rows)])
+        return Mat._trusted(self.dom, [[row[j]] for row in self.a], self.rows, 1)
 
     def columns(self):
         return [self.col(j) for j in range(self.cols)]
@@ -238,6 +304,12 @@ class Mat:
         return m
 
 
+def _check_same_domain(a, b):
+    """Results are trusted, so both operands must hold elements of one domain."""
+    if a.dom is not b.dom and a.dom != b.dom:
+        raise ValueError(f"domain mismatch {a.dom} vs {b.dom}")
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -303,11 +375,11 @@ def _snf_field(m):
     return Mat(d, U), b, v
 
 
-def _snf_euclidean(m):
-    """SNF over Z by repeated pivoting on the absolutely least nonzero entry."""
-    d = m.dom
-    a = [[int(x) for x in row] for row in m.a]
-    rows, cols = m.rows, m.cols
+def _snf_euclidean(a):
+    """SNF of the int matrix ``a`` (a list of rows, consumed) by repeated
+    pivoting on the absolutely least nonzero entry; returns the int rows of
+    (U, S, V) with U a V == S."""
+    rows, cols = len(a), len(a[0])
     U = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     V = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
@@ -389,7 +461,31 @@ def _snf_euclidean(m):
             a[t] = [-x for x in a[t]]
             U[t] = [-x for x in U[t]]
         t += 1
-    return Mat(d, U), Mat(d, a), Mat(d, V)
+    return U, a, V
+
+
+def _clear_denominators(a):
+    """(int rows, d) with int rows == d * a, d the least common denominator
+    of the int/Fraction entries of ``a``."""
+    den = 1
+    for row in a:
+        for x in row:
+            q = x.denominator
+            if den % q:
+                den = den // gcd(den, q) * q
+    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
+
+
+class _Fractions(dict):
+    """x -> Fraction(x, den) for ints x, each built once."""
+
+    def __init__(self, den):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, x):
+        f = self[x] = Fraction(x, self.den)
+        return f
 
 
 def smith_normal_form(m):
@@ -400,42 +496,28 @@ def smith_normal_form(m):
         return Mat.identity(d, m.rows), m.copy(), Mat.identity(d, m.cols)
     if d.is_field:
         return _snf_field(m)
-    if d.kind == "Z":
-        return _snf_euclidean(m)
-    if d.kind in ("loc", "inv"):
-        # clear denominators, compute over Z, then renormalize the diagonal
-        denom = 1
-        for row in m.a:
-            for x in row:
-                denom = denom * Fraction(x).denominator // _gcd_int(
-                    denom, Fraction(x).denominator
-                )
-        zm = Mat(ZZ, [[int(Fraction(x) * denom) for x in row] for row in m.a])
-        u0, s0, v0 = _snf_euclidean(zm)
-        u = Mat(d, u0.a)
-        s = Mat(d, [[Fraction(x, denom) for x in row] for row in s0.a])
-        v = Mat(d, v0.a)
+    if d.kind not in _NATIVE:
+        raise UnsupportedDomainError(f"Smith form not implemented over {d}")
+    # clear denominators, compute over Z, then renormalize the diagonal
+    za, den = ([row[:] for row in m.a], 1) if d.kind == "Z" else _clear_denominators(m.a)
+    u, s, v = _snf_euclidean(za)
+    if d.kind != "Z":
+        # u and v are unimodular over Z; s / den = u m v lies in d
+        ints, scaled = _Fractions(1), _Fractions(den)
+        u = [[ints[x] for x in row] for row in u]
+        s = [[scaled[x] for x in row] for row in s]
+        v = [[ints[x] for x in row] for row in v]
         # renormalize diagonal entries to canonical associates, folding the
-        # unit into u; then restore the divisibility chain order
-        entries = []
-        for i in range(min(s.rows, s.cols)):
-            x = s.a[i][i]
-            if d.is_zero(x):
-                entries.append(d.zero())
-                continue
-            c = d.canonical_associate(x)
-            unit = d.div(c, x)
-            u.a[i] = [d.mul(unit, y) for y in u.a[i]]
-            s.a[i][i] = c
-            entries.append(c)
-        return u, s, v
-    raise UnsupportedDomainError(f"Smith form not implemented over {d}")
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+        # unit into u
+        for i in range(min(m.rows, m.cols)):
+            x = s[i][i]
+            if x:
+                c = d.canonical_associate(x)
+                unit = d.div(c, x)
+                u[i] = [d.mul(unit, y) for y in u[i]]
+                s[i][i] = c
+    return (Mat._trusted(d, u, m.rows, m.rows), Mat._trusted(d, s, m.rows, m.cols),
+            Mat._trusted(d, v, m.cols, m.cols))
 
 
 def invariant_factors(m):
@@ -538,30 +620,32 @@ def column_hermite(m):
             return Mat.zeros(d, m.rows, 0)
         order = sorted(range(len(basis)), key=lambda k: pivots[k])
         return Mat(d, [[basis[k][i] for k in order] for i in range(m.rows)])
-    if d.kind in ("loc", "inv"):
-        denom = 1
-        for row in m.a:
-            for x in row:
-                q = Fraction(x).denominator
-                denom = denom * q // _gcd_int(denom, q)
-        zm = Mat(ZZ, [[int(Fraction(x) * denom) for x in row] for row in m.a])
-        h = column_hermite(zm)
-        out = Mat(d, [[Fraction(x, denom) for x in row] for row in h.a])
-        # scale each column by a unit so the pivot is a canonical associate
-        for j in range(out.cols):
-            pi = next(i for i in range(out.rows) if not d.is_zero(out.a[i][j]))
-            piv = out.a[pi][j]
-            c = d.canonical_associate(piv)
-            unit = d.div(c, piv)
-            for i in range(out.rows):
-                out.a[i][j] = d.mul(unit, out.a[i][j])
-        return out
-    if d.kind != "Z":
+    if d.kind not in _NATIVE:
         raise UnsupportedDomainError(f"Hermite form not implemented over {d}")
-    # integer column HNF, lower-left echelon by working top row down
-    cols = [list(c) for c in zip(*m.a)] if m.a and m.cols else []
-    n = m.rows
-    work = [c[:] for c in cols]
+    za, den = (m.a, 1) if d.kind == "Z" else _clear_denominators(m.a)
+    h = _hermite_int([list(c) for c in zip(*za)] if za and m.cols else [], m.rows)
+    if d.kind != "Z":
+        # scale each column h / den by a unit so the pivot p / den becomes
+        # its canonical associate c: the entries become x * c / p
+        for k, col in enumerate(h):
+            p = next(x for x in col if x)
+            c = int(d.canonical_associate(Fraction(p, den)))
+            fr = _Fractions(p)
+            h[k] = [fr[x * c] for x in col]
+    return Mat._trusted(d, _from_columns(h, m.rows), m.rows, len(h))
+
+
+def _from_columns(cols, n):
+    """The n rows of the matrix with the given columns."""
+    return [[c[i] for c in cols] for i in range(n)]
+
+
+def _hermite_int(work, n):
+    """The column Hermite form of the int columns ``work`` (consumed) of
+    length n: the nonzero columns of the unique lower echelon basis of their
+    lattice, pivots positive, each entry in a later pivot's row reduced into
+    [0, pivot)."""
+    # lower-left echelon by working top row down
     out = []
     row = 0
     while row < n and work:
@@ -604,9 +688,7 @@ def column_hermite(m):
             q = out[l][pr] // out[k][pr]
             if q:
                 out[l] = [x - q * y for x, y in zip(out[l], out[k])]
-    if not out:
-        return Mat.zeros(d, n, 0)
-    return Mat(d, [[c[i] for c in out] for i in range(n)])
+    return out
 
 
 def in_column_lattice(m, b):
@@ -627,6 +709,9 @@ class LatticeSpan:
 
     Basis columns are kept in column Hermite form, so membership reduces to
     a triangular divisibility check.  Works over Z and its localizations.
+    Over Z an insert folds the new column into the basis row by row and
+    re-reduces only what changed; the basis is always exactly
+    ``column_hermite`` of the columns inserted so far.
     """
 
     def __init__(self, dom, n):
@@ -650,16 +735,24 @@ class LatticeSpan:
             if not d.divides(col[piv], x):
                 continue
             q = d.div(x, col[piv])
-            v = [d.sub(a, d.mul(q, b)) for a, b in zip(v, col)]
+            v = [d.sub(a, d.mul(q, b)) if b else a for a, b in zip(v, col)]
         return v
 
     def contains(self, vec):
         d = self.dom
+        if d.kind == "Z":
+            return self._fold_int(_int_vector(vec), False) is None
         return all(d.is_zero(x) for x in self.reduce(vec))
 
     def insert(self, vec):
         """Add vec to the lattice; returns True if the lattice grew."""
         d = self.dom
+        if d.kind == "Z":
+            changed = self._fold_int(_int_vector(vec), True)
+            if changed is None:
+                return False
+            self._rereduce_int(changed)
+            return True
         if self.contains(vec):
             return False
         m = self.to_matrix().hstack(Mat.column(d, vec))
@@ -671,31 +764,124 @@ class LatticeSpan:
         ]
         return True
 
+    def _fold_int(self, v, merge):
+        """Reduce the int vector v against the basis, pivot row by pivot row.
+
+        Returns None if v lies in the lattice.  Otherwise, without merge it
+        returns []; with merge it folds v into the basis (an extended-gcd
+        merge where a pivot does not divide v's entry, a new column where v
+        has a nonzero entry outside the pivot rows) and returns the indices
+        of the basis columns whose pivot changed or is new, in order.
+        """
+        basis, pivots, n = self.basis, self.pivots, self.n
+        changed = []
+        r = 0
+        while True:
+            while r < n and not v[r]:
+                r += 1
+            if r == n:
+                break
+            k = bisect_left(pivots, r)
+            if k == len(pivots) or pivots[k] != r:
+                if not merge:
+                    return []
+                if v[r] < 0:
+                    v = [-x for x in v]
+                basis.insert(k, v)
+                pivots.insert(k, r)
+                changed.append(k)
+                break
+            b = basis[k]
+            a, x = b[r], v[r]
+            q, rem = divmod(x, a)
+            if not rem:
+                v = [y - q * z for y, z in zip(v, b)]
+            elif not merge:
+                return []
+            else:
+                # [b, v] -> [s b + t v, (a/g) v - (x/g) b] has determinant 1
+                g, s, t = _xgcd(a, x)
+                basis[k] = [s * z + t * y for y, z in zip(v, b)]
+                a, x = a // g, x // g
+                v = [a * y - x * z for y, z in zip(v, b)]
+                changed.append(k)
+            r += 1
+        return changed or None
+
+    def _rereduce_int(self, changed):
+        """Restore the Hermite reduction (each entry in a later pivot's row
+        in [0, pivot)) after the columns ``changed`` got a new pivot.
+
+        Pivots are taken in order; at a changed pivot every earlier column
+        is reduced, elsewhere only the columns that an earlier step of this
+        pass (or the fold) modified below their pivot."""
+        basis, pivots = self.basis, self.pivots
+        full = set(changed)
+        dirty = set(changed)
+        for k in range(changed[0], len(basis)):
+            p = pivots[k]
+            bk = basis[k]
+            a = bk[p]
+            for l in (range(k) if k in full else [l for l in dirty if l < k]):
+                bl = basis[l]
+                q = bl[p] // a
+                if q:
+                    basis[l] = [x - q * y for x, y in zip(bl, bk)]
+                    dirty.add(l)
+
     def to_matrix(self):
         if not self.basis:
             return Mat.zeros(self.dom, self.n, 0)
-        return Mat(self.dom, [list(r) for r in zip(*self.basis)])
+        a = _from_columns(self.basis, self.n)
+        return Mat._trusted(self.dom, a, self.n, len(self.basis))
+
+
+def _int_vector(vec):
+    """A fresh list of the entries of vec as canonical integers."""
+    return [x if type(x) is int else ZZ.canon(x) for x in vec]
+
+
+def _xgcd(a, b):
+    """(g, s, t) with g = gcd(a, b) = s a + t b and g > 0, for a, b not both 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
 
 class RationalSpan:
-    """A growing subspace of Q^n kept in echelon form."""
+    """A growing subspace of Q^n kept in echelon form.
+
+    Rows are stored as primitive integer vectors (entries with gcd 1, pivot
+    entry positive) and vectors are reduced fraction-free: cross-multiply
+    to clear a pivot entry, divide by the content once at the end."""
 
     def __init__(self, n):
         self.n = n
-        self.rows = []  # echelon rows, each with a pivot
-        self.pivots = []
+        self.rows = []  # primitive int rows in echelon form
+        self.pivots = []  # pivot column of each row, strictly increasing
 
     @property
     def rank(self):
         return len(self.rows)
 
     def reduce(self, vec):
-        v = [Fraction(x) for x in vec]
+        """A primitive integer vector (or 0) that, with the rows, spans the
+        same space as vec with the rows, and is 0 exactly when vec is in
+        their span."""
+        v = _clear_denominators([vec])[0][0]
         for row, piv in zip(self.rows, self.pivots):
-            if v[piv]:
-                c = v[piv] / row[piv]
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
+            x = v[piv]
+            if x:
+                a = row[piv]
+                g = gcd(a, x)
+                a, x = a // g, x // g
+                v = [a * y - x * z for y, z in zip(v, row)]
+        g = gcd(*v)
+        return [y // g for y in v] if g > 1 else v
 
     def contains(self, vec):
         return not any(self.reduce(vec))
@@ -705,10 +891,9 @@ class RationalSpan:
         piv = next((i for i, x in enumerate(v) if x), None)
         if piv is None:
             return False
-        # keep rows reduced against the newcomer for stable pivots
-        k = 0
-        while k < len(self.pivots) and self.pivots[k] < piv:
-            k += 1
+        if v[piv] < 0:
+            v = [-x for x in v]
+        k = bisect_left(self.pivots, piv)
         self.rows.insert(k, v)
         self.pivots.insert(k, piv)
         return True

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubefunc.domains import ZZ, GF2, GF3, GF, Zloc, Zmod, Z_HALF, Domain
 from cubefunc.matrix import (
+    LatticeSpan,
     Mat,
+    RationalSpan,
     smith_normal_form,
     invariant_factors,
     rank,
@@ -201,3 +205,176 @@ def test_gf4_field_arithmetic():
     # x^2 = x + 1 for the standard reduction polynomial
     assert g.mul(a, a) == g.add(a, g.one())
     assert g.mul(a, g.inv(a)) == g.one()
+
+
+# -- shapes of empty matrices -------------------------------------------------
+
+
+def test_eq_and_hash_see_the_shape():
+    a, b = Mat.zeros(ZZ, 0, 3), Mat.zeros(ZZ, 0, 5)
+    assert a != b
+    assert hash(a) != hash(b)
+    assert a == Mat.zeros(ZZ, 0, 3) and hash(a) == hash(Mat.zeros(ZZ, 0, 3))
+    assert Mat.zeros(ZZ, 3, 0) != Mat.zeros(ZZ, 5, 0)
+
+
+def test_hstack_keeps_columns_of_empty_rows():
+    h = Mat.zeros(ZZ, 0, 3).hstack(Mat.zeros(ZZ, 0, 2))
+    assert (h.rows, h.cols) == (0, 5)
+    v = Mat.zeros(ZZ, 0, 4).vstack(Mat.zeros(ZZ, 0, 4))
+    assert (v.rows, v.cols) == (0, 4)
+
+
+def test_submatrix_keeps_columns_of_empty_rows():
+    m = Mat(ZZ, [[1, 2, 3], [4, 5, 6]])
+    s = m.submatrix([], [0, 2])
+    assert (s.rows, s.cols) == (0, 2)
+    assert m.submatrix([1], range(1, 3)) == Mat(ZZ, [[5, 6]])
+
+
+def test_to_domain_keeps_columns_of_empty_rows():
+    t = Mat.zeros(ZZ, 0, 3).to_domain(Z_HALF)
+    assert (t.dom, t.rows, t.cols) == (Z_HALF, 0, 3)
+    assert t == Mat.zeros(Z_HALF, 0, 3)
+
+
+def test_mismatched_operands_raise():
+    with pytest.raises(ValueError):
+        Mat.zeros(ZZ, 2, 3) + Mat.zeros(ZZ, 2, 2)
+    with pytest.raises(ValueError):
+        Mat.zeros(ZZ, 0, 3) - Mat.zeros(ZZ, 0, 2)
+    # results are not re-canonicalized, so domains must agree
+    for op in (Mat.__add__, Mat.__mul__, Mat.hstack, Mat.vstack):
+        with pytest.raises(ValueError):
+            op(Mat.identity(ZZ, 2), Mat.identity(Z_HALF, 2))
+
+
+# -- properties of the exact kernel --------------------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+_small = st.integers(-6, 6)
+_sparse_int = st.one_of(st.just(0), st.just(0), _small)
+# raw values that each domain's canon turns into a canonical element
+ELEMENTS = {
+    ZZ: _sparse_int,
+    Z_HALF: st.builds(lambda n, k: Fraction(n, 2**k), _sparse_int, st.integers(0, 3)),
+    Zloc(3): st.builds(Fraction, _sparse_int, st.sampled_from([1, 2, 4, 5, 7])),
+    GF2: st.integers(0, 1),
+    GF(4): st.one_of(st.just((0, 0)), st.tuples(st.integers(0, 1), st.integers(0, 1))),
+    Zmod(4): st.one_of(st.just(0), st.integers(0, 3)),
+}
+
+
+def _mat(dom, entries, rows, cols):
+    return Mat(dom, entries) if rows else Mat.zeros(dom, 0, cols)
+
+
+@st.composite
+def matrices(draw, dom, rows, cols):
+    entries = [[draw(ELEMENTS[dom]) for _ in range(cols)] for _ in range(rows)]
+    return _mat(dom, entries, rows, cols)
+
+
+def _naive_product(a, b):
+    d = a.dom
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            s = d.zero()
+            for t in range(a.cols):
+                s = d.add(s, d.mul(a.a[i][t], b.a[t][j]))
+            row.append(s)
+        out.append(row)
+    return out
+
+
+def _assert_canonical(m):
+    d = m.dom
+    assert len(m.a) == m.rows
+    for row in m.a:
+        assert len(row) == m.cols
+        for x in row:
+            c = d.canon(x)
+            assert c == x and type(c) is type(x), (d, x)
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(list(ELEMENTS)),
+       st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+def test_sparse_product_matches_naive(data, dom, r, k, c):
+    a = data.draw(matrices(dom, r, k))
+    b = data.draw(matrices(dom, k, c))
+    p = a * b
+    assert (p.dom, p.rows, p.cols) == (dom, r, c)
+    assert p.a == _naive_product(a, b)
+    _assert_canonical(p)
+    x = data.draw(ELEMENTS[dom])
+    a2 = data.draw(matrices(dom, r, k))
+    d = dom
+    assert (a + a2).a == [[d.add(u, v) for u, v in zip(r1, r2)] for r1, r2 in zip(a.a, a2.a)]
+    assert (a - a2).a == [[d.sub(u, v) for u, v in zip(r1, r2)] for r1, r2 in zip(a.a, a2.a)]
+    assert a.scale(x).a == [[d.mul(d.canon(x), u) for u in row] for row in a.a]
+    for m in (a + a2, a - a2, -a, a.scale(x), a.transpose(), a.copy()):
+        _assert_canonical(m)
+    assert (a - a).is_zero()
+    assert a + (-a) == Mat.zeros(dom, r, k)
+
+
+@st.composite
+def int_vectors_with_combinations(draw, n, count):
+    """Integer vectors, some of them combinations of earlier ones."""
+    vecs = []
+    for _ in range(count):
+        if vecs and draw(st.booleans()):
+            coeffs = [draw(st.integers(-3, 3)) for _ in vecs]
+            vecs.append([sum(c * v[i] for c, v in zip(coeffs, vecs)) for i in range(n)])
+        else:
+            vecs.append([draw(_sparse_int) for _ in range(n)])
+    return vecs
+
+
+@PROPERTY
+@given(st.data(), st.integers(0, 6), st.integers(1, 8))
+def test_lattice_insert_keeps_the_hermite_basis(data, n, count):
+    vecs = data.draw(int_vectors_with_combinations(n, count))
+    lat = LatticeSpan(ZZ, n)
+    for i, v in enumerate(vecs):
+        fresh = not lat.contains(v)
+        assert lat.insert(v) == fresh
+        cols = vecs[: i + 1]
+        h = column_hermite(_mat(ZZ, [[c[r] for c in cols] for r in range(n)], n, len(cols)))
+        assert lat.to_matrix() == h
+        assert lat.pivots == [next(r for r, x in enumerate(c) if x) for c in lat.basis]
+        assert all(lat.contains(w) for w in cols)
+
+
+def _cleared(v):
+    """v times the least common denominator of its entries."""
+    den = 1
+    for x in v:
+        den = den * x.denominator // gcd(den, x.denominator)
+    return [int(x * den) for x in v]
+
+
+@PROPERTY
+@given(st.data(), st.integers(0, 5), st.integers(1, 7))
+def test_rational_span_rank_matches_integer_rank(data, n, count):
+    frac = st.builds(Fraction, _small, st.integers(1, 6))
+    span = RationalSpan(n)
+    vecs, rows = [], []
+    for _ in range(count):
+        if vecs and data.draw(st.booleans()):
+            # a rational combination of earlier vectors
+            coeffs = [data.draw(frac) for _ in vecs]
+            v = [sum(c * w[i] for c, w in zip(coeffs, vecs)) for i in range(n)]
+        else:
+            v = [data.draw(frac) for _ in range(n)]
+        before = rank(_mat(ZZ, rows, len(rows), n))
+        after = rank(_mat(ZZ, rows + [_cleared(v)], len(rows) + 1, n))
+        assert span.contains(v) == (after == before)
+        assert span.insert(v) == (after > before)
+        assert span.rank == after
+        vecs.append(v)
+        rows.append(_cleared(v))

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from cubefunc.domains import Z_HALF, ZZ
+from cubefunc.faithful import hom_lattice, word_lattice
 from cubefunc.functors import builtin, extract_diagram
-from cubefunc.matrix import Mat
+from cubefunc.matrix import Mat, column_hermite
 from cubefunc.rings import (
     BRingElement,
     Expr,
@@ -103,11 +104,26 @@ def test_relation_list_char2_drops_doubles():
     assert plain["h1*p1*h1 = 2h1"][1].terms != {}
 
 
+@pytest.fixture(scope="module")
+def level1_report():
+    return a11_subring()
+
+
+@pytest.fixture(scope="module")
+def halved_report():
+    return verify_prop31_identities()
+
+
+@pytest.fixture(scope="module")
+def alt_report():
+    return verify_A_alt_structure()
+
+
 class TestCornerSuites:
     """The three heavyweight identity suites, run once each."""
 
-    def test_level1_corner(self):
-        report = a11_subring()
+    def test_level1_corner(self, level1_report):
+        report = level1_report
         assert report["ok"], {k: v for k, v in report.items() if v is False}
         assert report["a^2 = 2a"]
         assert report["b^2 = 6b"]
@@ -118,15 +134,15 @@ class TestCornerSuites:
         # the unshifted product ph does not satisfy the quadratic of b
         assert report["(ph)^2 = 6(ph) fails"]
 
-    def test_halved_identities(self):
-        report = verify_prop31_identities()
+    def test_halved_identities(self, halved_report):
+        report = halved_report
         assert report["ok"], {k: v for k, v in report.items() if v is False}
         for lvl in (1, 2, 3):
             assert report[f"level {lvl} basis is independent"]
             assert report[f"level {lvl} basis spans the corner"]
 
-    def test_annihilated_level1_quotient(self):
-        report = verify_A_alt_structure()
+    def test_annihilated_level1_quotient(self, alt_report):
+        report = alt_report
         assert report["ok"], {k: v for k, v in report.items() if v is False}
         assert report["theta != 0"] and report["2*theta = 0"]
         assert report["xi*eta = theta"] and report["eta*xi = 0"]
@@ -134,6 +150,33 @@ class TestCornerSuites:
 
     def test_quotient_dimension(self):
         assert a_alt_algebra_dimension() == 18
+
+    def test_every_report_entry_holds(self, level1_report, halved_report, alt_report):
+        # regression guard for the exact kernel: not just the "ok" summary,
+        # every entry of every report (the level-1 report also carries a
+        # text note on how a and b are read)
+        for report in (level1_report, halved_report, alt_report):
+            assert [k for k, v in report.items() if not v] == []
+            assert all(v is True for k, v in report.items() if k != "resolution")
+        assert isinstance(level1_report["resolution"], str)
+
+    @pytest.mark.parametrize("src, dst", [(1, 2), (1, 3)])
+    def test_hom_lattice_basis_is_hermite(self, rep, src, dst):
+        # the incrementally built basis is the Hermite form of all corners
+        # of the word lattice, recomputed here in one batch
+        basis = hom_lattice(rep, src, dst)
+        rows, cols = rep.dims[dst - 1], rep.dims[src - 1]
+        as_columns = lambda vecs: Mat(ZZ, [[v[i] for v in vecs] for i in range(rows * cols)])
+        got = as_columns([[x for row in m.a for x in row] for m in basis])
+        assert column_hermite(got) == got
+        lat, _ = word_lattice(rep)
+        ids = rep.gen_mats[f"id{src}"], rep.gen_mats[f"id{dst}"]
+        corners = []
+        for col in lat.basis:
+            m = Mat(ZZ, [col[i * rep.total:(i + 1) * rep.total] for i in range(rep.total)])
+            c = rep.corner(ids[1] * m * ids[0], src, dst)
+            corners.append([x for row in c.a for x in row])
+        assert column_hermite(as_columns(corners)) == got
 
 
 class TestQuadrupleRing:
