@@ -13,7 +13,11 @@ decompose as mutually inverse constructions (strings, bands and the
 trivial diagram).
 
 Everything runs on a small numpy kernel for exact GF(2^k) arithmetic;
-GF(2) is the default and the fast path.
+GF(2) is the default and the fast path.  Hom spaces, of cubic spaces and
+of modules over free algebras alike, are nullspaces of one Kronecker
+system (_intertwiners), and the deciders that enumerate them over GF(2)
+(find_isomorphism, split_indecomposable and the Z/4 deciders of
+wildness.py) test all combinations of a basis at once on bit-packed rows.
 """
 
 import random
@@ -1165,28 +1169,31 @@ class BandDatum5:
     def __repr__(self):
         return f"B[{self.word!r}, {self.poly}]"
 
-    def shift(self, s):
-        return BandDatum5(self.word.shift(s), self.poly, self.field)
-
-    def star(self):
-        """(w*, lambda^-1 t^d pi(1/t)); defined when pi(0) != 0."""
+    def _star_poly(self):
+        """lambda^-1 t^d pi(1/t) with lambda = pi(0) != 0."""
         lam = self.poly[0]
         if lam == 0:
             raise ValueError("the star band needs an invertible pi(0)")
         F = self.field
         inv = 1 if F.k == 1 else int(F.inv_table[lam])
-        rev = tuple(int(F.mul(inv, c)) for c in self.poly[::-1])
-        return BandDatum5(self.word.star(), rev, F)
+        return tuple(int(F.mul(inv, c)) for c in self.poly[::-1])
+
+    def star(self):
+        """(w*, lambda^-1 t^d pi(1/t)); defined when pi(0) != 0."""
+        return BandDatum5(self.word.star(), self._star_poly(), self.field)
 
     def key(self):
         return ("band", self.word.key(), self.poly)
 
     def canonical_key(self):
-        cands = [self.shift(s).key() for s in range(self.word.n // 2)]
+        """The least key over the word shifts of the datum and of its star;
+        the shifted and starred data are valid whenever the datum is, so
+        their keys are built without constructing them."""
+        pairs = [(self.word, self.poly)]
         if self.poly[0] != 0:
-            st = self.star()
-            cands += [st.shift(s).key() for s in range(self.word.n // 2)]
-        return min(cands)
+            pairs.append((self.word.star(), self._star_poly()))
+        return min(("band", word.shift(s).key(), poly)
+                   for word, poly in pairs for s in range(self.word.n // 2))
 
     def __eq__(self, other):
         return isinstance(other, BandDatum5) and self.key() == other.key()
@@ -1402,10 +1409,33 @@ def realize(datum, field=GF2_FIELD):
 
 
 def _kron(field, a, b):
-    if field.k == 1:
-        return np.kron(a, b).astype(np.uint8)
-    out = field.mul_table[a[:, None, :, None], b[None, :, None, :]]
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    a, b = a[:, None, :, None], b[None, :, None, :]
+    out = a & b if field.k == 1 else field.mul_table[a, b]
+    return out.reshape(a.shape[0] * b.shape[1], a.shape[2] * b.shape[3])
+
+
+def _intertwiners(field, dims_x, dims_y, arrows):
+    """Basis of the families (f_v : x_v -> y_v) with y_a f_s = f_t x_a for
+    every arrow (s, t, x_a, y_a), as tuples of matrices.
+
+    The basis is the nullspace of the stacked Kronecker system: with f
+    flattened row by row, y_a f_s = f_t x_a reads
+    (y_a kron I) vec f_s = (I kron x_a^T) vec f_t."""
+    nvars = [dx * dy for dx, dy in zip(dims_x, dims_y)]
+    off = np.cumsum([0] + nvars)
+    rows = []
+    for s, t, xa, ya in arrows:
+        block = zeros(ya.shape[0] * dims_x[s], off[-1])
+        block[:, off[s]: off[s + 1]] = _kron(field, ya, eye(dims_x[s]))
+        block[:, off[t]: off[t + 1]] ^= _kron(field, eye(dims_y[t]), xa.T)
+        rows.append(block)
+    system = np.concatenate(rows, axis=0) if rows else zeros(0, off[-1])
+    null = nullspace(field, system)
+    return [
+        tuple(null[off[v]: off[v + 1], j].reshape(dims_y[v], dims_x[v])
+              for v in range(len(nvars)))
+        for j in range(null.shape[1])
+    ]
 
 
 def hom_basis(x, y):
@@ -1413,31 +1443,20 @@ def hom_basis(x, y):
     F = x.field
     if y.field != F:
         raise ValueError("field mismatch")
-    nvars = (x.d1 * y.d1, x.d2 * y.d2, x.d3 * y.d3)
-    off = np.cumsum((0,) + nvars)
-    rows = []
-    # each relation U f_a = f_b V gives (U kron I) vec f_a = (I kron V^T) vec f_b
-    eqs = (
-        ((y.h, x.h), 0, 1), ((y.p, x.p), 1, 0),
-        ((y.h1, x.h1), 1, 2), ((y.h2, x.h2), 1, 2),
-        ((y.p1, x.p1), 2, 1), ((y.p2, x.p2), 2, 1),
-    )
-    dims_x = (x.d1, x.d2, x.d3)
-    dims_y = (y.d1, y.d2, y.d3)
-    for (u, v), a, b in eqs:
-        block = zeros(u.shape[0] * dims_x[a], off[-1])
-        block[:, off[a]: off[a + 1]] = _kron(F, u, eye(dims_x[a]))
-        block[:, off[b]: off[b + 1]] ^= _kron(F, eye(dims_y[b]), v.T)
-        rows.append(block)
-    null = nullspace(F, np.concatenate(rows, axis=0)) if rows else zeros(0, 0)
-    out = []
-    for j in range(null.shape[1]):
-        vec = null[:, j]
-        out.append(tuple(
-            vec[off[i]: off[i + 1]].reshape(dims_y[i], dims_x[i])
-            for i in range(3)
-        ))
-    return out
+    arrows = [
+        (0, 1, x.h, y.h), (1, 0, x.p, y.p),
+        (1, 2, x.h1, y.h1), (1, 2, x.h2, y.h2),
+        (2, 1, x.p1, y.p1), (2, 1, x.p2, y.p2),
+    ]
+    return _intertwiners(F, x.dims, y.dims, arrows)
+
+
+def module_hom_basis(amats, bmats, d):
+    """Basis of {U : U a_i = b_i U} for two tuples of d x d GF(2)
+    matrices: the homomorphisms between the modules over a free algebra
+    that the tuples define, as 1-tuples (U,)."""
+    arrows = [(0, 0, a, b) for a, b in zip(amats, bmats)]
+    return _intertwiners(GF2_FIELD, (d,), (d,), arrows)
 
 
 def _all_combos(field, basis):
@@ -1464,7 +1483,176 @@ def _is_invertible(field, f, dims_x, dims_y):
     )
 
 
-def find_isomorphism(x, y, limit=1 << 16):
+# ---------------------------------------------------------------------------
+# bit-packed batches of GF(2) matrices
+# ---------------------------------------------------------------------------
+#
+# A batch of C matrices with r rows and c columns is a uint64 array
+# [C, r, ceil(c / 64)]: column j of a row is bit j % 64 of its word j // 64.
+# Adding rows is xor of words, and each function below runs a few numpy
+# operations per column over the whole batch.  The deciders enumerate the
+# 2^E combinations of a morphism basis in chunks of at most _CHUNK_WORDS
+# words; combination i is the sum of the basis elements at the set bits of
+# i (the order of _bit_matrix), so the first hit is the same in any chunking.
+
+ENUM_BITS = 16          # the deciders enumerate at most 2^16 combinations
+_CHUNK_WORDS = 1 << 18
+
+
+def _bit_matrix(count, width):
+    """Rows are the binary digits of 0..count-1, least significant first."""
+    idx = np.arange(count, dtype=np.uint32)
+    return ((idx[:, None] >> np.arange(width, dtype=np.uint32)) & 1) \
+        .astype(np.uint8)
+
+
+def _pack(mats):
+    """0/1 matrices [..., r, c] as packed rows [..., r, ceil(c / 64)]."""
+    mats = np.asarray(mats, dtype=np.uint8)
+    cols = mats.shape[-1]
+    if cols % 64:
+        wide = np.zeros(mats.shape[:-1] + (cols + (-cols % 64),), dtype=np.uint8)
+        wide[..., :cols] = mats
+        mats = wide
+    words = np.packbits(mats, axis=-1, bitorder="little").view("<u8")
+    return words.astype(np.uint64, copy=False)
+
+
+def _column(a, j):
+    """Column j of a packed batch [C, r, W], as 0/1 words [C, r]."""
+    return (a[:, :, j >> 6] >> (j & 63)) & 1
+
+
+def _full_rank(a):
+    """Which square matrices of a packed batch [C, n, W] are invertible.
+
+    Elimination without row swaps: each column takes its pivot among the
+    rows not yet used and clears the column in every other row; a column
+    with no unused row holding a 1 proves the matrix singular, and the
+    matrices so proved leave the batch."""
+    C, n = a.shape[:2]
+    ok = np.zeros(C, dtype=bool)
+    live = np.arange(C)
+    free = np.ones((C, n), dtype=bool)
+    for col in range(n):
+        bit = _column(a, col).astype(bool)
+        cand = bit & free
+        has = cand.any(axis=1)
+        if not has.all():
+            live, a, free, bit, cand = (x[has] for x in (live, a, free, bit, cand))
+            if not live.size:
+                return ok
+        rows = np.arange(live.size)
+        piv = cand.argmax(axis=1)
+        free[rows, piv] = False
+        bit[rows, piv] = False
+        a = a ^ bit[:, :, None] * a[rows, piv][:, None, :]
+    ok[live] = True
+    return ok
+
+
+def _matmul(a, b):
+    """Products a[i] @ b[i] of packed batches [C, r, W'] and [C, n, W]:
+    row k of a product is the sum of the rows j of b with a[i, k, j] = 1."""
+    out = np.zeros(a.shape[:2] + b.shape[2:], dtype=np.uint64)
+    for j in range(b.shape[1]):
+        out ^= _column(a, j)[:, :, None] * b[:, j, None, :]
+    return out
+
+
+def _stable_exponent(n):
+    """r >= 1 with 2^r >= n: f^(2^r) has the stable kernel and image of an
+    endomorphism f of an n-dimensional space."""
+    return max(1, (n - 1).bit_length())
+
+
+def _stable_power(a):
+    """The power f^(2^r) of _stable_exponent of a packed batch [C, n, W]."""
+    for _ in range(_stable_exponent(a.shape[1])):
+        a = _matmul(a, a)
+    return a
+
+
+def _combinations(basis, lo, count):
+    """Combinations lo .. lo + count - 1 of a packed basis [E, r, W], in
+    the order of _bit_matrix.  count is a power of two dividing lo: the
+    low bits are filled in by doubling, the high ones are common."""
+    out = np.empty((count,) + basis.shape[1:], dtype=np.uint64)
+    out[0] = 0
+    low = count.bit_length() - 1
+    for e in range(low):
+        out[1 << e: 2 << e] = out[: 1 << e] ^ basis[e]
+    for e in range(low, len(basis)):
+        if lo >> e & 1:
+            out ^= basis[e]
+    return out
+
+
+def _invertible(batch):
+    """Which morphisms of a batch (one packed [C, n, W] array per
+    component) are invertible in every component."""
+    ok = np.ones(len(batch[0]), dtype=bool)
+    for g in batch:
+        live = np.flatnonzero(ok)
+        ok[live] = _full_rank(g[live])
+    return ok
+
+
+def _mixed(batch):
+    """Which endomorphisms of a batch are neither nilpotent nor invertible;
+    these are exactly the ones whose Fitting decomposition splits."""
+    inv = _invertible(batch)
+    nilp = ~inv
+    for g in batch:
+        live = np.flatnonzero(nilp)
+        nilp[live] = ~_stable_power(g[live]).any(axis=(1, 2))
+    return ~(inv | nilp)
+
+
+def _pack_basis(basis, dims):
+    """A basis of square morphisms as one packed [E, n, W] per component."""
+    return [
+        _pack(np.array([f[c] for f in basis], dtype=np.uint8)
+              .reshape(len(basis), n, n))
+        for c, n in enumerate(dims)
+    ]
+
+
+def _first(mask):
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _combination(basis, i, dims):
+    """Combination i of a basis of square morphisms, unpacked."""
+    out = tuple(zeros(n, n) for n in dims)
+    for e, f in enumerate(basis):
+        if i >> e & 1:
+            out = tuple(a ^ b for a, b in zip(out, f))
+    return out
+
+
+def _first_combination(basis, dims, test):
+    """The first combination of a basis of square GF(2) morphisms that
+    passes test (_invertible or _mixed), or None.  All 2^E combinations
+    are tested, in chunks of at most _CHUNK_WORDS words."""
+    comps = _pack_basis(basis, dims)
+    E = len(basis)
+    words = max(1, sum(c.shape[1] * c.shape[2] for c in comps))
+    size = 1 << min(E, max(0, (_CHUNK_WORDS // words).bit_length() - 1))
+    for lo in range(0, 1 << E, size):
+        hit = _first(test([_combinations(c, lo, size) for c in comps]))
+        if hit is not None:
+            return _combination(basis, lo + hit, dims)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# isomorphism and splitting of cubic spaces
+# ---------------------------------------------------------------------------
+
+
+def find_isomorphism(x, y):
     """An invertible morphism x -> y, or None.  Exhaustive over the hom
     space when it is small enough, so a None answer is then a proof of
     non-isomorphism.  Larger hom spaces fall back to seeded random
@@ -1478,22 +1666,9 @@ def find_isomorphism(x, y, limit=1 << 16):
         return None if sum(x.dims) else ()
     F = x.field
     q = 2 ** F.k
-    if q ** len(basis) <= limit:
+    if q ** len(basis) <= 1 << ENUM_BITS:
         if F.k == 1:
-            E = len(basis)
-            coeffs = _bit_matrix(1 << E, E)
-            inv = np.ones(1 << E, dtype=bool)
-            blocks = [
-                _combo_blocks(basis, comp, coeffs, (y.dims[comp], n))
-                for comp, n in enumerate(x.dims)
-            ]
-            for g in blocks:
-                inv &= _full_rank_batch(g)
-            hits = np.flatnonzero(inv)
-            if len(hits) == 0:
-                return None
-            i = hits[0]
-            return tuple(g[i] for g in blocks)
+            return _first_combination(basis, x.dims, _invertible)
         for f in _all_combos(F, basis):
             if _is_invertible(F, f, x.dims, y.dims):
                 return f
@@ -1514,61 +1689,10 @@ def find_isomorphism(x, y, limit=1 << 16):
     return None
 
 
-def _combo_blocks(basis, comp, coeffs, shape):
-    """All linear combinations of one component of a hom basis, batched:
-    coeffs is a 0/1 matrix [C, E], result is [C, rows, cols]."""
-    E = len(basis)
-    flat = np.stack([b[comp].reshape(-1).astype(np.uint8) for b in basis])
-    out = (coeffs @ flat) & 1
-    return out.reshape(len(coeffs), *shape)
-
-
-def _bit_matrix(count, width):
-    """Rows are the binary digits of 0..count-1, least significant first."""
-    idx = np.arange(count, dtype=np.uint32)
-    return ((idx[:, None] >> np.arange(width, dtype=np.uint32)) & 1) \
-        .astype(np.uint8)
-
-
-def _full_rank_batch(mats):
-    """Boolean mask of which square GF(2) matrices in a batch [C, n, n]
-    are invertible."""
-    C, n, _ = mats.shape
-    ok = np.ones(C, dtype=bool)
-    if n == 0 or C == 0:
-        return ok
-    a = mats.copy()
-    rows = np.arange(C)
-    for col in range(n):
-        sub = a[:, col:, col]
-        has = sub.any(axis=1)
-        ok &= has
-        piv = np.argmax(sub, axis=1) + col
-        tmp = a[rows, col].copy()
-        a[rows, col] = a[rows, piv]
-        a[rows, piv] = tmp
-        if col + 1 < n:
-            mask = a[:, col + 1:, col].astype(bool)
-            a[:, col + 1:, :] ^= (mask[:, :, None]
-                                  & a[:, col, :][:, None, :].astype(bool))
-    return ok
-
-
-def _stable_power_batch(g, n):
-    """Component-wise power f^(2^r) with 2^r >= n, over a batch."""
-    out = g
-    r = max(1, int(np.ceil(np.log2(max(n, 2)))))
-    for _ in range(r):
-        out = np.matmul(out.astype(np.int64), out.astype(np.int64)) & 1
-        out = out.astype(np.uint8)
-    return out
-
-
 def _power_stable(field, mats_, n):
     """Component-wise power f^(2^r) with 2^r >= n."""
     out = tuple(m.copy() for m in mats_)
-    r = max(1, int(np.ceil(np.log2(max(n, 2)))))
-    for _ in range(r):
+    for _ in range(_stable_exponent(n)):
         out = tuple(field.matmul(m, m) for m in out)
     return out
 
@@ -1588,64 +1712,65 @@ def _try_split(space, f):
     return a, b
 
 
-def split_indecomposable(space, limit=16):
+TOO_LARGE = "endomorphism algebra too large to certify locality"
+
+
+def split_indecomposable(space):
     """Either (None, proof) where the space is indecomposable, or a pair
     of proper subdiagram summands.  The proof is the dimension of the
     endomorphism algebra, every element of which was checked to be
-    nilpotent or invertible."""
+    nilpotent or invertible.
+
+    The search tries the basis elements, then every combination when
+    there are at most 2^ENUM_BITS, else the sums of two basis elements; the
+    first element that is neither nilpotent nor invertible splits."""
     n = sum(space.dims)
     if n == 0:
         raise ValueError("the zero space has no summands")
     basis = hom_basis(space, space)
+    E = len(basis)
+    if space.field.k == 1:
+        comps = _pack_basis(basis, space.dims)
+        hit = _first(_mixed(comps))
+        if hit is not None:
+            return _try_split(space, basis[hit])
+        if E <= ENUM_BITS:
+            f = _first_combination(basis, space.dims, _mixed)
+            return (None, E) if f is None else _try_split(space, f)
+        left, right = np.triu_indices(E, 1)
+        hit = _first(_mixed([c[left] ^ c[right] for c in comps]))
+        if hit is not None:
+            pair = zip(basis[left[hit]], basis[right[hit]])
+            return _try_split(space, tuple(a ^ b for a, b in pair))
+        raise ValueError(TOO_LARGE)
     for f in basis:
         got = _try_split(space, f)
         if got:
             return got
-    q = 2 ** space.field.k
-    if q ** len(basis) <= 1 << limit:
-        if space.field.k == 1:
-            E = len(basis)
-            coeffs = _bit_matrix(1 << E, E)
-            nilp = np.ones(1 << E, dtype=bool)
-            inv = np.ones(1 << E, dtype=bool)
-            for comp, n in enumerate(space.dims):
-                g = _combo_blocks(basis, comp, coeffs, (n, n))
-                s = _stable_power_batch(g, n)
-                nilp &= ~s.any(axis=(1, 2))
-                inv &= _full_rank_batch(s)
-            mixed = np.flatnonzero(~(nilp | inv))
-            for i in mixed:
-                f = tuple(
-                    _combo_blocks(basis, comp, coeffs[i: i + 1], (n, n))[0]
-                    for comp, n in enumerate(space.dims))
-                got = _try_split(space, f)
-                if got:
-                    return got
-            return None, len(basis)
+    if (2 ** space.field.k) ** E <= 1 << ENUM_BITS:
         for f in _all_combos(space.field, basis):
             got = _try_split(space, f)
             if got:
                 return got
-        return None, len(basis)
+        return None, E
     # too big to certify; sums of pairs catch the remaining practical cases
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
+    for i in range(E):
+        for j in range(i + 1, E):
             f = tuple(a ^ b for a, b in zip(basis[i], basis[j]))
             got = _try_split(space, f)
             if got:
                 return got
-    raise ValueError("endomorphism algebra too large to certify locality")
+    raise ValueError(TOO_LARGE)
 
 
-def indecomposable_summands(space, limit=16):
+def indecomposable_summands(space):
     """All indecomposable direct summands, by repeated Fitting splits."""
     if sum(space.dims) == 0:
         return []
-    got = split_indecomposable(space, limit)
+    got = split_indecomposable(space)
     if got[0] is None:
         return [space]
-    return (indecomposable_summands(got[0], limit)
-            + indecomposable_summands(got[1], limit))
+    return indecomposable_summands(got[0]) + indecomposable_summands(got[1])
 
 
 # ---------------------------------------------------------------------------
@@ -1828,9 +1953,10 @@ def _candidate_data(budget, field):
                 except ValueError:
                     continue
     seen, out = set(), []
-    for c in sorted(cands, key=lambda c: c.canonical_key()):
-        if c.canonical_key() not in seen:
-            seen.add(c.canonical_key())
+    for key, c in sorted(((c.canonical_key(), c) for c in cands),
+                         key=lambda kc: kc[0]):
+        if key not in seen:
+            seen.add(key)
             out.append(c)
     return out
 

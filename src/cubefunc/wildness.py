@@ -5,6 +5,27 @@ The point of this machinery is an embedding of matrix-tuple classification
 into cubic diagrams: pairs of matrices over Z/4 give modules over the
 level-1 endomorphism ring, and inducing up to levels 2 and 3 turns them
 into full diagrams without collapsing the isomorphism problem.
+
+The deciders work on the mod-2 action tuples, which is exact: a module
+restricted along a -> 2x1, b -> 2x2 has a = 2A and b = 2B, so U a = b U
+over Z/4 says U A = B U mod 2.  Both compute a Hom space
+{U : U a_i = b_i U} over GF(2) as the nullspace of the stacked system
+I kron a_i^T + b_i kron I (gf2.module_hom_basis) and enumerate the
+combinations of its basis on gf2's bit-packed batch kernel, at most 2^16:
+
+- iso_test_mod2 proves isomorphism with a witness U, invertible mod 2 with
+  U a_i = b_i U, and proves non-isomorphism by dim Hom(A, B) != dim End(A)
+  or by a Hom space without an invertible element.  IsoVerdict.method is
+  "hom space" (the Hom basis was enumerated; both answers are proofs),
+  "hom dimension" (the dimensions differ: not isomorphic), "shape
+  mismatch" (generator counts or ranks differ: not isomorphic) or
+  "inconclusive" (more than 2^16 homomorphisms, not searched; isomorphic
+  is None).  brute_force_a11_iso, the test oracle, searches all of
+  GL_d(Z/4) and reports "exhaustive mod 4" (or "rank mismatch").
+- indecomposable_mod2 proves indecomposability by checking that every
+  endomorphism is nilpotent or invertible (End is local), and
+  decomposability by an endomorphism that is neither; larger algebras and
+  the zero module raise ValueError.
 """
 
 from __future__ import annotations
@@ -12,7 +33,6 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import product
-import random
 
 import numpy as np
 
@@ -44,7 +64,7 @@ class SigmaModule:
 
     def mod2_action(self):
         return [np.array([[int(x) % 2 for x in row] for row in m.a], dtype=np.uint8)
-                for m in self.action]
+                .reshape(self.rank, self.rank) for m in self.action]
 
     def to_json(self):
         return {
@@ -320,33 +340,12 @@ IsoVerdict = namedtuple("IsoVerdict", "isomorphic witness method")
 
 @lru_cache(maxsize=8)
 def _gl2(d):
-    """All invertible d x d matrices over GF(2), as a uint8 array."""
-    mats = []
-    for bits in product((0, 1), repeat=d * d):
-        m = np.array(bits, dtype=np.uint8).reshape(d, d)
-        if _gf2_rank(m.copy()) == d:
-            mats.append(m)
-    return np.stack(mats)
+    """All invertible d x d matrices over GF(2), as a uint8 array, in the
+    order of itertools.product((0, 1), repeat=d * d)."""
+    from . import gf2
 
-
-def _gf2_rank(m):
-    m = m.copy()
-    rank = 0
-    rows, cols = m.shape
-    for c in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if m[r, c]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[[rank, piv]] = m[[piv, rank]]
-        for r in range(rows):
-            if r != rank and m[r, c]:
-                m[r] ^= m[rank]
-        rank += 1
-    return rank
+    mats = gf2._bit_matrix(1 << d * d, d * d)[:, ::-1].reshape(-1, d, d)
+    return mats[gf2._full_rank(gf2._pack(mats))]
 
 
 def _batch_conjugacy(us, amats, bmats, mod):
@@ -362,51 +361,33 @@ def _batch_conjugacy(us, amats, bmats, mod):
     return alive
 
 
-def iso_test_mod2(l, lp, seed=0, random_tries=2000):
-    """Decide simultaneous conjugacy of the mod-2 reductions.
+def iso_test_mod2(l, lp):
+    """Decide simultaneous conjugacy of the mod-2 reductions: is there an
+    invertible U over GF(2) with U a_i = b_i U for every i?
 
-    Exhaustive over GL_d(GF(2)) for d <= 4; beyond that, cheap invariants
-    plus a seeded randomized search, with an honest unknown outcome.
-    """
+    Hom = {U : U a_i = b_i U} is the nullspace of the stacked system
+    I kron a_i^T + b_i kron I.  If A and B are isomorphic, Hom(A, B) and
+    End(A) have the same dimension, so different dimensions prove them
+    non-isomorphic ("hom dimension").  Otherwise every combination of the
+    Hom basis is tested for invertibility on bit-packed rows, at most 2^16
+    of them: the first invertible one is the witness, and none proves
+    non-isomorphism ("hom space").  A larger Hom space is not searched
+    ("inconclusive").  The module docstring lists every method."""
     if l.n != lp.n or l.rank != lp.rank:
         return IsoVerdict(False, None, "shape mismatch")
+    from . import gf2
+
     d = l.rank
-    amats = l.mod2_action()
-    bmats = lp.mod2_action()
-    if d <= 4:
-        us = _gl2(d)
-        hits = _batch_conjugacy(us, amats, bmats, 2)
-        if hits.size:
-            return IsoVerdict(True, us[hits[0]].tolist(), "exhaustive")
-        return IsoVerdict(False, None, "exhaustive")
-    # word-rank invariants rule out quickly
-    for inv_a, inv_b in zip(_word_invariants(amats), _word_invariants(bmats)):
-        if inv_a != inv_b:
-            return IsoVerdict(False, None, "invariant mismatch")
-    rng = random.Random(seed)
-    for _ in range(random_tries):
-        u = np.array(
-            [[rng.randrange(2) for _ in range(d)] for _ in range(d)],
-            dtype=np.uint8,
-        )
-        if _gf2_rank(u) != d:
-            continue
-        if all(
-            np.array_equal((u @ a) % 2, (b @ u) % 2)
-            for a, b in zip(amats, bmats)
-        ):
-            return IsoVerdict(True, u.tolist(), "random search")
-    return IsoVerdict(None, None, "inconclusive")
-
-
-def _word_invariants(mats):
-    out = []
-    for m in mats:
-        out.append(_gf2_rank(m))
-    for m1 in mats:
-        for m2 in mats:
-            out.append(_gf2_rank((m1 @ m2) % 2))
-    return out
+    amats, bmats = l.mod2_action(), lp.mod2_action()
+    hom = gf2.module_hom_basis(amats, bmats, d)
+    if len(hom) != len(gf2.module_hom_basis(amats, amats, d)):
+        return IsoVerdict(False, None, "hom dimension")
+    if len(hom) > gf2.ENUM_BITS:
+        return IsoVerdict(None, None, "inconclusive")
+    u = gf2._first_combination(hom, (d,), gf2._invertible)
+    if u is None:
+        return IsoVerdict(False, None, "hom space")
+    return IsoVerdict(True, u[0].tolist(), "hom space")
 
 
 @lru_cache(maxsize=8)
@@ -445,17 +426,23 @@ def brute_force_a11_iso(m, mp):
 
 
 def indecomposable_mod2(l):
-    """A free Z/4 module restricts to an indecomposable iff its mod-2
-    action tuple admits no nontrivial idempotent commuting matrix."""
-    d = l.rank
-    if d > 4:
-        raise ValueError("exhaustive idempotent search is limited to rank <= 4")
+    """Whether a free Z/4 module restricts to an indecomposable: true iff
+    the endomorphism algebra End = {E : E a_i = a_i E} of its mod-2 action
+    tuple is local, that is every element is nilpotent or invertible (an
+    element that is neither gives a nontrivial idempotent by Fitting's
+    lemma).
+
+    End is the nullspace of the stacked system I kron a_i^T + a_i kron I,
+    and every combination of its basis is tested on bit-packed rows, so
+    both answers are proofs.  Past 2^16 combinations this raises the
+    ValueError "endomorphism algebra too large to certify locality", and
+    the zero module, which has no summands, raises a ValueError too."""
+    if l.rank == 0:
+        raise ValueError("the zero module has no summands")
+    from . import gf2
+
     mats = l.mod2_action()
-    for bits in product((0, 1), repeat=d * d):
-        e = np.array(bits, dtype=np.uint8).reshape(d, d)
-        if np.array_equal((e @ e) % 2, e) and not np.all(e == 0):
-            if np.array_equal(e % 2, np.eye(d, dtype=np.uint8)):
-                continue
-            if all(np.array_equal((e @ m) % 2, (m @ e) % 2) for m in mats):
-                return False
-    return True
+    end = gf2.module_hom_basis(mats, mats, l.rank)
+    if len(end) > gf2.ENUM_BITS:
+        raise ValueError(gf2.TOO_LARGE)
+    return gf2._first_combination(end, (l.rank,), gf2._mixed) is None

@@ -2,11 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cubefunc.gf2 import GF2_FIELD, inverse, rank
 from cubefunc.rings import verify_relations
 from cubefunc.wildness import (
     A11Module,
+    IsoVerdict,
     SigmaModule,
     bimodule_N,
     brute_force_a11_iso,
@@ -174,3 +178,130 @@ def test_indecomposability_matches_mod2():
     assert indecomposable_mod2(lj)
     ld = SigmaModule(2, 2, [[[1, 0], [0, 0]], [[0, 0], [0, 0]]])
     assert not indecomposable_mod2(ld)
+
+
+def test_zero_module():
+    zero = SigmaModule(2, 0, [[], []])
+    assert iso_test_mod2(zero, zero) == IsoVerdict(True, [], "hom space")
+    with pytest.raises(ValueError, match="the zero module has no summands"):
+        indecomposable_mod2(zero)
+
+
+def test_hom_dimension_proves_non_isomorphism():
+    # A = (0, 0) against B = (J, 0): End(A) is all of M_2, of dimension 4,
+    # while Hom(A, B) = {U : J U = 0} has dimension 2
+    lz = SigmaModule(2, 2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
+    lj = SigmaModule(2, 2, [[[0, 1], [0, 0]], [[0, 0], [0, 0]]])
+    assert iso_test_mod2(lz, lj) == IsoVerdict(False, None, "hom dimension")
+
+
+# ---------------------------------------------------------------------------
+# properties against exhaustive oracles
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+_seeds = st.integers(0, 2**32 - 1)
+
+
+def _mats(rng, d, n=2):
+    return [[[rng.randrange(4) for _ in range(d)] for _ in range(d)] for _ in range(n)]
+
+
+def _mod2(mats):
+    return [np.array(m, dtype=np.int64) % 2 for m in mats]
+
+
+def _unit_mod2(rng, d):
+    while True:
+        u = np.array([[rng.randrange(2) for _ in range(d)] for _ in range(d)])
+        if rank(GF2_FIELD, u.astype(np.uint8)) == d:
+            return u
+
+
+def _assert_witness(v, a, b):
+    u = np.array(v.witness, dtype=np.int64) % 2
+    assert rank(GF2_FIELD, u.astype(np.uint8)) == len(u)
+    for x, y in zip(_mod2(a), _mod2(b)):
+        assert ((u @ x - y @ u) % 2 == 0).all()
+
+
+def _check_against_brute_force(a, b, d):
+    la, lb = SigmaModule(2, d, a), SigmaModule(2, d, b)
+    v = iso_test_mod2(la, lb)
+    brute = brute_force_a11_iso(phi_restrict(la), phi_restrict(lb))
+    assert v.isomorphic == brute.isomorphic
+    assert v.method in ("hom space", "hom dimension")
+    if v.isomorphic:
+        _assert_witness(v, a, b)
+    return v
+
+
+@PROPERTY
+@given(st.integers(1, 3), _seeds)
+def test_iso_matches_brute_force_on_random_pairs(d, seed):
+    rng = random.Random(seed)
+    _check_against_brute_force(_mats(rng, d), _mats(rng, d), d)
+
+
+@PROPERTY
+@given(st.integers(1, 3), _seeds)
+def test_iso_finds_explicit_conjugates(d, seed):
+    rng = random.Random(seed)
+    a = _mats(rng, d)
+    u = _unit_mod2(rng, d)
+    ui = inverse(GF2_FIELD, u.astype(np.uint8)).astype(np.int64)
+    # b_i = u a_i u^-1 mod 2, lifted back to Z/4 at random
+    b = [((u @ x @ ui) % 2 + 2 * np.array(_mats(rng, d, 1)[0])) % 4 for x in _mod2(a)]
+    v = _check_against_brute_force(a, [m.tolist() for m in b], d)
+    assert v.isomorphic is True
+
+
+def _has_nontrivial_idempotent(mats, d):
+    """Exhaustive oracle: some e = e^2, e != 0, 1, commutes with all mats."""
+    bits = (np.arange(1 << d * d)[:, None] >> np.arange(d * d)) & 1
+    es = bits.reshape(-1, d, d).astype(np.int64)
+    ok = (np.einsum("uij,ujk->uik", es, es) % 2 == es).all(axis=(1, 2))
+    ok &= es.any(axis=(1, 2)) & ~(es == np.eye(d, dtype=np.int64)).all(axis=(1, 2))
+    for m in _mod2(mats):
+        ok &= ((np.einsum("uij,jk->uik", es, m) - np.einsum("ij,ujk->uik", m, es))
+               % 2 == 0).all(axis=(1, 2))
+    return bool(ok.any())
+
+
+@PROPERTY
+@given(st.integers(1, 3), _seeds, st.booleans())
+def test_indecomposable_matches_idempotent_search(d, seed, split):
+    rng = random.Random(seed)
+    mats = _mats(rng, d)
+    if split and d > 1:
+        # a block sum, conjugated mod 2, splits by construction
+        k = rng.randrange(1, d)
+        for m in mats:
+            for i in range(d):
+                for j in range(d):
+                    if (i < k) != (j < k):
+                        m[i][j] = 0
+        u = _unit_mod2(rng, d)
+        ui = inverse(GF2_FIELD, u.astype(np.uint8)).astype(np.int64)
+        mats = [((u @ np.array(m) @ ui) % 2).tolist() for m in mats]
+    got = indecomposable_mod2(SigmaModule(2, d, mats))
+    assert got is (not _has_nontrivial_idempotent(mats, d))
+    if split and d > 1:
+        assert got is False
+
+
+def test_rank5_deciders():
+    j = np.eye(5, k=1, dtype=np.int64)
+    jordan = [j.tolist(), (j @ j + 2 * j).tolist()]
+    assert indecomposable_mod2(SigmaModule(2, 5, jordan)) is True
+    blocks = np.zeros((5, 5), dtype=np.int64)
+    blocks[:2, :2] = np.eye(2, k=1)
+    blocks[2:, 2:] = np.eye(3, k=1)
+    assert indecomposable_mod2(SigmaModule(2, 5, [blocks.tolist(), [[0] * 5] * 5])) is False
+    u = np.array([[1, 1, 0, 0, 1], [0, 1, 0, 1, 0], [0, 0, 1, 0, 0],
+                  [1, 0, 0, 1, 0], [0, 0, 1, 1, 1]])
+    ui = inverse(GF2_FIELD, u.astype(np.uint8)).astype(np.int64)
+    conj = [((u @ np.array(m) @ ui) % 4).tolist() for m in jordan]
+    v = iso_test_mod2(SigmaModule(2, 5, jordan), SigmaModule(2, 5, conj))
+    assert v.isomorphic is True and v.method == "hom space"
+    _assert_witness(v, jordan, conj)
