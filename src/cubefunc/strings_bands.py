@@ -18,8 +18,10 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import product
 
+import numpy as np
+
 from .domains import Z_HALF, Zloc, _is_prime
-from .matrix import LatticeSpan, Mat, kernel as mat_kernel
+from .matrix import LatticeSpan, Mat
 from .presentation import FpPresentation, ModuleMorphism, compose
 
 PARTNER = {1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5}        # the relation ~
@@ -672,11 +674,6 @@ def _block_offset(cover, m, lvl):
     return off
 
 
-def relation_lattices(module):
-    """The per-level relation columns, for comparing presentations."""
-    return [pres.relations for pres in module.modules()]
-
-
 # ---------------------------------------------------------------------------
 # indecomposability probing at a finite level
 # ---------------------------------------------------------------------------
@@ -684,92 +681,58 @@ def relation_lattices(module):
 ProbeVerdict = namedtuple("ProbeVerdict", "verdict witness endo_rank")
 
 
-def _endo_basis_mod(module, q):
-    """A generating set of endomorphism triples of the q-truncation."""
-    dom = module.dom
-    sizes = [m.gens for m in module.modules()]
-    total = sum(s * s for s in sizes)
-    offs = [0, sizes[0] ** 2, sizes[0] ** 2 + sizes[1] ** 2]
-    arrows = [
-        (1, 2, module.a1.matrix), (2, 1, module.b1.matrix),
-        (2, 3, module.a2.matrix), (3, 2, module.b2.matrix),
-    ]
-    rels = relation_lattices(module)
+def _snf_mod(a, p, k):
+    """Smith form over the chain ring Z/p^k: (U, exps, V) with
+    U a V == diag(p^e for e in exps) mod p^k and U, V invertible.
 
-    def allowed(lvl):
-        cols = [Mat.diag(dom, [q] * sizes[lvl - 1])]
-        if rels[lvl - 1].cols:
-            cols.insert(0, rels[lvl - 1])
-        out = cols[0]
-        for c in cols[1:]:
-            out = out.hstack(c)
-        return out
+    a is an int array of shape (m, n); exps has min(m, n) entries,
+    nondecreasing, with k standing for a zero diagonal entry.  Z/p^k is
+    local, so an entry of least p-adic valuation divides the whole trailing
+    block: pivot on it, scale its row by the inverse of its unit part, and
+    clear its column and then its row, each in one vectorized step.  Every
+    entry stays below q = p^k, so int64 is exact while q^2 < 2^63.
+    """
+    q = p ** k
+    a = np.array(a, dtype=np.int64) % q
+    m, n = a.shape
+    U, V = np.eye(m, dtype=np.int64), np.eye(n, dtype=np.int64)
+    exps = []
+    for t in range(min(m, n)):
+        block = a[t:, t:]
+        for e in range(k):
+            hit = np.flatnonzero(block % p ** (e + 1))
+            if hit.size:
+                break
+        else:
+            exps += [k] * (min(m, n) - t)
+            break
+        i, j = divmod(int(hit[0]), n - t)
+        i, j = i + t, j + t
+        a[[t, i]], U[[t, i]] = a[[i, t]], U[[i, t]]
+        a[:, [t, j]], V[:, [t, j]] = a[:, [j, t]], V[:, [j, t]]
+        pe = p ** e
+        unit = pow(int(a[t, t]) // pe, -1, q)
+        a[t], U[t] = a[t] * unit % q, U[t] * unit % q
+        f = a[t + 1:, t] // pe
+        a[t + 1:] = (a[t + 1:] - np.outer(f, a[t])) % q
+        U[t + 1:] = (U[t + 1:] - np.outer(f, U[t])) % q
+        g = a[t, t + 1:] // pe
+        a[t, t + 1:] = 0
+        V[:, t + 1:] = (V[:, t + 1:] - np.outer(V[:, t], g)) % q
+        exps.append(e)
+    return U, exps, V
 
-    rows = []
-    aux_cols = 0
-    blocks = []
-    for s, t, f in arrows:
-        ns, nt = sizes[s - 1], sizes[t - 1]
-        lat = allowed(t)
-        blocks.append((s, t, f, lat, nt, ns))
-        aux_cols += lat.cols * ns
-    # also well-definedness on the relation columns
-    wd_blocks = []
-    for lvl in range(1, 4):
-        r = rels[lvl - 1]
-        if not r.cols:
-            continue
-        lat = allowed(lvl)
-        wd_blocks.append((lvl, r, lat))
-        aux_cols += lat.cols * r.cols
 
-    width = total + aux_cols
-    sys_rows = []
-
-    def evar(lvl, r, c):
-        return offs[lvl - 1] + r * sizes[lvl - 1] + c
-
-    aux_at = total
-    for s, t, f, lat, nt, ns in blocks:
-        # E_t F - F E_s = lat * Y, entrywise
-        for r in range(nt):
-            for c in range(ns):
-                row = [dom.zero()] * width
-                for k in range(nt):
-                    row[evar(t, r, k)] = f.a[k][c] if k < f.rows else dom.zero()
-                for k in range(ns):
-                    row[evar(s, k, c)] = dom.sub(row[evar(s, k, c)], f.a[r][k])
-                for k in range(lat.cols):
-                    row[aux_at + c * lat.cols + k] = dom.neg(lat.a[r][k])
-                sys_rows.append(row)
-        aux_at += lat.cols * ns
-    for lvl, r, lat in wd_blocks:
-        n = sizes[lvl - 1]
-        for rr in range(n):
-            for cc in range(r.cols):
-                row = [dom.zero()] * width
-                for k in range(n):
-                    row[evar(lvl, rr, k)] = r.a[k][cc]
-                for k in range(lat.cols):
-                    row[aux_at + cc * lat.cols + k] = dom.neg(lat.a[rr][k])
-                sys_rows.append(row)
-        aux_at += lat.cols * r.cols
-
-    if not sys_rows:
-        ker = Mat.identity(dom, width)
-    else:
-        ker = mat_kernel(Mat(dom, sys_rows))
-    span = LatticeSpan(dom, total)
-    basis = []
-    for jcol in range(ker.cols):
-        red = [_residue(dom, ker.a[i][jcol], q) for i in range(total)]
-        if any(red) and span.insert(red):
-            basis.append(red)
-    return basis, sizes, offs
+def _mat_mod(m, q):
+    """The residues of a Mat over Z, Z_(p) or Z[1/S] in Z/q, as an int array."""
+    return np.array(
+        [[_residue(m.dom, x, q) for x in row] for row in m.a], dtype=np.int64
+    ).reshape(m.rows, m.cols)
 
 
 def _residue(dom, x, q):
-    """The image of a Z[1/2]- or Z_(p)-element in Z/q (q odd)."""
+    """The image of a Z-, Z[1/S]- or Z_(p)-element in Z/q, q prime to the
+    denominators."""
     x = dom.canon(x)
     if isinstance(x, int):
         return x % q
@@ -777,89 +740,151 @@ def _residue(dom, x, q):
     return (num * pow(den, -1, q)) % q
 
 
-def _triple_from_vec(vec, sizes, offs, dom):
-    mats = []
+def _null_columns(rels, sizes, offs):
+    """Generators of the null triples, whose columns lie in relations + q:
+    column c of E_l runs through the relation columns of level l."""
+    total = offs[2] + sizes[2] ** 2
+    blocks = []
     for lvl in range(3):
-        n = sizes[lvl]
-        entries = [
-            [vec[offs[lvl] + r * n + c] for c in range(n)] for r in range(n)
-        ]
-        mats.append(Mat(dom, entries))
-    return mats
+        block = np.zeros((total, rels[lvl].shape[1] * sizes[lvl]), dtype=np.int64)
+        block[offs[lvl]:offs[lvl] + sizes[lvl] ** 2] = np.kron(
+            rels[lvl], np.eye(sizes[lvl], dtype=np.int64)
+        )
+        blocks.append(block)
+    return np.hstack(blocks)
 
 
-def _span_residue(dom, columns, total, q):
-    """Data (U, d) with x in the column span iff (U x) % d == 0 rowwise.
+def _endo_basis_mod(module, p, k):
+    """Generators mod q = p^k of the endomorphism triples of M/q, as the
+    rows of an int array, with the level sizes, offsets and relation
+    residues.
 
-    The span must contain q*Z^total, so the diagonal divides q.
+    E = (E1, E2, E3) is an endomorphism iff E_t F - F E_s = R_t Y for each
+    arrow F: M_s -> M_t and E_l R_l = R_l Y' for each relation matrix, for
+    some Y, Y' mod q.  The exact system over the domain has q I columns
+    next to each R; they vanish mod q, and a solution mod q lifts by
+    absorbing A x = q w into them, so the residues of the exact kernel and
+    the kernel mod q span the same module.  With U A V = diag(p^e) mod q
+    that kernel is spanned by the columns p^(k - e_t) V[:, t], e_t = k past
+    the diagonal, cut to the E coordinates.
     """
-    import numpy as np
+    q = p ** k
+    sizes = [m.gens for m in module.modules()]
+    offs = [0, sizes[0] ** 2, sizes[0] ** 2 + sizes[1] ** 2]
+    total = offs[2] + sizes[2] ** 2
+    rels = [_mat_mod(m.relations, q) for m in module.modules()]
+    eye = lambda n: np.eye(n, dtype=np.int64)
+    # (terms, aux): terms are (level, coefficients of vec E_level)
+    blocks = []
+    for s, t, f in [
+        (1, 2, module.a1.matrix), (2, 1, module.b1.matrix),
+        (2, 3, module.a2.matrix), (3, 2, module.b2.matrix),
+    ]:
+        F, ns = _mat_mod(f, q), sizes[s - 1]
+        terms = [(t, np.kron(eye(sizes[t - 1]), F.T)), (s, -np.kron(F, eye(ns)))]
+        blocks.append((terms, -np.kron(rels[t - 1], eye(ns))))
+    for lvl in range(1, 4):
+        R = rels[lvl - 1]
+        if R.shape[1]:
+            terms = [(lvl, np.kron(eye(sizes[lvl - 1]), R.T))]
+            blocks.append((terms, -np.kron(R, eye(R.shape[1]))))
+    width = total + sum(aux.shape[1] for _, aux in blocks)
+    A = np.zeros((sum(aux.shape[0] for _, aux in blocks), width), dtype=np.int64)
+    row, col = 0, total
+    for terms, aux in blocks:
+        h, w = aux.shape
+        for lvl, coef in terms:
+            A[row:row + h, offs[lvl - 1]:offs[lvl - 1] + sizes[lvl - 1] ** 2] += coef
+        A[row:row + h, col:col + w] = aux
+        row, col = row + h, col + w
+    _, exps, V = _snf_mod(A, p, k)
+    e = np.array(exps + [k] * (width - len(exps)), dtype=np.int64)
+    gens = (V[:total] * p ** (k - e) % q).T
+    return gens[gens.any(axis=1)], sizes, offs, rels
 
-    from .matrix import smith_normal_form
 
-    H = Mat(dom, [[col[i] for col in columns] for i in range(total)])
-    u, s, _ = smith_normal_form(H)
-    d = np.array(
-        [int(_residue(dom, s.a[i][i], q * q)) or 1 for i in range(total)],
-        dtype=np.int64,
-    )
-    U = np.array(
-        [
-            [int(_residue(dom, u.a[i][j], int(d[i]))) if d[i] > 1 else 0
-             for j in range(total)]
-            for i in range(total)
-        ],
-        dtype=np.int64,
-    )
-    return U, d
+def _span_residue(H, p, k):
+    """Data (U, d) with x in the column span of H plus q Z^n iff
+    (U x) % d == 0 rowwise: d_i = p^(e_i) from the Smith form of H mod
+    q = p^k, and q past its diagonal."""
+    U, exps, _ = _snf_mod(H, p, k)
+    d = np.full(U.shape[0], p ** k, dtype=np.int64)
+    d[:len(exps)] = p ** np.array(exps, dtype=np.int64)
+    return U % d[:, None], d
+
+
+def _gfp_basis(gens, U1, d1, p):
+    """The generators that extend a GF(p)-basis of L / L1, in order, where
+    L1 = {x : (U1 x) % d1 == 0} contains p * gens.
+
+    p L lies in L1, so x -> ((U1 x) % d1) / (d1 / p) on the rows with
+    d1 > 1 maps L / L1 into GF(p)^rows with kernel zero; a generator is
+    kept iff it raises the GF(p) rank."""
+    hi = d1 > 1
+    coords = (gens @ U1[hi].T % d1[hi]) // (d1[hi] // p)
+    kept, echelon = [], []
+    for g, y in zip(gens, coords):
+        for piv, row in echelon:
+            if y[piv]:
+                y = (y - y[piv] * row) % p
+        nz = np.flatnonzero(y)
+        if nz.size:
+            echelon.append((nz[0], y * pow(int(y[nz[0]]), -1, p) % p))
+            kept.append(g)
+    return kept
 
 
 def indecomposability_probe(module, level=3, prime=3, max_candidates=2000000):
-    """Decide whether the truncation M/prime**level splits.
+    """Decide whether the truncation M/q, q = prime**level, splits.
 
-    The kernel of End -> End/(prime) is a nil ideal, so idempotents lift;
-    it is enough to enumerate mod-prime combinations of an endomorphism
-    generating set, and a hit is lifted by Newton iteration to an exact
-    idempotent witness.
+    Everything is computed in Z/q, on int64 arrays:
+
+    - End(M/q) is the kernel mod q of the linear system of endomorphism
+      triples (see _endo_basis_mod), read off the Smith form over the
+      chain ring Z/q (_snf_mod).
+    - The null endomorphisms N (columns in relations + q) and N + p End
+      are lattices containing q Z^total; their Smith forms mod q give
+      membership tests (_span_residue).
+    - A GF(p)-basis of End/(N + p End) is kept from the generators
+      (_gfp_basis); its size is endo_rank.
+    - N + p End is a nil ideal of End, so idempotents lift along
+      End -> End/(N + p End).  All prime**endo_rank combinations of the
+      basis are enumerated; one that is idempotent modulo N + p End and
+      is neither 0 nor 1 there is lifted by the Newton step
+      e -> 3e^2 - 2e^3 to an idempotent endomorphism of M/q, which is
+      returned as the witness with verdict "splits".
+    - If no combination qualifies, End(M/q) has no idempotent but 0 and 1
+      and the verdict is "indecomposable-at-level"; past max_candidates
+      combinations it is "unknown".
+
+    Raises ValueError unless level >= 1 and prime is a prime that is not
+    a unit of the domain (Z, Z_(p) or Z[1/S]), when q is too large for
+    exact int64 arithmetic, and for the zero module M/q = 0, which has no
+    summands.
     """
-    import numpy as np
-
-    q = prime ** level
     dom = module.dom
-    basis, sizes, offs = _endo_basis_mod(module, q)
+    if not isinstance(level, int) or level < 1:
+        raise ValueError(f"level must be an integer >= 1, not {level!r}")
+    if not isinstance(prime, int) or not _is_prime(prime):
+        raise ValueError(f"prime must be a prime number, not {prime!r}")
+    if dom.kind not in ("Z", "loc", "inv"):
+        raise ValueError(f"the probe needs Z, Z_(p) or Z[1/S], not {dom}")
+    if dom.is_unit(dom.canon(prime)):
+        raise ValueError(f"{prime} is a unit of {dom}")
+    q = prime ** level
+    if (1 + sum(m.gens ** 2 for m in module.modules())) * q * q >= 2 ** 63:
+        raise ValueError(f"level {level} is too deep for exact int64 arithmetic")
+    gens, sizes, offs, rels = _endo_basis_mod(module, prime, level)
+    total = offs[2] + sizes[2] ** 2
+    null = _null_columns(rels, sizes, offs)
+    U0, d0 = _span_residue(null, prime, level)
+    U1, d1 = _span_residue(np.hstack([null, prime * gens.T % q]), prime, level)
+    basis = _gfp_basis(gens, U1, d1, prime)
     r = len(basis)
     if r == 0:
-        return ProbeVerdict("indecomposable-at-level", None, 0)
-    total = offs[2] + sizes[2] ** 2
-    rels = relation_lattices(module)
-
-    # null endomorphisms: triples whose columns all land in (relations + q*I)
-    null_cols = []
-    for lvl in range(3):
-        n = sizes[lvl]
-        gens = [
-            [rels[lvl].a[i][c] for i in range(n)] for c in range(rels[lvl].cols)
-        ] + [[q if i == j else 0 for i in range(n)] for j in range(n)]
-        for c in range(n):
-            for v in gens:
-                vec = [0] * total
-                for i in range(n):
-                    vec[offs[lvl] + i * n + c] = v[i]
-                null_cols.append(vec)
-    U0, d0 = _span_residue(dom, null_cols, total, q)
-    split_cols = null_cols + [[prime * x for x in b] for b in basis]
-    U1, d1 = _span_residue(dom, split_cols, total, q)
-
-    # a GF(p)-basis of End/(p * End): drop generators that are already
-    # congruent to combinations of earlier ones
-    span = LatticeSpan(dom, total)
-    for col in split_cols:
-        span.insert(col)
-    basis = [b for b in basis if span.insert(b)]
-    r = len(basis)
-    if r == 0 or prime ** r > max_candidates:
-        verdict = "indecomposable-at-level" if r == 0 else "unknown"
-        return ProbeVerdict(verdict, None, r)
+        raise ValueError("the zero module has no summands")
+    if prime ** r > max_candidates:
+        return ProbeVerdict("unknown", None, r)
 
     B = np.array(basis, dtype=np.int64)
 
@@ -903,18 +928,18 @@ def indecomposability_probe(module, level=3, prime=3, max_candidates=2000000):
         if not good.any():
             continue
         vec = E[good][0]
-        witness = _newton_lift(np_mats(vec.tolist()), q, level, U0, d0, offs, total)
+        witness = _newton_lift(np_mats(vec.tolist()), q, level, U0, d0)
         if witness is not None:
             return ProbeVerdict("splits", witness, r)
     return ProbeVerdict("indecomposable-at-level", None, r)
 
 
-def _newton_lift(mats, q, level, U0, d0, offs, total):
-    """Lift an idempotent of End/(p) to an exact idempotent of End mod q."""
-    import numpy as np
-
+def _newton_lift(mats, q, level, U0, d0):
+    """Lift an idempotent modulo N + p End to one modulo the null lattice
+    N = {x : (U0 x) % d0 == 0}: e -> 3e^2 - 2e^3 squares the defect e^2 - e."""
     for _ in range(level + 2):
-        mats = [(3 * m @ m - 2 * m @ m @ m) % q for m in mats]
+        squares = [m @ m % q for m in mats]
+        mats = [(3 * s - 2 * (s @ m)) % q for s, m in zip(squares, mats)]
         defect = np.concatenate(
             [((mats[l] @ mats[l] - mats[l]) % q).reshape(-1) for l in range(3)]
         )

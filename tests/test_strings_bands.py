@@ -1,6 +1,11 @@
-import pytest
+from functools import lru_cache
 
-from cubefunc.domains import Z_HALF
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cubefunc.domains import GF3, ZZ, Z_HALF, Zloc
+from cubefunc.matrix import Mat, det, smith_normal_form, solve
 from cubefunc.strings_bands import (
     BandData3,
     BModuleDiagram,
@@ -15,6 +20,7 @@ from cubefunc.strings_bands import (
     projective_diagram,
     reversal_intertwiner,
 )
+from cubefunc.strings_bands import _snf_mod
 
 
 def inv(m):
@@ -302,13 +308,15 @@ def test_probe_detects_splitting():
     assert res.witness is not None
 
 
+IRR_BAND = BandData3(StringDiagram3("iii", [3, 4], [3, 4], [0, 0]), [1, 0, 1])
+SQ_BAND = BandData3(StringDiagram3("iii", [3, 4], [3, 4], [0, 0]), [1, 2, 1])
+
+
 def test_probe_band_degree_two():
-    irr = BandData3(StringDiagram3("iii", [3, 4], [3, 4], [0, 0]), [1, 0, 1])
-    sq = BandData3(StringDiagram3("iii", [3, 4], [3, 4], [0, 0]), [1, 2, 1])
-    assert indecomposability_probe(build_band_module(irr), level=3).verdict == (
+    assert indecomposability_probe(build_band_module(IRR_BAND), level=3).verdict == (
         "indecomposable-at-level"
     )
-    assert indecomposability_probe(build_band_module(sq), level=3).verdict == (
+    assert indecomposability_probe(build_band_module(SQ_BAND), level=3).verdict == (
         "indecomposable-at-level"
     )
 
@@ -321,6 +329,193 @@ def test_probe_level_matters():
     deep = indecomposability_probe(m, level=3)
     assert deep.verdict == "indecomposable-at-level"
     assert deep.endo_rank == 8
+
+
+def test_probe_rejects_bad_level_and_prime():
+    m = build_string_module(STRING_CASES[0][0])
+    for kw in (
+        dict(level=0), dict(level=-1), dict(level=1.5), dict(level=40),
+        dict(prime=1), dict(prime=4), dict(prime=2),  # 2 is a unit of Z[1/2]
+    ):
+        with pytest.raises(ValueError):
+            indecomposability_probe(m, **kw)
+    local = build_string_module(STRING_CASES[0][0], Zloc(3))
+    with pytest.raises(ValueError):
+        indecomposability_probe(local, prime=5)  # 5 is a unit of Z_(3)
+    z = lambda r, c: Mat.zeros(GF3, r, c)
+    over_field = BModuleDiagram.from_matrices(GF3, (1, 0, 0), z(0, 1), z(1, 0), z(0, 0), z(0, 0))
+    with pytest.raises(ValueError):
+        indecomposability_probe(over_field)
+
+
+def test_probe_at_another_prime():
+    # away from 3, b1 a1 / 3 is an idempotent of the projective at level 1
+    m = build_string_module(STRING_CASES[0][0])
+    res = indecomposability_probe(m, level=2, prime=5)
+    assert (res.verdict, res.endo_rank) == ("splits", 2)
+    _assert_split_certificate(m, res.witness, 25)
+
+
+@pytest.mark.parametrize("level", [1, 3])
+def test_probe_refuses_the_zero_module(level):
+    z = lambda r, c: Mat.zeros(Z_HALF, r, c)
+    empty = BModuleDiagram.from_matrices(Z_HALF, (0, 0, 0), z(0, 0), z(0, 0), z(0, 0), z(0, 0))
+    killed = BModuleDiagram.from_matrices(
+        Z_HALF, (1, 0, 0), z(0, 1), z(1, 0), z(0, 0), z(0, 0),
+        rels=(Mat(Z_HALF, [[1]]), None, None),
+    )
+    for m in (empty, killed):
+        with pytest.raises(ValueError, match="the zero module has no summands"):
+            indecomposability_probe(m, level=level)
+    # L(2, 5, 0) is zero, and so is its truncation at 5
+    with pytest.raises(ValueError, match="the zero module has no summands"):
+        indecomposability_probe(build_named(2, 5, 0), level=level, prime=5)
+
+
+# (verdict, endo_rank) at levels 1, 2, 3 of the string and band modules
+# above, as an independent implementation computed them: exact Smith and
+# Hermite forms over Z[1/2] in place of the Smith form mod 3^k
+I, S = "indecomposable-at-level", "splits"
+PROBE_PINS = {
+    "string0": ((I, 2), (I, 2), (I, 2)),
+    "string1": ((I, 2), (I, 2), (I, 2)),
+    "string2": ((S, 3), (S, 3), (I, 4)),
+    "string3": ((S, 6), (S, 6), (I, 6)),
+    "string4": ((S, 3), (S, 3), (I, 3)),
+    "band0": ((I, 2), (I, 2), (I, 2)),
+    "band1": ((S, 8), (S, 8), (I, 8)),
+    "band2": ((S, 5), (I, 5), (I, 5)),
+    "band3": ((S, 4), (I, 4), (I, 4)),
+    "band4": ((S, 5), (I, 5), (I, 5)),
+    "string0+string0": ((S, 8), (S, 8), (S, 8)),
+}
+
+
+@lru_cache(maxsize=None)
+def _probe_modules(dom):
+    mods = {f"string{i}": build_string_module(d, dom) for i, (d, _) in enumerate(STRING_CASES)}
+    bands = [b for b, _ in BAND_CASES] + [IRR_BAND, SQ_BAND]
+    mods.update({f"band{i}": build_band_module(b, dom) for i, b in enumerate(bands)})
+    mods["string0+string0"] = mods["string0"].direct_sum(mods["string0"])
+    return mods
+
+
+def _assert_split_certificate(m, witness, q):
+    """The witness is an idempotent endomorphism of M/q other than 0 and 1:
+    E_t F = F E_s modulo relations + q for every arrow F: M_s -> M_t, each
+    E maps relations into relations + q, E^2 = E entrywise mod q, and
+    neither E nor 1 - E kills M/q."""
+    dom, mods = m.dom, m.modules()
+    E = []
+    for pres, rows in zip(mods, witness):
+        e = Mat.zeros(dom, pres.gens, pres.gens)
+        for i, row in enumerate(rows):
+            e.a[i] = [dom.canon(x) for x in row]
+        E.append(e)
+
+    def null(lvl, x):
+        """Every column of x lies in relations + q at level lvl."""
+        pres = mods[lvl]
+        if x.rows == 0 or x.cols == 0:
+            return True
+        lat = Mat.diag(dom, [q] * pres.gens)
+        if pres.relations.cols:
+            lat = pres.relations.hstack(lat)
+        return solve(lat, x) is not None
+
+    for s, t, f in ((0, 1, m.a1), (1, 0, m.b1), (1, 2, m.a2), (2, 1, m.b2)):
+        assert null(t, E[t] * f.matrix - f.matrix * E[s])
+    for lvl, pres in enumerate(mods):
+        assert null(lvl, E[lvl] * pres.relations)
+    for e in E:
+        assert all(x % q == 0 for row in (e * e - e).a for x in row)
+    one = [Mat.identity(dom, pres.gens) for pres in mods]
+    assert not all(null(lvl, E[lvl]) for lvl in range(3))
+    assert not all(null(lvl, one[lvl] - E[lvl]) for lvl in range(3))
+
+
+@pytest.mark.parametrize("dom", [Z_HALF, Zloc(3), ZZ], ids=str)
+@pytest.mark.parametrize("name", list(PROBE_PINS))
+def test_probe_pinned_verdicts_and_certificates(name, dom):
+    """The verdicts do not depend on the base ring: M/3^k is the same
+    module over Z[1/2], Z_(3) and Z."""
+    m = _probe_modules(dom)[name]
+    for level, pin in zip((1, 2, 3), PROBE_PINS[name]):
+        res = indecomposability_probe(m, level=level)
+        assert (res.verdict, res.endo_rank) == pin, level
+        if res.verdict == "splits":
+            _assert_split_certificate(m, res.witness, 3 ** level)
+        else:
+            assert res.witness is None
+
+
+# Smith form over Z/p^k -----------------------------------------------------
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+def _valuation(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _int_mat(a):
+    out = Mat.zeros(ZZ, *a.shape)
+    for i, row in enumerate(a.tolist()):
+        out.a[i] = row
+    return out
+
+
+@st.composite
+def _chain_ring_case(draw):
+    """(p, k, a): a mod p^k of shape up to 5 x 5, with entries of every
+    valuation, sometimes a product through an inner dimension 0..2."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    k = draw(st.integers(1, 3))
+    q = p ** k
+    entry = st.builds(lambda v, u: p ** v * u % q, st.integers(0, k), st.integers(0, q - 1))
+
+    def mat(r, c):
+        rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+        return np.array(rows, dtype=np.int64).reshape(r, c)
+
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, 2))
+        return p, k, mat(m, inner) @ mat(inner, n) % q
+    return p, k, mat(m, n)
+
+
+def _assert_smith_mod(p, k, a):
+    q = p ** k
+    m, n = a.shape
+    U, exps, V = _snf_mod(a, p, k)
+    assert U.shape == (m, m) and V.shape == (n, n)
+    assert len(exps) == min(m, n) and exps == sorted(exps)
+    D = np.zeros((m, n), dtype=np.int64)
+    for i, e in enumerate(exps):
+        D[i, i] = p ** e % q
+    assert ((U @ a @ V - D) % q == 0).all()
+    assert det(_int_mat(U)) % p and det(_int_mat(V)) % p
+    _, s, _ = smith_normal_form(_int_mat(a))
+    diag = [s.a[i][i] for i in range(min(m, n)) if s.a[i][i]]
+    assert exps == [min(_valuation(x, p), k) for x in diag] + [k] * (min(m, n) - len(diag))
+
+
+@PROPERTY
+@given(_chain_ring_case())
+def test_snf_mod_is_the_smith_form_over_z_mod_pk(case):
+    _assert_smith_mod(*case)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 3), (5, 2)])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 3), (3, 2)])
+def test_snf_mod_empty_and_zero(p, k, shape):
+    _assert_smith_mod(p, k, np.zeros(shape, dtype=np.int64))
+    _assert_smith_mod(p, k, np.full(shape, p ** k, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
