@@ -86,7 +86,8 @@ class Field2k:
         a = np.asarray(a, dtype=np.uint8)
         b = np.asarray(b, dtype=np.uint8)
         if self.k == 1:
-            return (a.astype(np.int64) @ b.astype(np.int64) % 2).astype(np.uint8)
+            # uint8 sums wrap mod 256, which is even, so the parity is exact
+            return (a @ b) & 1
         out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
         for t in range(a.shape[1]):
             out ^= self.mul_table[a[:, t][:, None], b[t, :][None, :]]
@@ -117,15 +118,16 @@ def _eliminate(field, a):
     r = np.array(a, dtype=np.uint8, copy=True)
     rows, cols = r.shape
     piv = []
+    if rows == 0:
+        return r, piv
     lead = 0
     for c in range(cols):
-        sel = None
-        for i in range(lead, rows):
-            if r[i, c]:
-                sel = i
-                break
-        if sel is None:
-            continue
+        sel = lead
+        if not r[lead, c]:
+            # any nonzero entry will do: the reduced form is unique
+            sel += int(r[lead:, c].argmax())
+            if not r[sel, c]:
+                continue
         if sel != lead:
             r[[lead, sel]] = r[[sel, lead]]
         if r[lead, c] != 1:
@@ -157,12 +159,12 @@ def nullspace(field, a):
     if cols == 0:
         return zeros(0, 0)
     r, piv = _eliminate(field, a)
-    free = [c for c in range(cols) if c not in piv]
-    out = zeros(cols, len(free))
-    for j, fc in enumerate(free):
-        out[fc, j] = 1
-        for i, pc in enumerate(piv):
-            out[pc, j] = r[i, fc]
+    is_free = np.ones(cols, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
+    out = zeros(cols, free.size)
+    out[free, np.arange(free.size)] = 1
+    out[piv] = r[: len(piv), free]
     return out
 
 
@@ -174,20 +176,22 @@ def solve(field, a, b):
         b = b[:, None]
     aug = np.concatenate([a, b], axis=1)
     r, piv = _eliminate(field, aug)
-    if any(c >= cols for c in piv):
+    if piv and piv[-1] >= cols:
         return None
     x = zeros(cols, b.shape[1])
-    for i, pc in enumerate(piv):
-        x[pc] = r[i, cols:]
+    x[piv] = r[: len(piv), cols:]
     return x
 
 
 def inverse(field, a):
-    n = a.shape[0]
-    x = solve(field, a, eye(n))
-    if x is None or rank(field, a) < n:
+    n, cols = a.shape
+    if n != cols:
+        raise ValueError("matrix is not square")
+    # [a | I] always has n pivots; a is invertible iff they all lie in a
+    r, piv = _eliminate(field, np.concatenate([a, eye(n)], axis=1))
+    if piv != list(range(n)):
         raise ValueError("matrix is singular")
-    return x
+    return r[:, n:]
 
 
 def column_space(field, a):
@@ -268,29 +272,31 @@ class CubicSpace2:
 
     def verify(self):
         """Exact relation checks; returns {relation name: bool}."""
-        F = self.field
+        mul = self.field.matmul
         h, p, h1, h2, p1, p2 = self.h, self.p, self.h1, self.h2, self.p1, self.p2
-        hb = F.matmul(h1, h)        # F1 -> F3
-        pb = F.matmul(p, p1)        # F3 -> F1
-        lhs7 = F.matmul(hb, p) ^ h1 ^ h2
-        rhs7 = mats(F, h1, p1, h2, p2, h1) ^ mats(F, h2, p2, h1, p1, h2)
-        lhs8 = F.matmul(h, pb) ^ p1 ^ p2
-        rhs8 = mats(F, p1, h2, p2, h1, p1) ^ mats(F, p2, h1, p1, h2, p2)
-        checks = {
-            "h1 p2 = 0": not mats(F, h1, p2).any(),
-            "h2 p1 = 0": not mats(F, h2, p1).any(),
-            "h1 h = h2 h": not (F.matmul(h1, h) ^ F.matmul(h2, h)).any(),
-            "p p1 = p p2": not (F.matmul(p, p1) ^ F.matmul(p, p2)).any(),
-            "h1 p1 h1 = 0": not mats(F, h1, p1, h1).any(),
-            "p1 h1 p1 = 0": not mats(F, p1, h1, p1).any(),
-            "h2 p2 h2 = 0": not mats(F, h2, p2, h2).any(),
-            "p2 h2 p2 = 0": not mats(F, p2, h2, p2).any(),
-            "h p h = 0": not mats(F, h, p, h).any(),
-            "p h p = 0": not mats(F, p, h, p).any(),
+        # shared subproducts: h1 h = h2 h iff (h1 + h2) h = 0, and
+        # p1 h1 p1 = p1 (h1 p1), so 21 products check all 12 relations
+        hp = mul(h, p)
+        h1p1, h2p2 = mul(h1, p1), mul(h2, p2)
+        x, y = mul(h1p1, h2p2), mul(h2p2, h1p1)
+        lhs7 = mul(h1, hp) ^ h1 ^ h2
+        rhs7 = mul(x, h1) ^ mul(y, h2)
+        lhs8 = mul(hp, p1) ^ p1 ^ p2
+        rhs8 = mul(p1, y) ^ mul(p2, x)
+        return {
+            "h1 p2 = 0": not mul(h1, p2).any(),
+            "h2 p1 = 0": not mul(h2, p1).any(),
+            "h1 h = h2 h": not mul(h1 ^ h2, h).any(),
+            "p p1 = p p2": not mul(p, p1 ^ p2).any(),
+            "h1 p1 h1 = 0": not mul(h1p1, h1).any(),
+            "p1 h1 p1 = 0": not mul(p1, h1p1).any(),
+            "h2 p2 h2 = 0": not mul(h2p2, h2).any(),
+            "p2 h2 p2 = 0": not mul(p2, h2p2).any(),
+            "h p h = 0": not mul(hp, h).any(),
+            "p h p = 0": not mul(p, hp).any(),
             "(h1 h) p + h1 + h2 = h1p1h2p2h1 + h2p2h1p1h2": not (lhs7 ^ rhs7).any(),
             "h (p p1) + p1 + p2 = p1h2p2h1p1 + p2h1p1h2p2": not (lhs8 ^ rhs8).any(),
         }
-        return checks
 
     def direct_sum(self, other):
         if other.field != self.field:
@@ -1891,7 +1897,7 @@ def _strata_budget(space):
     """Exact slot counts of all strata, from the staircase of the space."""
     sb = six_block_split(space.h, space.p, space.field)
     six = space.conjugate(sb.basis1, sb.basis2, eye(space.d3))
-    st = staircase_H(six)
+    st = staircase_H(six, blocks=(sb.u, sb.v))
     c, rg = st.col_groups, st.row_groups
     return {
         "R1": c[0], "R2": c[1], "S1": c[2], "S2": c[3], "R5": c[4],
@@ -2013,17 +2019,18 @@ def decompose(space):
     mult, reduced = split_trivial(space)
     points = 0
     data = []
-    for part in indecomposable_summands(reduced):
+    parts = indecomposable_summands(reduced)
+    for part in parts:
         if part.dims == (1, 0, 0):
             points += 1
         else:
             data.append(identify(part))
-    report = DecomposeReport(space.field, mult, points, data, space.dims)
-    got = [sum(ds) for ds in zip(*report.summand_dims())] \
-        if report.summand_dims() else [0, 0, 0]
-    if tuple(got) != space.dims:
+    # identify only returns a datum whose realization has the part's dims
+    dims = [(0, 2, 2)] * mult + [part.dims for part in parts]
+    got = tuple(map(sum, zip(*dims))) if dims else (0, 0, 0)
+    if got != space.dims:
         raise ValueError("decomposition lost dimensions: internal error")
-    return report
+    return DecomposeReport(space.field, mult, points, data, space.dims)
 
 
 def random_space(rng, max_dim=12, field=GF2_FIELD, trivial=True):

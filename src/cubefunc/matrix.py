@@ -700,10 +700,6 @@ def lattice_equal(m1, m2):
     return in_column_lattice(m1, m2) and in_column_lattice(m2, m1)
 
 
-def lattice_sum(m1, m2):
-    return column_hermite(m1.hstack(m2))
-
-
 class LatticeSpan:
     """An incrementally built column lattice in D^n with fast membership.
 

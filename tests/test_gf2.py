@@ -1,4 +1,5 @@
-"""The bit-packed GF(2) batch kernel and the Hom/End deciders built on it."""
+"""The dense GF(2^k) layer, the bit-packed GF(2) batch kernel, the Hom/End
+deciders built on it and the decompose pipeline."""
 
 import itertools
 
@@ -10,13 +11,19 @@ from cubefunc import gf2
 from cubefunc.gf2 import (
     GF2_FIELD,
     BandDatum5,
+    CubicSpace2,
+    Field2k,
     StringDatum5,
     XWord,
+    decompose,
     find_isomorphism,
     hom_basis,
+    inverse,
+    nullspace,
     random_invertible,
     rank,
     realize,
+    solve,
     split_indecomposable,
     zero_space,
 )
@@ -25,6 +32,135 @@ PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=N
 # sizes on both sides of the 64-bit word boundary
 SIZES = (0, 1, 2, 5, 14, 63, 64, 65, 70)
 _seeds = st.integers(0, 2**32 - 1)
+
+
+# ---------------------------------------------------------------------------
+# the dense layer: elimination, nullspace, solve, inverse, products
+# ---------------------------------------------------------------------------
+
+DENSE = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+_dims = st.integers(0, 12)
+_fields = st.sampled_from((GF2_FIELD, Field2k(2)))
+
+
+def _dense(field, r, c, seed):
+    """A random r x c matrix over the field: dense, sparse or of low rank."""
+    rng = np.random.default_rng(seed)
+    kind = seed % 3
+    if kind == 2 and min(r, c):
+        k = int(rng.integers(0, min(r, c) + 1))
+        # seeds = 0 mod 3: the two factors are dense
+        return field.matmul(_dense(field, r, k, seed + 1), _dense(field, k, c, seed + 4))
+    m = rng.integers(0, field.q, size=(r, c), dtype=np.uint8)
+    if kind == 1:
+        m[rng.random((r, c)) < 0.7] = 0
+    return m
+
+
+def _rref_reference(field, a):
+    """Reduced row echelon form and pivot columns, row by row in Python."""
+    rows, cols = a.shape
+    m = [[int(x) for x in row] for row in a]
+    mul = lambda x, y: int(field.mul_table[x, y])
+    piv, lead = [], 0
+    for c in range(cols):
+        sel = next((i for i in range(lead, rows) if m[i][c]), None)
+        if sel is None:
+            continue
+        m[lead], m[sel] = m[sel], m[lead]
+        inv = int(field.inv_table[m[lead][c]])
+        m[lead] = [mul(inv, x) for x in m[lead]]
+        for i in range(rows):
+            if i != lead and m[i][c]:
+                f = m[i][c]
+                m[i] = [x ^ mul(f, y) for x, y in zip(m[i], m[lead])]
+        piv.append(c)
+        lead += 1
+    return np.array(m, dtype=np.uint8).reshape(rows, cols), piv
+
+
+@DENSE
+@given(_fields, _dims, _dims, _seeds)
+def test_eliminate_matches_reference_rref(field, r, c, seed):
+    a = _dense(field, r, c, seed)
+    got, piv = gf2._eliminate(field, a)
+    want, want_piv = _rref_reference(field, a)
+    assert piv == want_piv
+    assert np.array_equal(got, want)
+    assert rank(field, a) == len(want_piv)
+
+
+@DENSE
+@given(_fields, _dims, _dims, _seeds)
+def test_nullspace_is_a_basis_of_the_kernel(field, r, c, seed):
+    a = _dense(field, r, c, seed)
+    n = nullspace(field, a)
+    k = c - len(_rref_reference(field, a)[1])
+    assert n.shape == (c, k)
+    assert len(_rref_reference(field, n.T)[1]) == k
+    assert not field.matmul(a, n).any()
+
+
+@DENSE
+@given(_fields, _dims, _dims, st.integers(0, 3), st.booleans(), _seeds)
+def test_solve_finds_a_solution_exactly_when_one_exists(field, r, c, k, consistent, seed):
+    a = _dense(field, r, c, seed)
+    b = (field.matmul(a, _dense(field, c, k, seed + 1)) if consistent
+         else _dense(field, r, k, seed + 1))
+    rank_a = len(_rref_reference(field, a)[1])
+    solvable = len(_rref_reference(field, np.concatenate([a, b], axis=1))[1]) == rank_a
+    x = solve(field, a, b)
+    assert (x is not None) == solvable
+    if x is not None:
+        assert x.shape == (c, k)
+        assert np.array_equal(field.matmul(a, x), b)
+
+
+@DENSE
+@given(_fields, _dims, st.booleans(), _seeds)
+def test_inverse_inverts_or_raises_on_singular(field, n, invertible, seed):
+    rng = np.random.default_rng(seed)
+    a = random_invertible(rng, n, field) if invertible else _dense(field, n, n, seed)
+    if len(_rref_reference(field, a)[1]) < n:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(field, a)
+        return
+    x = inverse(field, a)
+    assert np.array_equal(field.matmul(x, a), np.eye(n, dtype=np.uint8))
+    assert np.array_equal(field.matmul(a, x), np.eye(n, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("a", [
+    [[1, 0]],
+    [[1], [0]],
+    [[1, 0, 0], [0, 1, 0]],
+    np.zeros((0, 2), dtype=np.uint8),
+], ids=["1x2", "2x1", "2x3 of full row rank", "0x2"])
+def test_inverse_of_a_non_square_matrix_raises(a):
+    with pytest.raises(ValueError, match="not square"):
+        inverse(GF2_FIELD, np.array(a, dtype=np.uint8))
+
+
+@DENSE
+@given(_dims, st.sampled_from((0, 1, 2, 5, 12, 255, 256, 257)), _dims, _seeds)
+def test_gf2_matmul_matches_int64_reference(r, k, c, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 2, size=(r, k), dtype=np.uint8)
+    b = rng.integers(0, 2, size=(k, c), dtype=np.uint8)
+    want = a.astype(np.int64) @ b.astype(np.int64) % 2
+    got = GF2_FIELD.matmul(a, b)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", (255, 256, 257, 511, 512))
+def test_gf2_matmul_parity_survives_uint8_wraparound(k):
+    ones = np.ones((2, k), dtype=np.uint8)
+    assert np.array_equal(GF2_FIELD.matmul(ones, ones.T), np.full((2, 2), k % 2))
+
+
+# ---------------------------------------------------------------------------
+# the bit-packed batch kernel
+# ---------------------------------------------------------------------------
 
 
 def _unpack(words, cols):
@@ -219,3 +355,103 @@ def test_non_isomorphic_data_have_no_isomorphism():
 def test_zero_space_has_no_summands():
     with pytest.raises(ValueError, match="the zero space has no summands"):
         split_indecomposable(zero_space())
+
+
+# ---------------------------------------------------------------------------
+# the relation check and the decompose pipeline
+# ---------------------------------------------------------------------------
+
+NAMES = ("h", "p", "h1", "h2", "p1", "p2")
+
+
+def _verify_reference(x):
+    """The twelve relations of CubicSpace2.verify, each from its own chain
+    of int64 products reduced mod 2."""
+    m = {k: getattr(x, k).astype(np.int64) for k in NAMES}
+
+    def prod(*names):
+        out = m[names[0]]
+        for n in names[1:]:
+            out = out @ m[n] % 2
+        return out
+
+    zero = lambda a: not (a % 2).any()
+    h1, h2, p1, p2 = m["h1"], m["h2"], m["p1"], m["p2"]
+    return {
+        "h1 p2 = 0": zero(prod("h1", "p2")),
+        "h2 p1 = 0": zero(prod("h2", "p1")),
+        "h1 h = h2 h": zero(prod("h1", "h") + prod("h2", "h")),
+        "p p1 = p p2": zero(prod("p", "p1") + prod("p", "p2")),
+        "h1 p1 h1 = 0": zero(prod("h1", "p1", "h1")),
+        "p1 h1 p1 = 0": zero(prod("p1", "h1", "p1")),
+        "h2 p2 h2 = 0": zero(prod("h2", "p2", "h2")),
+        "p2 h2 p2 = 0": zero(prod("p2", "h2", "p2")),
+        "h p h = 0": zero(prod("h", "p", "h")),
+        "p h p = 0": zero(prod("p", "h", "p")),
+        "(h1 h) p + h1 + h2 = h1p1h2p2h1 + h2p2h1p1h2": zero(
+            prod("h1", "h", "p") + h1 + h2
+            + prod("h1", "p1", "h2", "p2", "h1") + prod("h2", "p2", "h1", "p1", "h2")),
+        "h (p p1) + p1 + p2 = p1h2p2h1p1 + p2h1p1h2p2": zero(
+            prod("h", "p", "p1") + p1 + p2
+            + prod("p1", "h2", "p2", "h1", "p1") + prod("p2", "h1", "p1", "h2", "p2")),
+    }
+
+
+def _verify_spaces():
+    rng = np.random.default_rng(2024)
+    spaces = [realize(d) for d in DATA]
+    spaces += [gf2.random_space(rng, max_dim=8) for _ in range(12)]
+    return spaces
+
+
+def test_verify_matches_relation_by_relation_reference():
+    rng = np.random.default_rng(5)
+    spaces = _verify_spaces()
+    for _ in range(40):
+        d1, d2, d3 = (int(n) for n in rng.integers(0, 5, size=3))
+        shapes = ((d2, d1), (d1, d2), (d3, d2), (d3, d2), (d2, d3), (d2, d3))
+        spaces.append(CubicSpace2(GF2_FIELD, *(rng.integers(0, 2, size=s) for s in shapes),
+                                  check=False))
+    for x in spaces:
+        assert list(x.verify().items()) == list(_verify_reference(x).items())
+    assert all(all(x.verify().values()) for x in spaces[:len(DATA)])
+
+
+def test_breaking_one_relation_alone_fails_exactly_its_key():
+    broken_alone = set()
+    for x in _verify_spaces():
+        for name in NAMES:
+            for idx in np.ndindex(getattr(x, name).shape):
+                mats = {k: getattr(x, k).copy() for k in NAMES}
+                mats[name][idx] ^= 1
+                y = CubicSpace2(GF2_FIELD, *(mats[k] for k in NAMES), check=False)
+                got = y.verify()
+                assert list(got.items()) == list(_verify_reference(y).items())
+                bad = [k for k, ok in got.items() if not ok]
+                if len(bad) == 1:
+                    broken_alone.add(bad[0])
+    # single entry flips break each of these relations without any other;
+    # the four cubic ones ("h1 p1 h1 = 0", ...) never fail alone here
+    assert broken_alone == set(_verify_reference(zero_space())) - {
+        "h1 p1 h1 = 0", "p1 h1 p1 = 0", "h2 p2 h2 = 0", "p2 h2 p2 = 0"}
+
+
+SUMS = [(d,) for d in DATA] + list(itertools.combinations(DATA, 2))
+
+
+@pytest.mark.parametrize("data", SUMS, ids=repr)
+def test_decompose_summand_dims_add_up(data):
+    x = realize(data[0])
+    for d in data[1:]:
+        x = x.direct_sum(realize(d))
+    report = decompose(x)
+    assert tuple(map(sum, zip(*report.summand_dims()))) == x.dims
+    assert report.keys() == tuple(sorted(d.canonical_key() for d in data))
+
+
+def test_decompose_guard_catches_a_lost_summand(monkeypatch):
+    x = realize(DATA[0]).direct_sum(realize(DATA[6])).direct_sum(gf2.trivial_space())
+    whole = gf2.indecomposable_summands
+    monkeypatch.setattr(gf2, "indecomposable_summands", lambda space: whole(space)[1:])
+    with pytest.raises(ValueError, match="decomposition lost dimensions"):
+        decompose(x)
