@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .polys import first_irreducible, poly_divmod, poly_mul, poly_pow
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -55,7 +57,7 @@ class Domain:
     - "gf"   : the field GF(q), q a prime power
     """
 
-    __slots__ = ("kind", "p", "inverted", "m", "q", "char", "deg", "_redpoly")
+    __slots__ = ("kind", "p", "inverted", "m", "q", "char", "deg", "_modulus")
 
     def __init__(self, kind, p=None, inverted=None, m=None, q=None):
         self.kind = kind
@@ -65,7 +67,7 @@ class Domain:
         self.q = q
         self.char = None
         self.deg = None
-        self._redpoly = None
+        self._modulus = None
         if kind == "loc":
             if not _is_prime(p):
                 raise ValueError(f"localization prime must be prime, got {p}")
@@ -81,7 +83,7 @@ class Domain:
                 raise ValueError(f"GF order must be a prime power, got {q}")
             self.char, self.deg = pk
             if self.deg > 1:
-                self._redpoly = _find_irreducible(self.char, self.deg)
+                self._modulus = first_irreducible(self.char, self.deg) + (1,)
         elif kind != "Z":
             raise ValueError(f"unknown domain kind {kind!r}")
 
@@ -195,28 +197,18 @@ class Domain:
 
     def mul(self, a, b):
         if self.kind == "gf" and self.deg > 1:
-            return self._gf_mul(a, b)
+            return self._gf_reduce(poly_mul(self.char, a, b))
         if self.kind == "mod":
             return (a * b) % self.m
         if self.kind == "gf":
             return (a * b) % self.char
         return a * b
 
-    def _gf_mul(self, a, b):
-        p, k = self.char, self.deg
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        red = self._redpoly
-        for i in range(len(prod) - 1, k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(k):
-                    prod[i - k + j] = (prod[i - k + j] - c * red[j]) % p
-        return tuple(prod[:k])
+    def _gf_reduce(self, c):
+        """A polynomial as an element: its remainder mod the field's
+        modulus, padded to deg coefficients."""
+        r = poly_divmod(self.char, c, self._modulus)[1]
+        return r + (0,) * (self.deg - len(r))
 
     def is_zero(self, a):
         if self.kind == "gf" and self.deg > 1:
@@ -254,15 +246,7 @@ class Domain:
         if self.deg == 1:
             return pow(a, -1, self.char)
         # extension field: a^(q-2)
-        out = self.one()
-        base = a
-        e = self.q - 2
-        while e:
-            if e & 1:
-                out = self._gf_mul(out, base)
-            base = self._gf_mul(base, base)
-            e >>= 1
-        return out
+        return self._gf_reduce(poly_pow(self.char, a, self.q - 2, self._modulus))
 
     def div(self, a, b):
         """Exact division a/b; raises if not exact in the domain."""
@@ -350,68 +334,6 @@ class Domain:
         if "/" in s:
             return self.canon(Fraction(s))
         return self.canon(int(s))
-
-
-def _poly_is_irreducible(coeffs, p):
-    """Irreducibility of a monic poly over GF(p), coeffs low-to-high without lead."""
-    k = len(coeffs)
-
-    def mulmod(a, b):
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        for i in range(len(prod) - 1, k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(k):
-                    prod[i - k + j] = (prod[i - k + j] - c * coeffs[j]) % p
-        return prod[:k]
-
-    def powx(e):
-        out = [1] + [0] * (k - 1)
-        base = ([0, 1] + [0] * (k - 2))[:k] if k > 1 else [0]
-        while e:
-            if e & 1:
-                out = mulmod(out, base)
-            base = mulmod(base, base)
-            e >>= 1
-        return out
-
-    # x^(p^k) == x mod f, and x^(p^(k/r)) != x for prime divisors r of k
-    xp = powx(p**k)
-    if xp != ([0, 1] + [0] * (k - 2))[:k]:
-        return False
-    r = 2
-    kk = k
-    divs = set()
-    while r * r <= kk:
-        if kk % r == 0:
-            divs.add(k // r)
-            while kk % r == 0:
-                kk //= r
-        r += 1
-    if kk > 1:
-        divs.add(k // kk)
-    for d in divs:
-        if powx(p**d) == ([0, 1] + [0] * (k - 2))[:k]:
-            return False
-    return True
-
-
-def _find_irreducible(p, k):
-    """Low-to-high coefficient tuple (without leading 1) of a monic irreducible
-    degree-k polynomial over GF(p), found by ordered search (deterministic)."""
-    from itertools import product
-
-    for tail in product(range(p), repeat=k):
-        if tail[0] == 0:
-            continue
-        if _poly_is_irreducible(list(tail), p):
-            return tuple(tail)
-    raise RuntimeError("no irreducible polynomial found")
 
 
 # Common domains

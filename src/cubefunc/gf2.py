@@ -1,100 +1,43 @@
-"""Cubic diagrams of vector spaces over characteristic-2 fields.
+"""Cubic diagrams of vector spaces over GF(2).
 
 A cubic space is a diagram
 
     F1  <--p--/--h-->  F2  <--p_i--/--h_i-->  F3      (i = 1, 2)
 
 subject to the char-2 relation list (see CubicSpace2.verify).  The module
-provides the full classification pipeline: splitting off the multiplicity
-of the trivial diagram, the six-block normal form of the (h, p) pair, the
-staircase form of h1, extraction of the residual matrix problem over a
-bunch of semi-chains, the word calculus for that problem, and realize /
-decompose as mutually inverse constructions (strings, bands and the
-trivial diagram).
+provides the classification pipeline of the source paper over GF(2):
+splitting off the multiplicity of the trivial diagram, the six-block
+normal form of the (h, p) pair, the staircase form of h1, the word calculus
+over the bunch of semichains, and realize / decompose as mutually inverse
+constructions (strings, bands and the trivial diagram).
 
-Everything runs on a small numpy kernel for exact GF(2^k) arithmetic;
-GF(2) is the default and the fast path.  Hom spaces, of cubic spaces and
-of modules over free algebras alike, are nullspaces of one Kronecker
-system (_intertwiners), and the deciders that enumerate them over GF(2)
+Matrices are uint8 arrays of zeros and ones.  Hom spaces, of cubic spaces
+and of modules over free algebras alike, are nullspaces of one Kronecker
+system (_intertwiners), and the deciders that enumerate them
 (find_isomorphism, split_indecomposable and the Z/4 deciders of
 wildness.py) test all combinations of a basis at once on bit-packed rows.
+Band polynomials come from polys.py.
 """
 
 import random
 
 import numpy as np
 
-from .domains import _find_irreducible
+from .polys import (
+    companion_matrix, poly_deg, poly_pow, poly_trim, primary_polys,
+    primary_root, reciprocal,
+)
 
 
 # ---------------------------------------------------------------------------
-# GF(2^k) arithmetic on numpy arrays
+# dense GF(2) linear algebra on uint8 arrays
 # ---------------------------------------------------------------------------
 
 
-def _clmul_mod(a, b, modulus, k):
-    """Carry-less product of two bitmask polynomials, reduced mod modulus."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a >> k & 1:
-            a ^= modulus
-    return r
-
-
-class Field2k:
-    """GF(2^k) with elements as k-bit integers; addition is xor and
-    multiplication is table-driven so row operations vectorize."""
-
-    def __init__(self, k=1):
-        if not 1 <= k <= 8:
-            raise ValueError("supported field sizes are GF(2) .. GF(2^8)")
-        self.k = k
-        self.q = 1 << k
-        tail = _find_irreducible(2, k) if k > 1 else (1,)
-        self.modulus = sum(c << i for i, c in enumerate(tail)) | (1 << k)
-        q = self.q
-        table = np.zeros((q, q), dtype=np.uint8)
-        for a in range(q):
-            for b in range(a, q):
-                v = _clmul_mod(a, b, self.modulus, k)
-                table[a, b] = v
-                table[b, a] = v
-        self.mul_table = table
-        inv = np.zeros(q, dtype=np.uint8)
-        for a in range(1, q):
-            inv[a] = int(np.nonzero(table[a] == 1)[0][0])
-        self.inv_table = inv
-
-    def __repr__(self):
-        return f"GF(2^{self.k})" if self.k > 1 else "GF(2)"
-
-    def __eq__(self, other):
-        return isinstance(other, Field2k) and other.k == self.k
-
-    def mul(self, a, b):
-        """Elementwise product of two arrays (or scalars)."""
-        return self.mul_table[a, b]
-
-    def scale(self, s, arr):
-        return self.mul_table[s, arr]
-
-    def matmul(self, a, b):
-        a = np.asarray(a, dtype=np.uint8)
-        b = np.asarray(b, dtype=np.uint8)
-        if self.k == 1:
-            # uint8 sums wrap mod 256, which is even, so the parity is exact
-            return (a @ b) & 1
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-        for t in range(a.shape[1]):
-            out ^= self.mul_table[a[:, t][:, None], b[t, :][None, :]]
-        return out
-
-
-GF2_FIELD = Field2k(1)
+def _mul(a, b):
+    """The matrix product over GF(2): uint8 sums wrap mod 256, which is
+    even, so the parity is exact."""
+    return (np.asarray(a, dtype=np.uint8) @ np.asarray(b, dtype=np.uint8)) & 1
 
 
 def zeros(r, c):
@@ -105,15 +48,15 @@ def eye(n):
     return np.eye(n, dtype=np.uint8)
 
 
-def mats(field, *factors):
+def mats(*factors):
     """Product of a chain of matrices."""
     out = factors[0]
     for f in factors[1:]:
-        out = field.matmul(out, f)
+        out = _mul(out, f)
     return out
 
 
-def _eliminate(field, a):
+def _eliminate(a):
     """Row echelon form (fully reduced).  Returns (R, pivot_columns)."""
     r = np.array(a, dtype=np.uint8, copy=True)
     rows, cols = r.shape
@@ -130,16 +73,11 @@ def _eliminate(field, a):
                 continue
         if sel != lead:
             r[[lead, sel]] = r[[sel, lead]]
-        if r[lead, c] != 1:
-            r[lead] = field.scale(field.inv_table[r[lead, c]], r[lead])
         col = r[:, c].copy()
         col[lead] = 0
         nz = np.nonzero(col)[0]
         if nz.size:
-            if field.k > 1:
-                r[nz] ^= field.mul_table[col[nz][:, None], r[lead][None, :]]
-            else:
-                r[nz] ^= r[lead][None, :]
+            r[nz] ^= r[lead][None, :]
         piv.append(c)
         lead += 1
         if lead == rows:
@@ -147,18 +85,18 @@ def _eliminate(field, a):
     return r, piv
 
 
-def rank(field, a):
+def rank(a):
     if min(a.shape) == 0:
         return 0
-    return len(_eliminate(field, a)[1])
+    return len(_eliminate(a)[1])
 
 
-def nullspace(field, a):
+def nullspace(a):
     """Columns form a basis of {x : a x = 0}."""
-    rows, cols = a.shape
+    cols = a.shape[1]
     if cols == 0:
         return zeros(0, 0)
-    r, piv = _eliminate(field, a)
+    r, piv = _eliminate(a)
     is_free = np.ones(cols, dtype=bool)
     is_free[piv] = False
     free = np.flatnonzero(is_free)
@@ -168,14 +106,14 @@ def nullspace(field, a):
     return out
 
 
-def solve(field, a, b):
+def solve(a, b):
     """Any X with a X = b, or None."""
-    rows, cols = a.shape
+    cols = a.shape[1]
     b = np.asarray(b, dtype=np.uint8)
     if b.ndim == 1:
         b = b[:, None]
     aug = np.concatenate([a, b], axis=1)
-    r, piv = _eliminate(field, aug)
+    r, piv = _eliminate(aug)
     if piv and piv[-1] >= cols:
         return None
     x = zeros(cols, b.shape[1])
@@ -183,54 +121,54 @@ def solve(field, a, b):
     return x
 
 
-def inverse(field, a):
+def inverse(a):
     n, cols = a.shape
     if n != cols:
         raise ValueError("matrix is not square")
     # [a | I] always has n pivots; a is invertible iff they all lie in a
-    r, piv = _eliminate(field, np.concatenate([a, eye(n)], axis=1))
+    r, piv = _eliminate(np.concatenate([a, eye(n)], axis=1))
     if piv != list(range(n)):
         raise ValueError("matrix is singular")
     return r[:, n:]
 
 
-def column_space(field, a):
+def column_space(a):
     """A basis of the column span (a selection of columns of a)."""
-    _, piv = _eliminate(field, a)
+    _, piv = _eliminate(a)
     return a[:, piv]
 
 
-def intersect_columns(field, a, b):
+def intersect_columns(a, b):
     """Basis of (col span a) ∩ (col span b)."""
     if a.shape[1] == 0 or b.shape[1] == 0:
         return zeros(a.shape[0], 0)
-    k = nullspace(field, np.concatenate([a, b], axis=1))
-    return column_space(field, field.matmul(a, k[: a.shape[1]]))
+    k = nullspace(np.concatenate([a, b], axis=1))
+    return column_space(_mul(a, k[: a.shape[1]]))
 
 
-def extend_basis(field, inner, ambient):
+def extend_basis(inner, ambient):
     """Columns of `ambient` that extend the independent set `inner`."""
     both = np.concatenate([inner, ambient], axis=1)
-    _, piv = _eliminate(field, both)
+    _, piv = _eliminate(both)
     extra = [c - inner.shape[1] for c in piv if c >= inner.shape[1]]
     return ambient[:, extra]
 
 
-def quotient_map(field, span, dim):
+def quotient_map(span, dim):
     """A map F -> F/span as a matrix whose kernel is exactly the span,
     together with a section (columns completing span to a basis)."""
-    comp = extend_basis(field, span, eye(dim))
+    comp = extend_basis(span, eye(dim))
     full = np.concatenate([span, comp], axis=1)
-    inv = inverse(field, full)
+    inv = inverse(full)
     return inv[span.shape[1]:], comp
 
 
-def reduce_mod(field, vecs, span, dim):
+def reduce_mod(vecs, span, dim):
     """Project columns of vecs into a fixed complement of the span."""
     if span.shape[1] == 0:
         return np.array(vecs, copy=True)
-    qm, comp = quotient_map(field, span, dim)
-    return field.matmul(comp, field.matmul(qm, vecs))
+    qm, comp = quotient_map(span, dim)
+    return _mul(comp, _mul(qm, vecs))
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +180,7 @@ class CubicSpace2:
     """A char-2 cubic diagram: spaces F1, F2, F3 with maps
     h: F1->F2, p: F2->F1, h_i: F2->F3, p_i: F3->F2."""
 
-    def __init__(self, field, h, p, h1, h2, p1, p2, check=True):
-        self.field = field
+    def __init__(self, h, p, h1, h2, p1, p2, check=True):
         self.h = np.asarray(h, dtype=np.uint8)
         self.p = np.asarray(p, dtype=np.uint8)
         self.h1 = np.asarray(h1, dtype=np.uint8)
@@ -272,36 +209,32 @@ class CubicSpace2:
 
     def verify(self):
         """Exact relation checks; returns {relation name: bool}."""
-        mul = self.field.matmul
         h, p, h1, h2, p1, p2 = self.h, self.p, self.h1, self.h2, self.p1, self.p2
         # shared subproducts: h1 h = h2 h iff (h1 + h2) h = 0, and
         # p1 h1 p1 = p1 (h1 p1), so 21 products check all 12 relations
-        hp = mul(h, p)
-        h1p1, h2p2 = mul(h1, p1), mul(h2, p2)
-        x, y = mul(h1p1, h2p2), mul(h2p2, h1p1)
-        lhs7 = mul(h1, hp) ^ h1 ^ h2
-        rhs7 = mul(x, h1) ^ mul(y, h2)
-        lhs8 = mul(hp, p1) ^ p1 ^ p2
-        rhs8 = mul(p1, y) ^ mul(p2, x)
+        hp = _mul(h, p)
+        h1p1, h2p2 = _mul(h1, p1), _mul(h2, p2)
+        x, y = _mul(h1p1, h2p2), _mul(h2p2, h1p1)
+        lhs7 = _mul(h1, hp) ^ h1 ^ h2
+        rhs7 = _mul(x, h1) ^ _mul(y, h2)
+        lhs8 = _mul(hp, p1) ^ p1 ^ p2
+        rhs8 = _mul(p1, y) ^ _mul(p2, x)
         return {
-            "h1 p2 = 0": not mul(h1, p2).any(),
-            "h2 p1 = 0": not mul(h2, p1).any(),
-            "h1 h = h2 h": not mul(h1 ^ h2, h).any(),
-            "p p1 = p p2": not mul(p, p1 ^ p2).any(),
-            "h1 p1 h1 = 0": not mul(h1p1, h1).any(),
-            "p1 h1 p1 = 0": not mul(p1, h1p1).any(),
-            "h2 p2 h2 = 0": not mul(h2p2, h2).any(),
-            "p2 h2 p2 = 0": not mul(p2, h2p2).any(),
-            "h p h = 0": not mul(hp, h).any(),
-            "p h p = 0": not mul(p, hp).any(),
+            "h1 p2 = 0": not _mul(h1, p2).any(),
+            "h2 p1 = 0": not _mul(h2, p1).any(),
+            "h1 h = h2 h": not _mul(h1 ^ h2, h).any(),
+            "p p1 = p p2": not _mul(p, p1 ^ p2).any(),
+            "h1 p1 h1 = 0": not _mul(h1p1, h1).any(),
+            "p1 h1 p1 = 0": not _mul(p1, h1p1).any(),
+            "h2 p2 h2 = 0": not _mul(h2p2, h2).any(),
+            "p2 h2 p2 = 0": not _mul(p2, h2p2).any(),
+            "h p h = 0": not _mul(hp, h).any(),
+            "p h p = 0": not _mul(p, hp).any(),
             "(h1 h) p + h1 + h2 = h1p1h2p2h1 + h2p2h1p1h2": not (lhs7 ^ rhs7).any(),
             "h (p p1) + p1 + p2 = p1h2p2h1p1 + p2h1p1h2p2": not (lhs8 ^ rhs8).any(),
         }
 
     def direct_sum(self, other):
-        if other.field != self.field:
-            raise ValueError("field mismatch")
-
         def blk(a, b):
             out = zeros(a.shape[0] + b.shape[0], a.shape[1] + b.shape[1])
             out[: a.shape[0], : a.shape[1]] = a
@@ -309,7 +242,6 @@ class CubicSpace2:
             return out
 
         return CubicSpace2(
-            self.field,
             blk(self.h, other.h), blk(self.p, other.p),
             blk(self.h1, other.h1), blk(self.h2, other.h2),
             blk(self.p1, other.p1), blk(self.p2, other.p2),
@@ -318,37 +250,33 @@ class CubicSpace2:
 
     def conjugate(self, b1, b2, b3):
         """The same space in new bases (columns of b_i are the new basis)."""
-        F = self.field
-        i1, i2, i3 = inverse(F, b1), inverse(F, b2), inverse(F, b3)
+        i1, i2, i3 = inverse(b1), inverse(b2), inverse(b3)
         return CubicSpace2(
-            F,
-            mats(F, i2, self.h, b1), mats(F, i1, self.p, b2),
-            mats(F, i3, self.h1, b2), mats(F, i3, self.h2, b2),
-            mats(F, i2, self.p1, b3), mats(F, i2, self.p2, b3),
+            mats(i2, self.h, b1), mats(i1, self.p, b2),
+            mats(i3, self.h1, b2), mats(i3, self.h2, b2),
+            mats(i2, self.p1, b3), mats(i2, self.p2, b3),
             check=False,
         )
 
     def restrict(self, b1, b2, b3):
         """The subspace spanned by the given column bases (must be a
         subdiagram, i.e. closed under all six maps)."""
-        F = self.field
         parts = {}
         for name, mat, src, dst in (
             ("h", self.h, b1, b2), ("p", self.p, b2, b1),
             ("h1", self.h1, b2, b3), ("h2", self.h2, b2, b3),
             ("p1", self.p1, b3, b2), ("p2", self.p2, b3, b2),
         ):
-            x = solve(F, dst, F.matmul(mat, src))
+            x = solve(dst, _mul(mat, src))
             if x is None:
                 raise ValueError(f"subspace is not closed under {name}")
             parts[name] = x
-        return CubicSpace2(F, parts["h"], parts["p"], parts["h1"],
+        return CubicSpace2(parts["h"], parts["p"], parts["h1"],
                            parts["h2"], parts["p1"], parts["p2"], check=False)
 
     def __eq__(self, other):
         return (
             isinstance(other, CubicSpace2)
-            and self.field == other.field
             and all(
                 np.array_equal(getattr(self, n), getattr(other, n))
                 for n in ("h", "p", "h1", "h2", "p1", "p2")
@@ -356,17 +284,16 @@ class CubicSpace2:
         )
 
 
-def zero_space(field=GF2_FIELD):
-    return CubicSpace2(field, zeros(0, 0), zeros(0, 0), zeros(0, 0),
+def zero_space():
+    return CubicSpace2(zeros(0, 0), zeros(0, 0), zeros(0, 0),
                        zeros(0, 0), zeros(0, 0), zeros(0, 0))
 
 
-def trivial_space(field=GF2_FIELD):
+def trivial_space():
     """The two-generator diagram with F1 = 0 that every other
     indecomposable avoids: h1, h2 pick out complementary lines and
     p1, p2 swap them."""
     return CubicSpace2(
-        field,
         zeros(2, 0), zeros(0, 2),
         [[1, 0], [0, 0]], [[0, 0], [0, 1]],
         [[0, 1], [0, 0]], [[0, 0], [1, 0]],
@@ -380,28 +307,27 @@ def split_trivial(space):
     on F2 cut out the trivial part; the remainder is the diagram on their
     common complement and satisfies h1 p1 = h1 h p p1 there.
     """
-    F = space.field
     bad = [name for name, ok in space.verify().items() if not ok]
     if bad:
         raise ValueError("cubic relations fail: " + "; ".join(bad))
     h1, h2, p1, p2 = space.h1, space.h2, space.p1, space.p2
-    e1 = mats(F, h1, p1, h2, p2)
-    e2 = mats(F, h2, p2, h1, p1)
-    f1 = mats(F, p1, h2, p2, h1)
-    f2 = mats(F, p2, h1, p1, h2)
-    mult = rank(F, e1)
+    e1 = mats(h1, p1, h2, p2)
+    e2 = mats(h2, p2, h1, p1)
+    f1 = mats(p1, h2, p2, h1)
+    f2 = mats(p2, h1, p1, h2)
+    mult = rank(e1)
     for idem in (e1, e2, f1, f2):
-        if (F.matmul(idem, idem) ^ idem).any():
+        if (_mul(idem, idem) ^ idem).any():
             raise ValueError("trivial-part projectors fail to be idempotent")
     e0 = e1 ^ e2 ^ eye(space.d3)
     f0 = f1 ^ f2 ^ eye(space.d2)
-    b3 = column_space(F, e0)
-    b2 = column_space(F, f0)
+    b3 = column_space(e0)
+    b2 = column_space(f0)
     b1 = eye(space.d1)
     reduced = space.restrict(b1, b2, b3)
     rem = (
-        F.matmul(reduced.h1, reduced.p1)
-        ^ mats(F, reduced.h1, reduced.h, reduced.p, reduced.p1)
+        _mul(reduced.h1, reduced.p1)
+        ^ mats(reduced.h1, reduced.h, reduced.p, reduced.p1)
     )
     if rem.any():
         raise ValueError("reduced diagram violates h1 p1 = h1 h p p1")
@@ -445,44 +371,42 @@ def p_pattern(u, v):
     return out
 
 
-def six_block_split(h, p, field=GF2_FIELD):
+def six_block_split(h, p):
     """Normal form of a pair of mutually annihilating-ish maps
     (h p h = 0 and p h p = 0): explicit bases and the block dimensions."""
-    F = field
     h = np.asarray(h, dtype=np.uint8)
     p = np.asarray(p, dtype=np.uint8)
-    d2, d1 = h.shape
-    if mats(F, h, p, h).any() or mats(F, p, h, p).any():
+    if mats(h, p, h).any() or mats(p, h, p).any():
         raise ValueError("six-block form needs h p h = 0 and p h p = 0")
 
-    im_p = column_space(F, p)
-    ker_h = nullspace(F, h)
-    u3 = column_space(F, F.matmul(p, h))
-    imp_kerh = intersect_columns(F, im_p, ker_h)
-    u5 = extend_basis(F, u3, imp_kerh)
-    u1 = extend_basis(F, imp_kerh, im_p)
-    v1 = F.matmul(h, u1)
+    im_p = column_space(p)
+    ker_h = nullspace(h)
+    u3 = column_space(_mul(p, h))
+    imp_kerh = intersect_columns(im_p, ker_h)
+    u5 = extend_basis(u3, imp_kerh)
+    u1 = extend_basis(imp_kerh, im_p)
+    v1 = _mul(h, u1)
 
-    im_h = column_space(F, h)
-    ker_p = nullspace(F, p)
-    imh_kerp = intersect_columns(F, im_h, ker_p)
-    v2 = extend_basis(F, v1, imh_kerp)
+    im_h = column_space(h)
+    ker_p = nullspace(p)
+    imh_kerp = intersect_columns(im_h, ker_p)
+    v2 = extend_basis(v1, imh_kerp)
     # v3: vectors of im h mapping onto the chosen u3 basis under p
-    y = solve(F, F.matmul(p, im_h), u3)
-    v3 = F.matmul(im_h, y)
-    u4 = solve(F, h, v3)
-    u2 = solve(F, h, v2)
-    u6 = extend_basis(F, np.concatenate([u3, u5], axis=1), ker_h)
-    v6 = solve(F, p, u1)
-    v5 = solve(F, p, u5)
-    v4 = extend_basis(F, np.concatenate([v1, v2], axis=1), ker_p)
+    y = solve(_mul(p, im_h), u3)
+    v3 = _mul(im_h, y)
+    u4 = solve(h, v3)
+    u2 = solve(h, v2)
+    u6 = extend_basis(np.concatenate([u3, u5], axis=1), ker_h)
+    v6 = solve(p, u1)
+    v5 = solve(p, u5)
+    v4 = extend_basis(np.concatenate([v1, v2], axis=1), ker_p)
 
     basis1 = np.concatenate([u1, u2, u3, u4, u5, u6], axis=1)
     basis2 = np.concatenate([v1, v2, v3, v4, v5, v6], axis=1)
     u = [b.shape[1] for b in (u1, u2, u3, u4, u5, u6)]
     v = [b.shape[1] for b in (v1, v2, v3, v4, v5, v6)]
-    hp = mats(F, inverse(F, basis2), h, basis1)
-    pp = mats(F, inverse(F, basis1), p, basis2)
+    hp = mats(inverse(basis2), h, basis1)
+    pp = mats(inverse(basis1), p, basis2)
     if not np.array_equal(hp, h_pattern(u, v)) or not np.array_equal(
         pp, p_pattern(u, v)
     ):
@@ -503,22 +427,6 @@ _PIVOTS = {
 }  # column group -> row group carrying its identity block
 
 
-class Staircase:
-    def __init__(self, basis2, basis3, col_groups, row_groups, H, P):
-        self.basis2 = basis2          # new F2 basis (columns)
-        self.basis3 = basis3          # new F3 basis
-        self.col_groups = tuple(col_groups)   # 18 sizes
-        self.row_groups = tuple(row_groups)   # 10 sizes
-        self.H = H                    # transformed h1 (exact 0/I staircase)
-        self.P = P                    # transformed p1
-
-    def col_offset(self, g):
-        return int(np.sum(self.col_groups[: g - 1]))
-
-    def row_offset(self, g):
-        return int(np.sum(self.row_groups[: g - 1]))
-
-
 def staircase_pattern(col_groups, row_groups):
     out = zeros(sum(row_groups), sum(col_groups))
     co = np.cumsum((0,) + tuple(col_groups))
@@ -529,33 +437,22 @@ def staircase_pattern(col_groups, row_groups):
     return out
 
 
-def staircase_H(space, blocks=None):
-    """Reduce h1 to the 10 x 18 block staircase.
+def staircase_H(h1, v):
+    """The 18 column-group and 10 row-group sizes of the block staircase
+    that h1 reduces to.
 
-    `space` must have (h, p) in the exact six-block 0/I form (pass the
-    output of six_block_split through conjugate first, or give `blocks`
-    as the (u, v) dimension pair describing the form).  Only column
-    operations compatible with that form are used, so the result extends
-    to a basis change of the whole diagram.
+    h1 is given in the F2 basis of a six-block split whose V blocks have
+    the sizes v (h1 @ SixBlockSplit.basis2).  Only column operations
+    compatible with that form are used, so the reduction extends to a basis
+    change of the whole diagram; it is checked to reach the exact 0/I form.
     """
-    F = space.field
-    if blocks is None:
-        sb = six_block_split(space.h, space.p, F)
-        u, v = sb.u, sb.v
-        if not (
-            np.array_equal(space.h, h_pattern(u, v))
-            and np.array_equal(space.p, p_pattern(u, v))
-        ):
-            raise ValueError("space is not in six-block coordinates")
-    else:
-        u, v = blocks
-    d3 = space.d3
+    d3, d2 = h1.shape
     vo = np.cumsum((0,) + tuple(v))
-    Hb = [space.h1[:, vo[i]: vo[i + 1]] for i in range(6)]
+    Hb = [h1[:, vo[i]: vo[i + 1]] for i in range(6)]
     if v[0] != v[5]:
         raise ValueError("six-block form must have dim V1 = dim V6")
 
-    span = lambda ms: column_space(F, np.concatenate(ms, axis=1)) if ms else zeros(d3, 0)
+    span = lambda ms: column_space(np.concatenate(ms, axis=1)) if ms else zeros(d3, 0)
     M1 = span([Hb[0]])
     M2 = span([M1, Hb[1]])
     M34 = span([M2, Hb[2], Hb[3]])
@@ -563,41 +460,41 @@ def staircase_H(space, blocks=None):
 
     def ker_mod(mat, mod):
         if mod.shape[1] == 0:
-            return nullspace(F, mat)
-        qm, _ = quotient_map(F, mod, d3)
-        return nullspace(F, F.matmul(qm, mat))
+            return nullspace(mat)
+        qm, _ = quotient_map(mod, d3)
+        return nullspace(_mul(qm, mat))
 
     # coupled splitting of the common V1/V6 index set
     A, B = Hb[0], Hb[5]
-    ka = nullspace(F, A)
+    ka = nullspace(A)
     kb = ker_mod(B, M5)
-    g1c = intersect_columns(F, ka, kb)                      # group 1 (and 15)
-    g2c = extend_basis(F, g1c, ka)                          # 2 (16)
-    g3c = extend_basis(F, g1c, kb)                          # 3 (17)
-    g4c = extend_basis(F, np.concatenate([ka, kb], axis=1), eye(v[0]))  # 4 (18)
+    g1c = intersect_columns(ka, kb)                      # group 1 (and 15)
+    g2c = extend_basis(g1c, ka)                          # 2 (16)
+    g3c = extend_basis(g1c, kb)                          # 3 (17)
+    g4c = extend_basis(np.concatenate([ka, kb], axis=1), eye(v[0]))  # 4 (18)
     C16 = np.concatenate([g1c, g2c, g3c, g4c], axis=1)
 
     # V2
     k5 = ker_mod(Hb[1], M1)
-    c6 = extend_basis(F, k5, eye(v[1]))
+    c6 = extend_basis(k5, eye(v[1]))
     C2 = np.concatenate([k5, c6], axis=1)
 
     # V3 / V4: only their common image admits matched pivots
-    qm2, _ = quotient_map(F, M2, d3) if M2.shape[1] else (eye(d3), None)
-    A3, A4 = F.matmul(qm2, Hb[2]), F.matmul(qm2, Hb[3])
-    shared = intersect_columns(F, column_space(F, A3), column_space(F, A4))
-    k7 = nullspace(F, A3)
-    c8 = solve(F, A3, shared)
-    c9 = extend_basis(F, np.concatenate([k7, c8], axis=1), eye(v[2]))
+    qm2, _ = quotient_map(M2, d3) if M2.shape[1] else (eye(d3), None)
+    A3, A4 = _mul(qm2, Hb[2]), _mul(qm2, Hb[3])
+    shared = intersect_columns(column_space(A3), column_space(A4))
+    k7 = nullspace(A3)
+    c8 = solve(A3, shared)
+    c9 = extend_basis(np.concatenate([k7, c8], axis=1), eye(v[2]))
     C3 = np.concatenate([k7, c8, c9], axis=1)
-    k10 = nullspace(F, A4)
-    c11 = solve(F, A4, shared)
-    c12 = extend_basis(F, np.concatenate([k10, c11], axis=1), eye(v[3]))
+    k10 = nullspace(A4)
+    c11 = solve(A4, shared)
+    c12 = extend_basis(np.concatenate([k10, c11], axis=1), eye(v[3]))
     C4 = np.concatenate([k10, c11, c12], axis=1)
 
     # V5
     k13 = ker_mod(Hb[4], M34)
-    c14 = extend_basis(F, k13, eye(v[4]))
+    c14 = extend_basis(k13, eye(v[4]))
     C5 = np.concatenate([k13, c14], axis=1)
 
     col_groups = [
@@ -610,25 +507,25 @@ def staircase_H(space, blocks=None):
     ]
 
     # the new F3 flag: one group of rows per pivot family
-    g1 = F.matmul(A, g3c)
-    g2 = F.matmul(A, g4c)
-    g3 = reduce_mod(F, F.matmul(Hb[1], c6), M1, d3)
-    g4 = reduce_mod(F, F.matmul(Hb[2], c8), M2, d3)
-    g5 = reduce_mod(F, F.matmul(Hb[2], c9),
+    g1 = _mul(A, g3c)
+    g2 = _mul(A, g4c)
+    g3 = reduce_mod(_mul(Hb[1], c6), M1, d3)
+    g4 = reduce_mod(_mul(Hb[2], c8), M2, d3)
+    g5 = reduce_mod(_mul(Hb[2], c9),
                     np.concatenate([M2, g4], axis=1), d3)
-    g6 = reduce_mod(F, F.matmul(Hb[3], c12),
+    g6 = reduce_mod(_mul(Hb[3], c12),
                     np.concatenate([M2, g4], axis=1), d3)
-    g7 = reduce_mod(F, F.matmul(Hb[4], c14), M34, d3)
-    g8 = reduce_mod(F, F.matmul(B, g2c), M5, d3)
-    g9 = reduce_mod(F, F.matmul(B, g4c),
+    g7 = reduce_mod(_mul(Hb[4], c14), M34, d3)
+    g8 = reduce_mod(_mul(B, g2c), M5, d3)
+    g9 = reduce_mod(_mul(B, g4c),
                     np.concatenate([M5, g8], axis=1), d3)
     partial = np.concatenate([g1, g2, g3, g4, g5, g6, g7, g8, g9], axis=1)
-    g10 = extend_basis(F, partial, eye(d3))
+    g10 = extend_basis(partial, eye(d3))
     basis3 = np.concatenate([partial, g10], axis=1)
     row_groups = [b.shape[1] for b in (g1, g2, g3, g4, g5, g6, g7, g8, g9, g10)]
 
     # block-diagonal part of the new F2 basis
-    basis2 = zeros(space.d2, space.d2)
+    basis2 = zeros(d2, d2)
     for i, C in enumerate((C16, C2, C3, C4, C5, C16)):
         basis2[vo[i]: vo[i + 1], vo[i]: vo[i + 1]] = C
 
@@ -636,7 +533,7 @@ def staircase_H(space, blocks=None):
     # zero) exactly; the residue lies in the span of earlier pivots and is
     # removed by adding those pivots' basis columns (all of which are
     # permitted additions for the group being corrected)
-    inv3 = inverse(F, basis3)
+    inv3 = inverse(basis3)
     co = np.cumsum((0,) + tuple(col_groups))
     ro = np.cumsum((0,) + tuple(row_groups))
     # which of the six V blocks each column group sits inside
@@ -647,18 +544,17 @@ def staircase_H(space, blocks=None):
               7: (14,), 8: (16,), 9: (18,)}
     finalized = {3, 4}
     order = [5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18]
-    target = staircase_pattern(col_groups, row_groups)
     for cg in order:
         rg = _PIVOTS.get(cg)
         for j in range(co[cg - 1], co[cg]):
             want_vec = zeros(d3, 1)[:, 0]
             if rg is not None:
                 want_vec = basis3[:, ro[rg - 1] + (j - co[cg - 1])]
-            cur = F.matmul(space.h1, basis2[:, j: j + 1])[:, 0]
+            cur = _mul(h1, basis2[:, j: j + 1])[:, 0]
             resid = cur ^ want_vec
             if not resid.any():
                 continue
-            coords = F.matmul(inv3, resid[:, None])[:, 0]
+            coords = _mul(inv3, resid[:, None])[:, 0]
             for rgp in range(1, 11):
                 seg = coords[ro[rgp - 1]: ro[rgp]]
                 nzl = np.nonzero(seg)[0]
@@ -677,25 +573,18 @@ def staircase_H(space, blocks=None):
                         "staircase residue escapes the permitted pivots"
                     )
                 for loc in nzl:
-                    src = co[src_cg - 1] + loc
-                    add = basis2[:, src] if F.k == 1 else \
-                        F.scale(int(seg[loc]), basis2[:, src])
-                    basis2[:, j] ^= add
+                    basis2[:, j] ^= basis2[:, co[src_cg - 1] + loc]
                     if vblk[src_cg] == 6 and vblk[cg] == 6:
                         # V1 and V6 share one index set, so an addition
                         # inside V6 must be copied to the V1 twin columns
-                        msrc = co[src_cg - 15] + loc
                         mj = co[cg - 15] + (j - co[cg - 1])
-                        madd = basis2[:, msrc] if F.k == 1 else \
-                            F.scale(int(seg[loc]), basis2[:, msrc])
-                        basis2[:, mj] ^= madd
+                        basis2[:, mj] ^= basis2[:, co[src_cg - 15] + loc]
         finalized.add(cg)
 
-    H = mats(F, inv3, space.h1, basis2)
-    if not np.array_equal(H, target):
+    if not np.array_equal(mats(inv3, h1, basis2),
+                          staircase_pattern(col_groups, row_groups)):
         raise ValueError("staircase reduction failed to reach the 0/I form")
-    P = mats(F, inverse(F, basis2), space.p1, basis3)
-    return Staircase(basis2, basis3, col_groups, row_groups, H, P)
+    return col_groups, row_groups
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +627,7 @@ def block_condition_report(P, col_groups, row_groups):
     return out
 
 
-def assemble_staircase(field, col_groups, P, extra_rows=None, points=0):
+def assemble_staircase(col_groups, P, extra_rows=None, points=0):
     """Cubic space whose (h, p) are in six-block 0/I form and whose h1 is
     the exact staircase; p1 = P must satisfy the block conditions.
     h2, p2 are the forced combinations h1 + h1 h p and p1 + h p p1.
@@ -761,19 +650,18 @@ def assemble_staircase(field, col_groups, P, extra_rows=None, points=0):
     h = h_pattern(u, v)
     p = p_pattern(u, v)
     h1 = staircase_pattern(r, row_groups)
-    F = field
-    h2 = h1 ^ mats(F, h1, h, p)
-    p2 = P ^ mats(F, h, p, P)
-    return CubicSpace2(F, h, p, h1, h2, P, p2, check=True)
+    h2 = h1 ^ mats(h1, h, p)
+    p2 = P ^ mats(h, p, P)
+    return CubicSpace2(h, p, h1, h2, P, p2, check=True)
 
 
-def random_block_matrix(rng, col_groups, row_groups, field=GF2_FIELD):
+def random_block_matrix(rng, col_groups, row_groups):
     """A uniformly random p1 on the block-condition slice with
     stripes 3 and 17 zero."""
     d2, d3 = sum(col_groups), sum(row_groups)
     co = np.cumsum((0,) + tuple(col_groups))
     P = zeros(d2, d3)
-    draw = lambda n: rng.integers(0, 2 ** field.k, size=(n, d3), dtype=np.uint8) \
+    draw = lambda n: rng.integers(0, 2, size=(n, d3), dtype=np.uint8) \
         if n else zeros(n, d3)
     for i in (1, 2, 5, 7, 10, 13, 15):
         P[co[i - 1]: co[i], :] = draw(col_groups[i - 1])
@@ -783,131 +671,13 @@ def random_block_matrix(rng, col_groups, row_groups, field=GF2_FIELD):
     return P
 
 
-def random_invertible(rng, n, field=GF2_FIELD):
+def random_invertible(rng, n):
     if n == 0:
         return zeros(0, 0)
     while True:
-        m = rng.integers(0, 2 ** field.k, size=(n, n), dtype=np.uint8)
-        if rank(field, m) == n:
+        m = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
+        if rank(m) == n:
             return m
-
-
-# ---------------------------------------------------------------------------
-# polynomials over GF(2^k): coefficient tuples, lowest degree first
-# ---------------------------------------------------------------------------
-
-
-def poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(int(x) for x in c)
-
-
-def poly_deg(c):
-    return len(c) - 1
-
-
-def poly_mul(field, a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] ^= int(field.mul(x, y))
-    return poly_trim(out)
-
-
-def poly_divmod(field, a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    binv = int(field.inv_table[b[-1]]) if field.k > 1 else 1
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        c = int(field.mul(a[-1], binv))
-        q[shift] = c
-        for i, y in enumerate(b):
-            a[shift + i] ^= int(field.mul(c, y))
-        a.pop()
-    return poly_trim(q), poly_trim(a)
-
-
-def poly_pow(field, a, e):
-    out = (1,)
-    for _ in range(e):
-        out = poly_mul(field, out, a)
-    return out
-
-
-def _monic_polys(field, d):
-    q = 2 ** field.k
-    for idx in range(q ** d):
-        coeffs = []
-        for _ in range(d):
-            coeffs.append(idx % q)
-            idx //= q
-        yield tuple(coeffs) + (1,)
-
-
-_IRREDUCIBLE_CACHE = {}
-
-
-def irreducible_polys(field, d):
-    """All monic irreducible polynomials of degree d, lexicographically."""
-    key = (field.k, d)
-    if key not in _IRREDUCIBLE_CACHE:
-        out = []
-        for f in _monic_polys(field, d):
-            if all(
-                poly_divmod(field, f, g)[1]
-                for dd in range(1, d // 2 + 1)
-                for g in irreducible_polys(field, dd)
-            ):
-                out.append(f)
-        _IRREDUCIBLE_CACHE[key] = tuple(out)
-    return _IRREDUCIBLE_CACHE[key]
-
-
-def primary_root(field, pi):
-    """The irreducible phi with pi = phi^e, or None if pi is not primary."""
-    pi = poly_trim(pi)
-    d = poly_deg(pi)
-    if d < 1 or pi[-1] != 1:
-        return None
-    for dd in range(1, d + 1):
-        if d % dd:
-            continue
-        for phi in irreducible_polys(field, dd):
-            if pi == poly_pow(field, phi, d // dd):
-                return phi
-    return None
-
-
-def primary_polys(field, d):
-    """All monic primary polynomials of degree d."""
-    out = []
-    for dd in range(1, d + 1):
-        if d % dd:
-            continue
-        for phi in irreducible_polys(field, dd):
-            out.append(poly_pow(field, phi, d // dd))
-    return sorted(out)
-
-
-def companion_matrix(field, pi):
-    d = poly_deg(pi)
-    out = zeros(d, d)
-    for i in range(d - 1):
-        out[i + 1, i] = 1
-    for i in range(d):
-        out[i, d - 1] = pi[i]      # char 2: -c = c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1153,20 +923,19 @@ class BandDatum5:
     pi = t^d on non-shift-symmetric words and pi = (t-1)^d on
     shift-symmetric ones."""
 
-    def __init__(self, word, poly, field=GF2_FIELD):
+    def __init__(self, word, poly):
         if not word.cyclic:
             raise ValueError("band data use cyclic words")
         if not word.is_aperiodic():
             raise ValueError("band words must be aperiodic")
         self.word = word
         self.poly = poly_trim(poly)
-        self.field = field
         d = poly_deg(self.poly)
-        if d < 1 or primary_root(field, self.poly) is None:
+        if d < 1 or primary_root(2, self.poly) is None:
             raise ValueError("band polynomial must be primary")
         sym = word.is_shift_symmetric()
         t_pow = tuple([0] * d + [1])
-        t1_pow = poly_pow(field, (1, 1), d)
+        t1_pow = poly_pow(2, (1, 1), d)
         if not sym and self.poly == t_pow:
             raise ValueError("pi = t^d is excluded for this word")
         if sym and self.poly == t1_pow:
@@ -1175,18 +944,9 @@ class BandDatum5:
     def __repr__(self):
         return f"B[{self.word!r}, {self.poly}]"
 
-    def _star_poly(self):
-        """lambda^-1 t^d pi(1/t) with lambda = pi(0) != 0."""
-        lam = self.poly[0]
-        if lam == 0:
-            raise ValueError("the star band needs an invertible pi(0)")
-        F = self.field
-        inv = 1 if F.k == 1 else int(F.inv_table[lam])
-        return tuple(int(F.mul(inv, c)) for c in self.poly[::-1])
-
     def star(self):
         """(w*, lambda^-1 t^d pi(1/t)); defined when pi(0) != 0."""
-        return BandDatum5(self.word.star(), self._star_poly(), self.field)
+        return BandDatum5(self.word.star(), reciprocal(2, self.poly))
 
     def key(self):
         return ("band", self.word.key(), self.poly)
@@ -1197,7 +957,7 @@ class BandDatum5:
         their keys are built without constructing them."""
         pairs = [(self.word, self.poly)]
         if self.poly[0] != 0:
-            pairs.append((self.word.star(), self._star_poly()))
+            pairs.append((self.word.star(), reciprocal(2, self.poly)))
         return min(("band", word.shift(s).key(), poly)
                    for word, poly in pairs for s in range(self.word.n // 2))
 
@@ -1251,7 +1011,7 @@ _FAMILY = {"R1": "R1R15", "R15": "R1R15", "R2": "R2S8", "S8": "R2S8",
            "R11": "R11S4", "S4": "R11S4", "S2": "S2S9", "S9": "S2S9"}
 
 
-def _assemble_from_slots(field, slots, pairs, links, blocks):
+def _assemble_from_slots(slots, pairs, links, blocks):
     """slots: list of stratum names (one per node); pairs: (i, j) node
     pairs joined by ~ whose strata share one index set and must sit at
     matching positions; links: (i, j, label) with label a b x b matrix
@@ -1303,7 +1063,7 @@ def _assemble_from_slots(field, slots, pairs, links, blocks):
         P[rows_of(i), cols_of(j)] ^= label
     # stripe 8 mirrors stripe 11
     P[co[7]: co[8], :] = P[co[10]: co[11], :]
-    return assemble_staircase(field, col_groups, P, extra_rows=s10)
+    return assemble_staircase(col_groups, P, extra_rows=s10)
 
 
 # chain heights used to pick which neighbour of a special pair gets tied
@@ -1327,16 +1087,16 @@ def _double_lower(slots, a, b, na, nb, links, label):
         links.append((nb, a, label))
 
 
-def realize(datum, field=GF2_FIELD):
+def realize(datum):
     """The cubic space of a string or band datum."""
     if isinstance(datum, BandDatum5):
-        word, F = datum.word, datum.field
+        word = datum.word
         n = word.n
         d = poly_deg(datum.poly)
         one = eye(d)
         slots = _word_slots(word)
         links, pairs = [], []
-        phi = companion_matrix(F, datum.poly)
+        phi = np.array(companion_matrix(2, datum.poly), dtype=np.uint8)
         first = True
         for k in range(n - 1):
             if word.rels[k] == "-":
@@ -1352,7 +1112,7 @@ def realize(datum, field=GF2_FIELD):
                 links.append(((b + 1) % n, a, one))
             else:
                 pairs.append((a, b))
-        return _assemble_from_slots(F, slots, pairs, links, d)
+        return _assemble_from_slots(slots, pairs, links, d)
     if not isinstance(datum, StringDatum5):
         raise TypeError("expected a StringDatum5 or BandDatum5")
     word = datum.word
@@ -1406,7 +1166,7 @@ def realize(datum, field=GF2_FIELD):
                 # two copies
                 _double_lower(slots, prev, base, base - 2, base + 1,
                               links, one)
-    return _assemble_from_slots(field, slots, pairs, links, 1)
+    return _assemble_from_slots(slots, pairs, links, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1414,13 +1174,12 @@ def realize(datum, field=GF2_FIELD):
 # ---------------------------------------------------------------------------
 
 
-def _kron(field, a, b):
+def _kron(a, b):
     a, b = a[:, None, :, None], b[None, :, None, :]
-    out = a & b if field.k == 1 else field.mul_table[a, b]
-    return out.reshape(a.shape[0] * b.shape[1], a.shape[2] * b.shape[3])
+    return (a & b).reshape(a.shape[0] * b.shape[1], a.shape[2] * b.shape[3])
 
 
-def _intertwiners(field, dims_x, dims_y, arrows):
+def _intertwiners(dims_x, dims_y, arrows):
     """Basis of the families (f_v : x_v -> y_v) with y_a f_s = f_t x_a for
     every arrow (s, t, x_a, y_a), as tuples of matrices.
 
@@ -1432,11 +1191,11 @@ def _intertwiners(field, dims_x, dims_y, arrows):
     rows = []
     for s, t, xa, ya in arrows:
         block = zeros(ya.shape[0] * dims_x[s], off[-1])
-        block[:, off[s]: off[s + 1]] = _kron(field, ya, eye(dims_x[s]))
-        block[:, off[t]: off[t + 1]] ^= _kron(field, eye(dims_y[t]), xa.T)
+        block[:, off[s]: off[s + 1]] = _kron(ya, eye(dims_x[s]))
+        block[:, off[t]: off[t + 1]] ^= _kron(eye(dims_y[t]), xa.T)
         rows.append(block)
     system = np.concatenate(rows, axis=0) if rows else zeros(0, off[-1])
-    null = nullspace(field, system)
+    null = nullspace(system)
     return [
         tuple(null[off[v]: off[v + 1], j].reshape(dims_y[v], dims_x[v])
               for v in range(len(nvars)))
@@ -1446,15 +1205,12 @@ def _intertwiners(field, dims_x, dims_y, arrows):
 
 def hom_basis(x, y):
     """Basis of the space of morphisms x -> y, as triples (f1, f2, f3)."""
-    F = x.field
-    if y.field != F:
-        raise ValueError("field mismatch")
     arrows = [
         (0, 1, x.h, y.h), (1, 0, x.p, y.p),
         (1, 2, x.h1, y.h1), (1, 2, x.h2, y.h2),
         (2, 1, x.p1, y.p1), (2, 1, x.p2, y.p2),
     ]
-    return _intertwiners(F, x.dims, y.dims, arrows)
+    return _intertwiners(x.dims, y.dims, arrows)
 
 
 def module_hom_basis(amats, bmats, d):
@@ -1462,31 +1218,7 @@ def module_hom_basis(amats, bmats, d):
     matrices: the homomorphisms between the modules over a free algebra
     that the tuples define, as 1-tuples (U,)."""
     arrows = [(0, 0, a, b) for a, b in zip(amats, bmats)]
-    return _intertwiners(GF2_FIELD, (d,), (d,), arrows)
-
-
-def _all_combos(field, basis):
-    """Every nonzero linear combination of the given morphism basis."""
-    q = 2 ** field.k
-    n = len(basis)
-    for idx in range(1, q ** n):
-        coeffs = []
-        for _ in range(n):
-            coeffs.append(idx % q)
-            idx //= q
-        f = tuple(np.zeros_like(b) for b in basis[0])
-        for c, g in zip(coeffs, basis):
-            if c:
-                f = tuple(a ^ (g_i if field.k == 1 else field.scale(c, g_i))
-                          for a, g_i in zip(f, g))
-        yield f
-
-
-def _is_invertible(field, f, dims_x, dims_y):
-    return all(
-        m.shape == (dy, dx) and dx == dy and rank(field, m) == dx
-        for m, dx, dy in zip(f, dims_x, dims_y)
-    )
+    return _intertwiners((d,), (d,), arrows)
 
 
 # ---------------------------------------------------------------------------
@@ -1658,58 +1390,51 @@ def _first_combination(basis, dims, test):
 # ---------------------------------------------------------------------------
 
 
+def _is_invertible(f):
+    return all(rank(m) == len(m) for m in f)
+
+
 def find_isomorphism(x, y):
     """An invertible morphism x -> y, or None.  Exhaustive over the hom
-    space when it is small enough, so a None answer is then a proof of
-    non-isomorphism.  Larger hom spaces fall back to seeded random
-    sampling; for isomorphic spaces the invertible fraction of the hom
-    space is at least 1/2, so a miss after a few thousand draws is
+    space when it has at most 2^ENUM_BITS elements, so a None answer is
+    then a proof of non-isomorphism.  Larger hom spaces fall back to seeded
+    random sampling; for isomorphic spaces the invertible fraction of the
+    hom space is at least 1/2, so a miss after a few thousand draws is
     vanishingly unlikely."""
     if x.dims != y.dims:
         return None
     basis = hom_basis(x, y)
     if not basis:
         return None if sum(x.dims) else ()
-    F = x.field
-    q = 2 ** F.k
-    if q ** len(basis) <= 1 << ENUM_BITS:
-        if F.k == 1:
-            return _first_combination(basis, x.dims, _invertible)
-        for f in _all_combos(F, basis):
-            if _is_invertible(F, f, x.dims, y.dims):
-                return f
-        return None
+    if len(basis) <= ENUM_BITS:
+        return _first_combination(basis, x.dims, _invertible)
     if len(hom_basis(y, x)) != len(basis):
         return None
     rng = random.Random(0x5eed ^ len(basis))
     for _ in range(4096):
         f = None
         for g in basis:
-            c = rng.randrange(q)
-            if not c:
-                continue
-            term = g if c == 1 else tuple(F.scale(c, m) for m in g)
-            f = term if f is None else tuple(a ^ b for a, b in zip(f, term))
-        if f is not None and _is_invertible(F, f, x.dims, y.dims):
+            if rng.randrange(2):
+                f = g if f is None else tuple(a ^ b for a, b in zip(f, g))
+        if f is not None and _is_invertible(f):
             return f
     return None
 
 
-def _power_stable(field, mats_, n):
+def _power_stable(mats_, n):
     """Component-wise power f^(2^r) with 2^r >= n."""
     out = tuple(m.copy() for m in mats_)
     for _ in range(_stable_exponent(n)):
-        out = tuple(field.matmul(m, m) for m in out)
+        out = tuple(_mul(m, m) for m in out)
     return out
 
 
 def _try_split(space, f):
     """Fitting decomposition along an endomorphism, or None."""
-    F = space.field
     n = sum(space.dims)
-    g = _power_stable(F, f, n)
-    kers = [nullspace(F, m) for m in g]
-    ims = [column_space(F, m) for m in g]
+    g = _power_stable(f, n)
+    kers = [nullspace(m) for m in g]
+    ims = [column_space(m) for m in g]
     kdim = sum(k.shape[1] for k in kers)
     if kdim == 0 or kdim == n:
         return None
@@ -1735,37 +1460,18 @@ def split_indecomposable(space):
         raise ValueError("the zero space has no summands")
     basis = hom_basis(space, space)
     E = len(basis)
-    if space.field.k == 1:
-        comps = _pack_basis(basis, space.dims)
-        hit = _first(_mixed(comps))
-        if hit is not None:
-            return _try_split(space, basis[hit])
-        if E <= ENUM_BITS:
-            f = _first_combination(basis, space.dims, _mixed)
-            return (None, E) if f is None else _try_split(space, f)
-        left, right = np.triu_indices(E, 1)
-        hit = _first(_mixed([c[left] ^ c[right] for c in comps]))
-        if hit is not None:
-            pair = zip(basis[left[hit]], basis[right[hit]])
-            return _try_split(space, tuple(a ^ b for a, b in pair))
-        raise ValueError(TOO_LARGE)
-    for f in basis:
-        got = _try_split(space, f)
-        if got:
-            return got
-    if (2 ** space.field.k) ** E <= 1 << ENUM_BITS:
-        for f in _all_combos(space.field, basis):
-            got = _try_split(space, f)
-            if got:
-                return got
-        return None, E
-    # too big to certify; sums of pairs catch the remaining practical cases
-    for i in range(E):
-        for j in range(i + 1, E):
-            f = tuple(a ^ b for a, b in zip(basis[i], basis[j]))
-            got = _try_split(space, f)
-            if got:
-                return got
+    comps = _pack_basis(basis, space.dims)
+    hit = _first(_mixed(comps))
+    if hit is not None:
+        return _try_split(space, basis[hit])
+    if E <= ENUM_BITS:
+        f = _first_combination(basis, space.dims, _mixed)
+        return (None, E) if f is None else _try_split(space, f)
+    left, right = np.triu_indices(E, 1)
+    hit = _first(_mixed([c[left] ^ c[right] for c in comps]))
+    if hit is not None:
+        pair = zip(basis[left[hit]], basis[right[hit]])
+        return _try_split(space, tuple(a ^ b for a, b in pair))
     raise ValueError(TOO_LARGE)
 
 
@@ -1895,10 +1601,8 @@ def _cyclic_words(budget):
 
 def _strata_budget(space):
     """Exact slot counts of all strata, from the staircase of the space."""
-    sb = six_block_split(space.h, space.p, space.field)
-    six = space.conjugate(sb.basis1, sb.basis2, eye(space.d3))
-    st = staircase_H(six, blocks=(sb.u, sb.v))
-    c, rg = st.col_groups, st.row_groups
+    sb = six_block_split(space.h, space.p)
+    c, rg = staircase_H(_mul(space.h1, sb.basis2), sb.v)
     return {
         "R1": c[0], "R2": c[1], "S1": c[2], "S2": c[3], "R5": c[4],
         "S3": c[5], "R7": c[6], "R11": c[7], "S5": c[8], "R10": c[9],
@@ -1907,7 +1611,7 @@ def _strata_budget(space):
     }, sb.u[5]
 
 
-def _candidate_data(budget, field):
+def _candidate_data(budget):
     """Every string/band datum whose realization has the given strata
     slot counts, ordered by canonical key."""
     cands = []
@@ -1953,9 +1657,9 @@ def _candidate_data(budget, field):
                 continue
             if not word.is_aperiodic():
                 continue
-            for pi in primary_polys(field, d):
+            for pi in primary_polys(2, d):
                 try:
-                    cands.append(BandDatum5(word, pi, field))
+                    cands.append(BandDatum5(word, pi))
                 except ValueError:
                     continue
     seen, out = set(), []
@@ -1973,9 +1677,9 @@ def identify(space):
     budget, points = _strata_budget(space)
     if points:
         raise ValueError("space contains F1-point summands")
-    for cand in _candidate_data(budget, space.field):
+    for cand in _candidate_data(budget):
         try:
-            rs = realize(cand, space.field)
+            rs = realize(cand)
         except ValueError:
             continue
         if rs.dims != space.dims:
@@ -1989,8 +1693,7 @@ class DecomposeReport:
     """Trivial multiplicity, F1-point multiplicity and the multiset of
     string/band data of a cubic space."""
 
-    def __init__(self, field, trivial, points, data, dims):
-        self.field = field
+    def __init__(self, trivial, points, data, dims):
         self.trivial = trivial
         self.points = points
         self.data = sorted(data, key=lambda d: d.canonical_key())
@@ -2001,7 +1704,7 @@ class DecomposeReport:
 
     def summand_dims(self):
         out = [(0, 2, 2)] * self.trivial + [(1, 0, 0)] * self.points
-        out += [realize(d, self.field).dims for d in self.data]
+        out += [realize(d).dims for d in self.data]
         return out
 
     def __repr__(self):
@@ -2030,10 +1733,10 @@ def decompose(space):
     got = tuple(map(sum, zip(*dims))) if dims else (0, 0, 0)
     if got != space.dims:
         raise ValueError("decomposition lost dimensions: internal error")
-    return DecomposeReport(space.field, mult, points, data, space.dims)
+    return DecomposeReport(mult, points, data, space.dims)
 
 
-def random_space(rng, max_dim=12, field=GF2_FIELD, trivial=True):
+def random_space(rng, max_dim=12, trivial=True):
     """A random cubic space: a random admissible staircase instance plus
     optional trivial and F1-point summands, in a random basis."""
     while True:
@@ -2047,16 +1750,16 @@ def random_space(rng, max_dim=12, field=GF2_FIELD, trivial=True):
         pts = int(rng.integers(0, 2))
         t = int(rng.integers(0, 2)) if trivial else 0
         rg = row_groups_from_cols(r, s10)
-        P = random_block_matrix(rng, check_col_groups(r), rg, field)
-        sp = assemble_staircase(field, r, P, extra_rows=s10, points=pts)
+        P = random_block_matrix(rng, check_col_groups(r), rg)
+        sp = assemble_staircase(r, P, extra_rows=s10, points=pts)
         for _ in range(t):
-            sp = sp.direct_sum(trivial_space(field))
+            sp = sp.direct_sum(trivial_space())
         if 0 < sum(sp.dims) <= max_dim:
             break
     return sp.conjugate(
-        random_invertible(rng, sp.d1, field),
-        random_invertible(rng, sp.d2, field),
-        random_invertible(rng, sp.d3, field),
+        random_invertible(rng, sp.d1),
+        random_invertible(rng, sp.d2),
+        random_invertible(rng, sp.d3),
     )
 
 
@@ -2100,7 +1803,7 @@ def random_string_datum(rng, max_units=3, max_m=3):
                 continue
 
 
-def random_band_datum(rng, field=GF2_FIELD, max_pairs=3, max_deg=2):
+def random_band_datum(rng, max_pairs=3, max_deg=2):
     """A random valid band datum."""
     while True:
         k = int(rng.integers(1, max_pairs + 1))
@@ -2132,90 +1835,10 @@ def random_band_datum(rng, field=GF2_FIELD, max_pairs=3, max_deg=2):
         if not word.is_aperiodic():
             continue
         d = int(rng.integers(1, max_deg + 1))
-        polys = primary_polys(field, d)
+        polys = primary_polys(2, d)
         rng.shuffle(polys)
         for pi in polys:
             try:
-                return BandDatum5(word, pi, field)
+                return BandDatum5(word, pi)
             except ValueError:
                 continue
-
-
-# ---------------------------------------------------------------------------
-# the reduced matrix problem instance
-# ---------------------------------------------------------------------------
-
-
-class BunchInstance:
-    """The matrix P-bar with its row strata (R1, R2, R5, R7, R10, R11,
-    R13, R15) and column strata (S1..S10) over the semichain bunch."""
-
-    ROW_NAMES = ("R1", "R2", "R5", "R7", "R10", "R11", "R13", "R15")
-    COL_NAMES = ("S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8", "S9", "S10")
-
-    def __init__(self, field, matrix, row_sizes, col_sizes):
-        self.field = field
-        self.matrix = matrix
-        self.row_sizes = dict(row_sizes)
-        self.col_sizes = dict(col_sizes)
-        if sum(self.row_sizes.values()) != matrix.shape[0] or \
-                sum(self.col_sizes.values()) != matrix.shape[1]:
-            raise ValueError("strata sizes must sum to the matrix shape")
-        self.bunch = SemiChainBunch
-
-
-def extract_bunch(st, field=GF2_FIELD):
-    """Reduce a staircase result to the bunch instance: drop the zero
-    stripes and the stripes R3, R8, normalize the P(17,10) block to
-    [[0, I], [0, 0]] and cross out its pivot pairs (which shortens the
-    S1 and S10 strata)."""
-    rep = block_condition_report(st.P, st.col_groups, st.row_groups)
-    bad = [k for k, ok in rep.items() if not ok]
-    if bad:
-        raise ValueError("block conditions fail upstream: " + "; ".join(bad))
-    F = field
-    co = np.cumsum((0,) + tuple(st.col_groups))
-    ro = np.cumsum((0,) + tuple(st.row_groups))
-    P = st.P.copy()
-    t_block = P[co[16]: co[17], ro[9]:]       # stripe 17, column group S10
-    rho = rank(F, t_block)
-    if rho:
-        # row-reduce the block; the same transformation renames the S1
-        # columns (they share the stripe-17 index set), then the pivot
-        # columns of S10 clear everything else in their columns
-        red, pivots = _eliminate(F, t_block.copy())
-        keep_s10 = [j for j in range(t_block.shape[1]) if j not in pivots]
-        # transform S1 columns contragrediently: new S1 basis has the
-        # pivot-paired columns last; dropping them keeps the zero rows
-        lead = red[:rho, :]
-        for i in range(rho):
-            piv = pivots[i]
-            col = P[:, ro[9] + piv].copy()
-            # clear other stripes' entries in the pivot column: allowed
-            # row additions from stripe 17 remove them exactly
-            P[:, ro[9] + piv] = 0
-        s1_keep = st.row_groups[0] - rho
-    else:
-        keep_s10 = list(range(t_block.shape[1]))
-        s1_keep = st.row_groups[0]
-    keep_rows = []
-    row_sizes = {}
-    for name, grp in (("R1", 1), ("R2", 2), ("R5", 5), ("R7", 7),
-                      ("R10", 10), ("R11", 11), ("R13", 13), ("R15", 15)):
-        keep_rows.extend(range(co[grp - 1], co[grp]))
-        row_sizes[name] = st.col_groups[grp - 1]
-    keep_cols = []
-    col_sizes = {}
-    for name, grp in zip(BunchInstance.COL_NAMES, range(1, 11)):
-        if grp == 1:
-            keep_cols.extend(range(ro[0], ro[0] + s1_keep))
-            col_sizes[name] = s1_keep
-        elif grp == 10:
-            keep_cols.extend(ro[9] + j for j in keep_s10)
-            col_sizes[name] = len(keep_s10)
-        else:
-            keep_cols.extend(range(ro[grp - 1], ro[grp]))
-            col_sizes[name] = st.row_groups[grp - 1]
-    sub = P[np.ix_(keep_rows, keep_cols)] if keep_rows and keep_cols else \
-        zeros(len(keep_rows), len(keep_cols))
-    return BunchInstance(field, sub, row_sizes, col_sizes)

@@ -16,12 +16,12 @@ projectives by relations written with the operator table theta(i, j).
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product
 
 import numpy as np
 
 from .domains import Z_HALF, Zloc, _is_prime
 from .matrix import LatticeSpan, Mat
+from .polys import companion_matrix, primary_root, reciprocal
 from .presentation import FpPresentation, ModuleMorphism, compose
 
 PARTNER = {1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5}        # the relation ~
@@ -376,7 +376,7 @@ class BandData3:
             raise ValueError("polynomial must be monic of positive degree")
         if coeffs[0] == 0:
             raise ValueError("lam_1 must be nonzero")
-        if not is_primary(coeffs, 3):
+        if primary_root(3, coeffs) is None:
             raise ValueError("polynomial must be primary over Z/3")
         self.diagram = d
         self.poly = coeffs
@@ -392,10 +392,8 @@ class BandData3:
     def star(self):
         d = self.diagram
         rev = lambda row: list(reversed(row))
-        lam1 = self.poly[0]
-        inv = pow(lam1, -1, 3)
-        rp = [(inv * c) % 3 for c in reversed(self.poly)]
-        return BandData3(StringDiagram3("iii", rev(d.i), rev(d.j), rev(d.k)), rp)
+        return BandData3(StringDiagram3("iii", rev(d.i), rev(d.j), rev(d.k)),
+                         reciprocal(3, self.poly))
 
 
 def _is_periodic(d):
@@ -407,68 +405,6 @@ def _is_periodic(d):
         t = 2 * s
         if all(row[(p + t) % n2] == row[p] for row in rows for p in range(n2)):
             return True
-    return False
-
-
-# polynomial helpers over a prime field ------------------------------------
-
-
-def poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def poly_mod(a, m, p):
-    a = [x % p for x in a]
-    dm = len(m) - 1
-    inv = pow(m[-1], -1, p)
-    while len(a) - 1 >= dm and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = (a[-1] * inv) % p
-        shift = len(a) - 1 - dm
-        for i, x in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * x) % p
-        a.pop()
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def is_irreducible(f, p):
-    d = len(f) - 1
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    for deg in range(1, d // 2 + 1):
-        for tail in product(range(p), repeat=deg):
-            g = list(tail) + [1]
-            if poly_mod(f, g, p) == [0]:
-                return False
-    return True
-
-
-def is_primary(f, p):
-    """A power of a monic irreducible polynomial."""
-    f = [x % p for x in f]
-    d = len(f) - 1
-    for deg in range(1, d + 1):
-        if d % deg:
-            continue
-        for tail in product(range(p), repeat=deg):
-            g = list(tail) + [1]
-            if not is_irreducible(g, p):
-                continue
-            power = [1]
-            for _ in range(d // deg):
-                power = poly_mul(power, g, p)
-            if [x % p for x in power] == f:
-                return True
     return False
 
 
@@ -981,7 +917,7 @@ class WordDatum4:
             coeffs = [c % 2 for c in poly]
             if len(coeffs) < 2 or coeffs[-1] != 1:
                 raise ValueError("polynomial must be monic of positive degree")
-            if not is_primary(coeffs, 2):
+            if primary_root(2, coeffs) is None:
                 raise ValueError("polynomial must be primary over Z/2")
             if all(c == 0 for c in coeffs[:-1]):
                 raise ValueError("powers of t are excluded")
@@ -1086,7 +1022,7 @@ def build_W(w):
                 eta_idx += 1
     else:
         m = len(xis)
-        frob = _companion(w.poly)
+        frob = companion_matrix(2, w.poly)
         # xi of block l lands in the eta summand to its left; block 1 wraps
         # to the closing summand (index 0 of W2)
         place(xi_m, 0, 0, gamma(w2_exps[0]))
@@ -1098,14 +1034,3 @@ def build_W(w):
     xi = ModuleMorphism(W1, W2, xi_m, check=True)
     eta = ModuleMorphism(W2, W1, eta_m, check=True)
     return WDiagram(W1, W2, xi, eta)
-
-
-def _companion(poly):
-    """Companion matrix of a monic polynomial over Z/2."""
-    d = len(poly) - 1
-    out = [[0] * d for _ in range(d)]
-    for i in range(1, d):
-        out[i][i - 1] = 1
-    for i in range(d):
-        out[i][d - 1] = poly[i] % 2
-    return out

@@ -40,7 +40,7 @@ from .domains import ZZ, Zmod
 from .functors import CubicDiagram
 from .matrix import Mat, solve as mat_solve
 from .presentation import FpPresentation
-from .rings import H, H1, H2, HBAR, ID1, P, P1, P2, PBAR
+from .rings import H, HBAR, ID1, P, PBAR
 
 Z4 = Zmod(4)
 
@@ -254,20 +254,6 @@ class NCPoly:
     def const(c):
         return NCPoly({(): c})
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return NCPoly(out)
-
-    def __mul__(self, other):
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, 0) + c1 * c2
-        return NCPoly(out)
-
     def is_zero(self):
         return not self.terms
 
@@ -298,33 +284,6 @@ class BimoduleN:
                    for i in range(n + 1)]
         self.x2 = [[NCPoly.var(i) if i == j + 1 else zero for j in range(n + 1)]
                    for i in range(n + 1)]
-
-    def act(self, which, vec):
-        """Apply x1 or x2 to a column vector of polynomials."""
-        m = self.x1 if which == 1 else self.x2
-        return [
-            sum((m[i][j] * vec[j] for j in range(self.rank)), NCPoly())
-            for i in range(self.rank)
-        ]
-
-    def generators_independent(self, maxdeg=2):
-        """No nonzero right multiple of a standard generator vanishes, for
-        coefficients of degree <= maxdeg; with the disjoint coordinate
-        supports this rules out any relation at that truncation."""
-        monos = [()]
-        frontier = [()]
-        for _ in range(maxdeg):
-            frontier = [w + (i,) for w in frontier for i in range(1, self.n + 1)]
-            monos += frontier
-        for j in range(self.rank):
-            for w in monos:
-                for c in (1, 2, 3):
-                    f = NCPoly({w: c})
-                    col = [NCPoly() for _ in range(self.rank)]
-                    col[j] = f
-                    if all(p.is_zero() for p in col):
-                        return False
-        return True
 
 
 def bimodule_N(n):

@@ -1,4 +1,4 @@
-"""The dense GF(2^k) layer, the bit-packed GF(2) batch kernel, the Hom/End
+"""The dense GF(2) layer, the bit-packed batch kernel, the Hom/End
 deciders built on it and the decompose pipeline."""
 
 import itertools
@@ -9,10 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from cubefunc import gf2
 from cubefunc.gf2 import (
-    GF2_FIELD,
     BandDatum5,
     CubicSpace2,
-    Field2k,
     StringDatum5,
     XWord,
     decompose,
@@ -32,6 +30,7 @@ PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=N
 # sizes on both sides of the 64-bit word boundary
 SIZES = (0, 1, 2, 5, 14, 63, 64, 65, 70)
 _seeds = st.integers(0, 2**32 - 1)
+_mul = gf2._mul
 
 
 # ---------------------------------------------------------------------------
@@ -40,94 +39,88 @@ _seeds = st.integers(0, 2**32 - 1)
 
 DENSE = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 _dims = st.integers(0, 12)
-_fields = st.sampled_from((GF2_FIELD, Field2k(2)))
 
 
-def _dense(field, r, c, seed):
-    """A random r x c matrix over the field: dense, sparse or of low rank."""
+def _dense(r, c, seed):
+    """A random r x c 0/1 matrix: dense, sparse or of low rank."""
     rng = np.random.default_rng(seed)
     kind = seed % 3
     if kind == 2 and min(r, c):
         k = int(rng.integers(0, min(r, c) + 1))
         # seeds = 0 mod 3: the two factors are dense
-        return field.matmul(_dense(field, r, k, seed + 1), _dense(field, k, c, seed + 4))
-    m = rng.integers(0, field.q, size=(r, c), dtype=np.uint8)
+        return _mul(_dense(r, k, seed + 1), _dense(k, c, seed + 4))
+    m = rng.integers(0, 2, size=(r, c), dtype=np.uint8)
     if kind == 1:
         m[rng.random((r, c)) < 0.7] = 0
     return m
 
 
-def _rref_reference(field, a):
+def _rref_reference(a):
     """Reduced row echelon form and pivot columns, row by row in Python."""
     rows, cols = a.shape
     m = [[int(x) for x in row] for row in a]
-    mul = lambda x, y: int(field.mul_table[x, y])
     piv, lead = [], 0
     for c in range(cols):
         sel = next((i for i in range(lead, rows) if m[i][c]), None)
         if sel is None:
             continue
         m[lead], m[sel] = m[sel], m[lead]
-        inv = int(field.inv_table[m[lead][c]])
-        m[lead] = [mul(inv, x) for x in m[lead]]
         for i in range(rows):
             if i != lead and m[i][c]:
-                f = m[i][c]
-                m[i] = [x ^ mul(f, y) for x, y in zip(m[i], m[lead])]
+                m[i] = [x ^ y for x, y in zip(m[i], m[lead])]
         piv.append(c)
         lead += 1
     return np.array(m, dtype=np.uint8).reshape(rows, cols), piv
 
 
 @DENSE
-@given(_fields, _dims, _dims, _seeds)
-def test_eliminate_matches_reference_rref(field, r, c, seed):
-    a = _dense(field, r, c, seed)
-    got, piv = gf2._eliminate(field, a)
-    want, want_piv = _rref_reference(field, a)
+@given(_dims, _dims, _seeds)
+def test_eliminate_matches_reference_rref(r, c, seed):
+    a = _dense(r, c, seed)
+    got, piv = gf2._eliminate(a)
+    want, want_piv = _rref_reference(a)
     assert piv == want_piv
     assert np.array_equal(got, want)
-    assert rank(field, a) == len(want_piv)
+    assert rank(a) == len(want_piv)
 
 
 @DENSE
-@given(_fields, _dims, _dims, _seeds)
-def test_nullspace_is_a_basis_of_the_kernel(field, r, c, seed):
-    a = _dense(field, r, c, seed)
-    n = nullspace(field, a)
-    k = c - len(_rref_reference(field, a)[1])
+@given(_dims, _dims, _seeds)
+def test_nullspace_is_a_basis_of_the_kernel(r, c, seed):
+    a = _dense(r, c, seed)
+    n = nullspace(a)
+    k = c - len(_rref_reference(a)[1])
     assert n.shape == (c, k)
-    assert len(_rref_reference(field, n.T)[1]) == k
-    assert not field.matmul(a, n).any()
+    assert len(_rref_reference(n.T)[1]) == k
+    assert not _mul(a, n).any()
 
 
 @DENSE
-@given(_fields, _dims, _dims, st.integers(0, 3), st.booleans(), _seeds)
-def test_solve_finds_a_solution_exactly_when_one_exists(field, r, c, k, consistent, seed):
-    a = _dense(field, r, c, seed)
-    b = (field.matmul(a, _dense(field, c, k, seed + 1)) if consistent
-         else _dense(field, r, k, seed + 1))
-    rank_a = len(_rref_reference(field, a)[1])
-    solvable = len(_rref_reference(field, np.concatenate([a, b], axis=1))[1]) == rank_a
-    x = solve(field, a, b)
+@given(_dims, _dims, st.integers(0, 3), st.booleans(), _seeds)
+def test_solve_finds_a_solution_exactly_when_one_exists(r, c, k, consistent, seed):
+    a = _dense(r, c, seed)
+    b = _mul(a, _dense(c, k, seed + 1)) if consistent else _dense(r, k, seed + 1)
+    rank_a = len(_rref_reference(a)[1])
+    solvable = len(_rref_reference(np.concatenate([a, b], axis=1))[1]) == rank_a
+    x = solve(a, b)
     assert (x is not None) == solvable
     if x is not None:
         assert x.shape == (c, k)
-        assert np.array_equal(field.matmul(a, x), b)
+        assert np.array_equal(_mul(a, x), b)
 
 
 @DENSE
-@given(_fields, _dims, st.booleans(), _seeds)
-def test_inverse_inverts_or_raises_on_singular(field, n, invertible, seed):
+@given(_dims, st.booleans(), _seeds)
+def test_inverse_inverts_or_raises_on_singular(n, invertible, seed):
     rng = np.random.default_rng(seed)
-    a = random_invertible(rng, n, field) if invertible else _dense(field, n, n, seed)
-    if len(_rref_reference(field, a)[1]) < n:
+    a = random_invertible(rng, n) if invertible else _dense(n, n, seed)
+    if len(_rref_reference(a)[1]) < n:
         with pytest.raises(ValueError, match="singular"):
-            inverse(field, a)
+            inverse(a)
         return
-    x = inverse(field, a)
-    assert np.array_equal(field.matmul(x, a), np.eye(n, dtype=np.uint8))
-    assert np.array_equal(field.matmul(a, x), np.eye(n, dtype=np.uint8))
+    x = inverse(a)
+    assert np.array_equal(_mul(x, a), np.eye(n, dtype=np.uint8))
+    assert np.array_equal(_mul(a, x), np.eye(n, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("a", [
@@ -138,7 +131,7 @@ def test_inverse_inverts_or_raises_on_singular(field, n, invertible, seed):
 ], ids=["1x2", "2x1", "2x3 of full row rank", "0x2"])
 def test_inverse_of_a_non_square_matrix_raises(a):
     with pytest.raises(ValueError, match="not square"):
-        inverse(GF2_FIELD, np.array(a, dtype=np.uint8))
+        inverse(np.array(a, dtype=np.uint8))
 
 
 @DENSE
@@ -148,14 +141,14 @@ def test_gf2_matmul_matches_int64_reference(r, k, c, seed):
     a = rng.integers(0, 2, size=(r, k), dtype=np.uint8)
     b = rng.integers(0, 2, size=(k, c), dtype=np.uint8)
     want = a.astype(np.int64) @ b.astype(np.int64) % 2
-    got = GF2_FIELD.matmul(a, b)
+    got = _mul(a, b)
     assert got.dtype == np.uint8 and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("k", (255, 256, 257, 511, 512))
 def test_gf2_matmul_parity_survives_uint8_wraparound(k):
     ones = np.ones((2, k), dtype=np.uint8)
-    assert np.array_equal(GF2_FIELD.matmul(ones, ones.T), np.full((2, 2), k % 2))
+    assert np.array_equal(_mul(ones, ones.T), np.full((2, 2), k % 2))
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +187,13 @@ def _nilpotent_like(rng, n, count):
         m[:k, :k] = random_invertible(rng, k)
         m[:k, k:] = 0
         u = random_invertible(rng, n)
-        out.append(gf2.mats(GF2_FIELD, u, m, gf2.inverse(GF2_FIELD, u)) if n else m)
+        out.append(gf2.mats(u, m, gf2.inverse(u)) if n else m)
     return np.array(out, dtype=np.uint8).reshape(count, n, n)
 
 
 def _power(m):
     for _ in range(gf2._stable_exponent(len(m))):
-        m = GF2_FIELD.matmul(m, m)
+        m = _mul(m, m)
     return m
 
 
@@ -217,7 +210,7 @@ def test_pack_round_trip(r, c, seed):
 @given(st.sampled_from(SIZES), _seeds)
 def test_full_rank_matches_rank(n, seed):
     mats = _random_square(np.random.default_rng(seed), n, 6)
-    want = [rank(GF2_FIELD, m) == n for m in mats]
+    want = [rank(m) == n for m in mats]
     assert gf2._full_rank(gf2._pack(mats)).tolist() == want
 
 
@@ -248,10 +241,10 @@ def test_combination_order_matches_bit_matrix(n, E, seed):
 
 def _reference_masks(batch):
     """(invertible, mixed) of a batch of morphisms, one uint8 [C, n, n]
-    array per component, by rank and repeated field.matmul."""
+    array per component, by rank and repeated dense products."""
     inv, nilp = [], []
     for f in zip(*batch):
-        inv.append(all(rank(GF2_FIELD, m) == len(m) for m in f))
+        inv.append(all(rank(m) == len(m) for m in f))
         nilp.append(not any(_power(m).any() for m in f if len(m)))
     inv, nilp = np.array(inv), np.array(nilp)
     return inv, ~(inv | nilp)
@@ -311,18 +304,33 @@ ARROWS = (("h", 0, 1), ("p", 1, 0), ("h1", 1, 2), ("h2", 1, 2), ("p1", 2, 1), ("
 
 def _assert_isomorphism(f, x, y):
     for m, n in zip(f, x.dims):
-        assert m.shape == (n, n) and rank(GF2_FIELD, m) == n
+        assert m.shape == (n, n) and rank(m) == n
     for name, s, t in ARROWS:
-        lhs = GF2_FIELD.matmul(getattr(y, name), f[s])
-        rhs = GF2_FIELD.matmul(f[t], getattr(x, name))
+        lhs = _mul(getattr(y, name), f[s])
+        rhs = _mul(f[t], getattr(x, name))
         assert np.array_equal(lhs, rhs), name
+
+
+def _conjugate_pair(datum):
+    x = realize(datum)
+    rng = np.random.default_rng(len(repr(datum)))
+    return x, x.conjugate(*(random_invertible(rng, n) for n in x.dims))
 
 
 @pytest.mark.parametrize("datum", DATA, ids=repr)
 def test_find_isomorphism_of_conjugates(datum):
-    x = realize(datum)
-    rng = np.random.default_rng(len(repr(datum)))
-    y = x.conjugate(*(random_invertible(rng, n) for n in x.dims))
+    x, y = _conjugate_pair(datum)
+    f = find_isomorphism(x, y)
+    assert f is not None
+    _assert_isomorphism(f, x, y)
+
+
+@pytest.mark.parametrize("datum", DATA, ids=repr)
+def test_find_isomorphism_sampling_fallback(datum, monkeypatch):
+    # past 2^ENUM_BITS homomorphisms find_isomorphism samples seeded random
+    # combinations; every datum but D[S5, 1] has a Hom space of dimension > 1
+    monkeypatch.setattr(gf2, "ENUM_BITS", 1)
+    x, y = _conjugate_pair(datum)
     f = find_isomorphism(x, y)
     assert f is not None
     _assert_isomorphism(f, x, y)
@@ -344,11 +352,22 @@ def test_split_of_direct_sums(a, b):
     assert tuple(i + j for i, j in zip(first.dims, second.dims)) == x.dims
 
 
-def test_non_isomorphic_data_have_no_isomorphism():
+def _non_isomorphic_pair():
     # the same band word with the polynomials t^2 + t + 1 and (t + 1)^2
     x = realize(DATA[7])
     y = realize(BandDatum5(W("R2-S8", cyclic=True), (1, 0, 1)))
     assert x.dims == y.dims
+    return x, y
+
+
+def test_non_isomorphic_data_have_no_isomorphism():
+    assert find_isomorphism(*_non_isomorphic_pair()) is None
+
+
+def test_sampling_fallback_finds_no_isomorphism_between_non_isomorphic_data(monkeypatch):
+    monkeypatch.setattr(gf2, "ENUM_BITS", 1)
+    x, y = _non_isomorphic_pair()
+    assert len(hom_basis(x, y)) == len(hom_basis(y, x)) > 1
     assert find_isomorphism(x, y) is None
 
 
@@ -410,7 +429,7 @@ def test_verify_matches_relation_by_relation_reference():
     for _ in range(40):
         d1, d2, d3 = (int(n) for n in rng.integers(0, 5, size=3))
         shapes = ((d2, d1), (d1, d2), (d3, d2), (d3, d2), (d2, d3), (d2, d3))
-        spaces.append(CubicSpace2(GF2_FIELD, *(rng.integers(0, 2, size=s) for s in shapes),
+        spaces.append(CubicSpace2(*(rng.integers(0, 2, size=s) for s in shapes),
                                   check=False))
     for x in spaces:
         assert list(x.verify().items()) == list(_verify_reference(x).items())
@@ -424,7 +443,7 @@ def test_breaking_one_relation_alone_fails_exactly_its_key():
             for idx in np.ndindex(getattr(x, name).shape):
                 mats = {k: getattr(x, k).copy() for k in NAMES}
                 mats[name][idx] ^= 1
-                y = CubicSpace2(GF2_FIELD, *(mats[k] for k in NAMES), check=False)
+                y = CubicSpace2(*(mats[k] for k in NAMES), check=False)
                 got = y.verify()
                 assert list(got.items()) == list(_verify_reference(y).items())
                 bad = [k for k, ok in got.items() if not ok]
