@@ -6,6 +6,7 @@ kept in a canonical form chosen by the domain; all arithmetic is exact.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .polys import first_irreducible, poly_divmod, poly_mul, poly_pow
@@ -41,6 +42,19 @@ def _prime_power(q: int):
             k += 1
         return (p, k) if m == 1 else None
     return None
+
+
+def _as_int(x):
+    """x as an int: ints, numpy integers and integral Fractions pass, a
+    proper fraction raises ValueError and anything else TypeError."""
+    if isinstance(x, Fraction):
+        if x.denominator != 1:
+            raise ValueError(f"{x} is not an integer")
+        return x.numerator
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"{type(x).__name__} {x!r} is not an exact integer") from None
 
 
 class UnsupportedDomainError(ValueError):
@@ -132,27 +146,25 @@ class Domain:
     # -- element arithmetic --------------------------------------------------
 
     def canon(self, x):
-        """Canonical form of an element given as int / Fraction / coeff tuple."""
+        """Canonical form of an element given as an int (or numpy integer),
+        a Fraction, or a coefficient tuple over GF(p^k), k > 1.  A float or
+        another type raises TypeError; a proper fraction over Z, Z/m or
+        GF(q) raises ValueError."""
         if self.kind == "Z":
-            if type(x) is int:
-                return x
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise ValueError(f"{x} is not an integer")
-                return int(x)
-            return int(x)
+            return x if type(x) is int else _as_int(x)
         if self.kind in ("loc", "inv"):
-            f = x if type(x) is Fraction else Fraction(x)
-            self._check_denominator(f.denominator)
-            return f
+            if type(x) is not Fraction:
+                x = Fraction(x if type(x) is int or isinstance(x, Fraction) else _as_int(x))
+            self._check_denominator(x.denominator)
+            return x
         if self.kind == "mod":
-            return int(x) % self.m
+            return (x if type(x) is int else _as_int(x)) % self.m
         # gf
         if self.deg == 1:
-            return int(x) % self.char
-        if isinstance(x, int):
-            return (x % self.char,) + (0,) * (self.deg - 1)
-        t = tuple(int(c) % self.char for c in x)
+            return (x if type(x) is int else _as_int(x)) % self.char
+        if not isinstance(x, (tuple, list)):
+            return (_as_int(x) % self.char,) + (0,) * (self.deg - 1)
+        t = tuple(_as_int(c) % self.char for c in x)
         if len(t) != self.deg:
             raise ValueError(f"GF({self.q}) element needs {self.deg} coefficients")
         return t

@@ -86,28 +86,32 @@ def _vec(m):
     return [x for row in m.a for x in row]
 
 
-def algebra_dimension(rep, max_rounds=12):
-    """Dimension over Q of the unital algebra generated by the images."""
-    span = RationalSpan(rep.total * rep.total)
-    basis_mats = []
-    frontier = []
-    for g in rep.gen_mats.values():
-        if span.insert(_vec(g)):
-            basis_mats.append(g)
-            frontier.append(g)
+def _close_under_generators(rep, span, max_rounds, what):
+    """Insert the generator images into span, then every product g * b of a
+    generator g with a matrix b that grew the span in the previous round,
+    until a round adds nothing; returns the matrices that grew the span."""
     gens = list(rep.gen_mats.values())
+    frontier = [g for g in gens if span.insert(_vec(g))]
+    mats = frontier[:]
     for _ in range(max_rounds):
         new = []
         for g in gens:
             for b in frontier:
                 prod = g * b
                 if span.insert(_vec(prod)):
-                    basis_mats.append(prod)
                     new.append(prod)
         if not new:
-            return span.rank
+            return mats
+        mats += new
         frontier = new
-    raise RuntimeError("algebra span did not stabilize")
+    raise RuntimeError(f"{what} did not stabilize")
+
+
+def algebra_dimension(rep, max_rounds=12):
+    """Dimension over Q of the unital algebra generated by the images."""
+    span = RationalSpan(rep.total * rep.total)
+    _close_under_generators(rep, span, max_rounds, "algebra span")
+    return span.rank
 
 
 def word_lattice(rep, max_rounds=16):
@@ -117,26 +121,9 @@ def word_lattice(rep, max_rounds=16):
     if cached is not None:
         return cached
     lat = LatticeSpan(rep.dom, rep.total * rep.total)
-    mats = []
-    frontier = []
-    for g in rep.gen_mats.values():
-        if lat.insert(_vec(g)):
-            mats.append(g)
-            frontier.append(g)
-    gens = list(rep.gen_mats.values())
-    for _ in range(max_rounds):
-        new = []
-        for g in gens:
-            for b in frontier:
-                prod = g * b
-                if lat.insert(_vec(prod)):
-                    mats.append(prod)
-                    new.append(prod)
-        if not new:
-            rep._word_lattice = (lat, mats)
-            return lat, mats
-        frontier = new
-    raise RuntimeError("word lattice did not stabilize")
+    mats = _close_under_generators(rep, lat, max_rounds, "word lattice")
+    rep._word_lattice = (lat, mats)
+    return lat, mats
 
 
 def hom_lattice(rep, src, dst):

@@ -836,25 +836,23 @@ class XWord:
         return XWord(self.letters[::-1], self.rels[::-1], cyclic=self.cyclic)
 
     def is_symmetric(self):
-        return self == self.star()
+        return self.letters == self.letters[::-1] and self.rels == self.rels[::-1]
 
-    def shift(self, s):
+    def rotations(self, reverse=False):
+        """The letters of each shift of this cyclic word (of its star, with
+        reverse), the unshifted word first.  A shift moves an even number
+        of letters, so it keeps the relations -~-...- of a cyclic word,
+        which its star shares; only the letters rotate."""
         if not self.cyclic:
             raise ValueError("only cyclic words shift")
-        s = (2 * s) % self.n
-        letters = self.letters[s:] + self.letters[:s]
-        # the closing ~ of the original word becomes an interior relation
-        rels = []
-        allrels = list(self.rels) + ["~"]      # include the closing relation
-        for i in range(self.n - 1):
-            rels.append(allrels[(s + i) % self.n])
-        return XWord(letters, rels, cyclic=True)
+        x = self.letters[::-1] if reverse else self.letters
+        return [x[s:] + x[:s] for s in range(0, self.n, 2)]
 
     def is_aperiodic(self):
-        return all(self.shift(s) != self for s in range(1, self.n // 2))
+        return self.letters not in self.rotations()[1:]
 
     def is_shift_symmetric(self):
-        return any(self.shift(s).is_symmetric() for s in range(self.n // 2))
+        return any(x == x[::-1] for x in self.rotations())
 
 
 class StringDatum5:
@@ -909,7 +907,13 @@ class StringDatum5:
         return ("string", self.word.key(), self.delta, self.delta2, self.m)
 
     def canonical_key(self):
-        return min(self.key(), self.star().key())
+        """The lesser of the keys of the datum and of its star, the star's
+        read off the reversed word."""
+        w = self.word
+        d1, d2 = (self.delta2, self.delta) if self.kind == "bispecial" \
+            else (self.delta, self.delta2)
+        star = ("string", (False, w.letters[::-1], w.rels[::-1]), d1, d2, self.m)
+        return min(self.key(), star)
 
     def __eq__(self, other):
         return isinstance(other, StringDatum5) and self.key() == other.key()
@@ -955,11 +959,12 @@ class BandDatum5:
         """The least key over the word shifts of the datum and of its star;
         the shifted and starred data are valid whenever the datum is, so
         their keys are built without constructing them."""
-        pairs = [(self.word, self.poly)]
+        w = self.word
+        pairs = [(w.rotations(), self.poly)]
         if self.poly[0] != 0:
-            pairs.append((self.word.star(), reciprocal(2, self.poly)))
-        return min(("band", word.shift(s).key(), poly)
-                   for word, poly in pairs for s in range(self.word.n // 2))
+            pairs.append((w.rotations(reverse=True), reciprocal(2, self.poly)))
+        return min(("band", (True, x, w.rels), poly)
+                   for rots, poly in pairs for x in rots)
 
     def __eq__(self, other):
         return isinstance(other, BandDatum5) and self.key() == other.key()
@@ -1518,6 +1523,34 @@ def _spend(budget, *strata):
     return out
 
 
+def _linear_word(units):
+    """(letters, rels) of the linear word on the given units: pairs of
+    letters joined by ~ and single letters, consecutive units joined by -."""
+    letters, rels = [], []
+    for u in units:
+        if letters:
+            rels.append("-")
+        letters.append(u[0])
+        if len(u) == 2:
+            rels.append("~")
+            letters.append(u[1])
+    return letters, rels
+
+
+def _cyclic_word(pairs):
+    """(letters, rels) of the cyclic word on the given cycle of pair units
+    in the standard presentation: it starts inside the first pair, so that
+    the pair's ~ closes the word, and joins consecutive pairs by -."""
+    letters = [_letter_of(pairs[0][1])]
+    rels = []
+    for a, b in pairs[1:]:
+        rels += ["-", "~"]
+        letters += [_letter_of(a), _letter_of(b)]
+    rels.append("-")
+    letters.append(_letter_of(pairs[0][0]))
+    return letters, rels
+
+
 def _linear_words(budget):
     """All full linear words whose letter usage equals the budget exactly
     (cluster letters merged: R10 counts as R7, S6 as S5), as
@@ -1526,45 +1559,33 @@ def _linear_words(budget):
 
     def extend(units, budget):
         if all(v == 0 for v in budget.values()):
-            results.append(units[:])
+            results.append(_linear_word(units))
             return
-        if units[-1][0] == "single" and len(units) > 1:
+        if len(units[-1]) == 1 and len(units) > 1:
             return                       # a non-initial single must be last
-        prev = units[-1][1][-1]
+        prev = units[-1][-1]
         for pair in _LETTER_PAIRS:
             if not _dash_ok(prev, pair[0]):
                 continue
             left = _spend(budget, *pair)
             if left is not None:
-                extend(units + [("pair", pair)], left)
+                extend(units + [pair], left)
         for letter in _END_LETTERS:
             if not _dash_ok(prev, letter):
                 continue
             left = _spend(budget, letter)
             if left is not None and all(v == 0 for v in left.values()):
-                extend(units + [("single", (letter,))], left)
+                extend(units + [(letter,)], left)
 
     for letter in _END_LETTERS:
         left = _spend(budget, letter)
         if left is not None:
-            extend([("single", (letter,))], left)
+            extend([(letter,)], left)
     for pair in _LETTER_PAIRS:
         left = _spend(budget, *pair)
         if left is not None:
-            extend([("pair", pair)], left)
-
-    out = []
-    for units in results:
-        letters, rels = [], []
-        for kind, payload in units:
-            if letters:
-                rels.append("-")
-            letters.append(payload[0])
-            if kind == "pair":
-                rels.append("~")
-                letters.append(payload[1])
-        out.append((letters, rels))
-    return out
+            extend([pair], left)
+    return results
 
 
 def _cyclic_words(budget):
@@ -1575,7 +1596,7 @@ def _cyclic_words(budget):
     def extend(pairs, budget):
         if all(v == 0 for v in budget.values()):
             if pairs and _dash_ok(pairs[-1][1], pairs[0][0]):
-                results.append(pairs[:])
+                results.append(_cyclic_word(pairs))
             return
         for pair in _PAIR_UNITS:
             if pairs and not _dash_ok(pairs[-1][1], pair[0]):
@@ -1585,18 +1606,7 @@ def _cyclic_words(budget):
                 extend(pairs + [pair], left)
 
     extend([], dict(budget))
-    out = []
-    for pairs in results:
-        k = len(pairs)
-        letters = [_letter_of(pairs[0][1])]
-        rels = []
-        for i in range(1, k):
-            rels += ["-", "~"]
-            letters += [_letter_of(pairs[i][0]), _letter_of(pairs[i][1])]
-        rels.append("-")
-        letters.append(_letter_of(pairs[0][0]))
-        out.append((letters, rels))
-    return out
+    return results
 
 
 def _strata_budget(space):
@@ -1781,16 +1791,8 @@ def random_string_datum(rng, max_units=3, max_m=3):
                 break
             units.append(cand[int(rng.integers(len(cand)))])
         else:
-            letters, rels = [], []
-            for u in units:
-                if letters:
-                    rels.append("-")
-                letters.append(u[0])
-                if len(u) == 2:
-                    rels.append("~")
-                    letters.append(u[1])
             try:
-                word = XWord(letters, rels)
+                word = XWord(*_linear_word(units))
                 kind = word.kind
                 if kind == "ordinary":
                     return StringDatum5(word)
@@ -1821,15 +1823,8 @@ def random_band_datum(rng, max_pairs=3, max_deg=2):
             pairs.append(cand[int(rng.integers(len(cand)))])
         if not ok or not _dash_ok(pairs[-1][1], pairs[0][0]):
             continue
-        letters = [_letter_of(pairs[0][1])]
-        rels = []
-        for i in range(1, k):
-            rels += ["-", "~"]
-            letters += [_letter_of(pairs[i][0]), _letter_of(pairs[i][1])]
-        rels.append("-")
-        letters.append(_letter_of(pairs[0][0]))
         try:
-            word = XWord(letters, rels, cyclic=True)
+            word = XWord(*_cyclic_word(pairs), cyclic=True)
         except ValueError:
             continue
         if not word.is_aperiodic():

@@ -1,6 +1,13 @@
 """Exact matrices over the domains in domains.py, with Smith and Hermite
 normal forms, solving, kernels, and lattice operations.
 
+Each elimination job has one kernel per kind of ring:
+
+- over Z, Z_(p) and Z[1/S] (denominators cleared), Smith forms run on
+  ``_snf_euclidean`` and column Hermite forms on the ``LatticeSpan`` fold
+  over Z (``LatticeSpan._fold_int``);
+- over a field, Smith forms and column echelon forms run on ``_rref``.
+
 Everything is list-of-lists with canonical domain elements; no floats ever.
 ``Mat(dom, entries)`` canonicalizes what it is given.  Arithmetic and
 slicing results are built from entries that are canonical already and are
@@ -11,6 +18,7 @@ which products over Z, Z_(p) and Z[1/S] accumulate.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
@@ -81,10 +89,6 @@ class Mat:
     @staticmethod
     def column(dom, entries):
         return Mat(dom, [[e] for e in entries])
-
-    @staticmethod
-    def row_vec(dom, entries):
-        return Mat(dom, [list(entries)])
 
     def copy(self):
         return Mat._trusted(self.dom, [row[:] for row in self.a], self.rows, self.cols)
@@ -315,21 +319,24 @@ def _check_same_domain(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _snf_field(m):
-    """SNF over a field: diag(1,...,1,0,...) with rank ones."""
-    d = m.dom
-    a = [row[:] for row in m.a]
-    rows, cols = m.rows, m.cols
-    u = Mat.identity(d, rows)
-    v = Mat.identity(d, cols)
-    U, V = u.a, v.a
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if not d.is_zero(a[i][c]):
-                piv = i
-                break
+def _rref(rows, dom):
+    """Gauss-Jordan elimination over the field ``dom``.
+
+    Returns (R, U, pivots): R is the reduced row echelon form of the list of
+    rows (each pivot 1, the rest of its column 0), U the invertible row
+    operations with U * rows == R, and pivots the pivot column of each
+    nonzero row of R, which come first."""
+    d = dom
+    a = [row[:] for row in rows]
+    n = len(a)
+    one, zero = d.one(), d.zero()
+    U = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if not d.is_zero(a[i][c])), None)
         if piv is None:
             continue
         if piv != r:
@@ -338,41 +345,33 @@ def _snf_field(m):
         inv = d.inv(a[r][c])
         a[r] = [d.mul(inv, x) for x in a[r]]
         U[r] = [d.mul(inv, x) for x in U[r]]
-        for i in range(rows):
+        for i in range(n):
             if i != r and not d.is_zero(a[i][c]):
                 f = a[i][c]
                 a[i] = [d.sub(x, d.mul(f, y)) for x, y in zip(a[i], a[r])]
                 U[i] = [d.sub(x, d.mul(f, y)) for x, y in zip(U[i], U[r])]
-        r += 1
-        if r == rows:
-            break
-    # now reduced row echelon; permute and clear columns to reach diag form
-    # column operations: move pivot columns to the front, zero the rest
-    b = Mat(d, a)
-    # find pivot column of each row
-    pivots = []
-    for i in range(r):
-        for j in range(cols):
-            if not d.is_zero(b.a[i][j]):
-                pivots.append(j)
-                break
-    # column permutation bringing pivots first
-    perm = pivots + [j for j in range(cols) if j not in pivots]
-    pm = Mat.zeros(d, cols, cols)
-    for new, old in enumerate(perm):
-        pm.a[old][new] = d.one()
-    b = b * pm
-    v = v * pm
-    # clear non-pivot entries in pivot rows via column ops
-    for i in range(r):
-        for j in range(cols):
-            if j != i and not d.is_zero(b.a[i][j]):
-                f = b.a[i][j]
-                for k in range(b.rows):
-                    b.a[k][j] = d.sub(b.a[k][j], d.mul(f, b.a[k][i]))
-                for k in range(cols):
-                    v.a[k][j] = d.sub(v.a[k][j], d.mul(f, v.a[k][i]))
-    return Mat(d, U), b, v
+        pivots.append(c)
+    return a, U, pivots
+
+
+def _snf_field(m):
+    """SNF over a field: U m V = diag(1,...,1,0,...) with rank ones.  U is
+    the RREF transform; V takes the pivot columns first, then e_j - R[:, j]
+    (read in pivot coordinates) for each free column j."""
+    d = m.dom
+    R, U, pivots = _rref(m.a, d)
+    r = len(pivots)
+    one = d.one()
+    v = Mat.zeros(d, m.cols, m.cols)
+    free = [j for j in range(m.cols) if j not in pivots]
+    for k, j in enumerate(pivots + free):
+        v.a[j][k] = one
+        if k >= r:
+            for i, p in enumerate(pivots):
+                if not d.is_zero(R[i][j]):
+                    v.a[p][k] = d.neg(R[i][j])
+    s = Mat.diag(d, [one] * r, m.rows, m.cols)
+    return Mat._trusted(d, U, m.rows, m.rows), s, v
 
 
 def _snf_euclidean(a):
@@ -599,31 +598,18 @@ def inverse(m):
 def column_hermite(m):
     """A column-style Hermite form: matrix with the same column lattice,
     zero columns dropped, in echelon shape.  Works over Z, localizations,
-    and fields."""
+    and fields; over a field it is the reduced column echelon form."""
     d = m.dom
     if d.is_field:
-        # column space basis: reduce columns
-        cols = [list(c) for c in zip(*m.a)] if m.a and m.cols else []
-        basis = []
-        pivots = []
-        for cvec in cols:
-            v = cvec[:]
-            for b, pi in zip(basis, pivots):
-                if not d.is_zero(v[pi]):
-                    f = d.mul(v[pi], d.inv(b[pi]))
-                    v = [d.sub(x, d.mul(f, y)) for x, y in zip(v, b)]
-            pi = next((i for i, x in enumerate(v) if not d.is_zero(x)), None)
-            if pi is not None:
-                basis.append(v)
-                pivots.append(pi)
-        if not basis:
-            return Mat.zeros(d, m.rows, 0)
-        order = sorted(range(len(basis)), key=lambda k: pivots[k])
-        return Mat(d, [[basis[k][i] for k in order] for i in range(m.rows)])
+        R, _, pivots = _rref(m.transpose().a, d)
+        return Mat._trusted(d, _from_columns(R[:len(pivots)], m.rows), m.rows, len(pivots))
     if d.kind not in _NATIVE:
         raise UnsupportedDomainError(f"Hermite form not implemented over {d}")
     za, den = (m.a, 1) if d.kind == "Z" else _clear_denominators(m.a)
-    h = _hermite_int([list(c) for c in zip(*za)] if za and m.cols else [], m.rows)
+    span = LatticeSpan(ZZ, m.rows)
+    for col in zip(*za):
+        span.insert(col)
+    h = span.basis
     if d.kind != "Z":
         # scale each column h / den by a unit so the pivot p / den becomes
         # its canonical associate c: the entries become x * c / p
@@ -638,57 +624,6 @@ def column_hermite(m):
 def _from_columns(cols, n):
     """The n rows of the matrix with the given columns."""
     return [[c[i] for c in cols] for i in range(n)]
-
-
-def _hermite_int(work, n):
-    """The column Hermite form of the int columns ``work`` (consumed) of
-    length n: the nonzero columns of the unique lower echelon basis of their
-    lattice, pivots positive, each entry in a later pivot's row reduced into
-    [0, pivot)."""
-    # lower-left echelon by working top row down
-    out = []
-    row = 0
-    while row < n and work:
-        nz = [c for c in work if c[row] != 0]
-        rest = [c for c in work if c[row] == 0]
-        if not nz:
-            work = rest
-            row += 1
-            continue
-        # gcd the row entries into one column
-        while len(nz) > 1:
-            nz.sort(key=lambda c: abs(c[row]))
-            base = nz[0]
-            newnz = [base]
-            for c in nz[1:]:
-                q = c[row] // base[row]
-                c2 = [x - q * y for x, y in zip(c, base)]
-                if c2[row] != 0:
-                    newnz.append(c2)
-                elif any(c2):
-                    rest.append(c2)
-            if len(newnz) == 1:
-                nz = newnz
-                break
-            nz = newnz
-        piv = nz[0]
-        if piv[row] < 0:
-            piv = [-x for x in piv]
-        out.append(piv)
-        work = rest
-        row += 1
-    # reduce off-pivot entries so the form is unique
-    pivot_rows = []
-    for c in out:
-        pivot_rows.append(next(i for i, x in enumerate(c) if x != 0))
-    for k in range(len(out)):
-        for l in range(k):
-            # reduce out[l] at pivot row of out[k]
-            pr = pivot_rows[k]
-            q = out[l][pr] // out[k][pr]
-            if q:
-                out[l] = [x - q * y for x, y in zip(out[l], out[k])]
-    return out
 
 
 def in_column_lattice(m, b):
@@ -706,8 +641,8 @@ class LatticeSpan:
     Basis columns are kept in column Hermite form, so membership reduces to
     a triangular divisibility check.  Works over Z and its localizations.
     Over Z an insert folds the new column into the basis row by row and
-    re-reduces only what changed; the basis is always exactly
-    ``column_hermite`` of the columns inserted so far.
+    re-reduces only what changed; this fold is the Hermite kernel that
+    ``column_hermite`` runs over every Z-like domain.
     """
 
     def __init__(self, dom, n):
@@ -903,41 +838,26 @@ def det(m):
     d = m.dom
     if m.rows == 0:
         return d.one()
-    # Fraction entries over the Z-like domains, domain elements otherwise
+    if d.kind in _NATIVE:
+        a = [[Fraction(x) for x in row] for row in m.a]
+        sub, mul, div = operator.sub, operator.mul, operator.truediv
+    elif d.is_field:
+        a = [row[:] for row in m.a]
+        sub, mul, div = d.sub, d.mul, d.div
+    else:
+        raise UnsupportedDomainError("det over Z/m (composite) not supported")
     n = m.rows
-    a = [[Fraction(x) if not (d.kind == "gf" or d.kind == "mod") else x for x in row] for row in m.a]
-    if d.kind in ("gf", "mod"):
-        # expansion by elimination over the field / ring
-        if not d.is_field:
-            raise UnsupportedDomainError("det over Z/m (composite) not supported")
-        sgn_swap = False
-        prod = d.one()
-        for c in range(n):
-            piv = next((i for i in range(c, n) if not d.is_zero(a[i][c])), None)
-            if piv is None:
-                return d.zero()
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                sgn_swap = not sgn_swap
-            prod = d.mul(prod, a[c][c])
-            inv = d.inv(a[c][c])
-            for i in range(c + 1, n):
-                f = d.mul(a[i][c], inv)
-                a[i] = [d.sub(x, d.mul(f, y)) for x, y in zip(a[i], a[c])]
-        return d.neg(prod) if sgn_swap else prod
-    # exact rational elimination
-    sgn = 1
+    prod = d.one()
     for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+        piv = next((i for i in range(c, n) if not d.is_zero(a[i][c])), None)
         if piv is None:
             return d.zero()
         if piv != c:
             a[c], a[piv] = a[piv], a[c]
-            sgn = -sgn
+            prod = sub(d.zero(), prod)
+        prod = mul(prod, a[c][c])
         for i in range(c + 1, n):
-            f = a[i][c] / a[c][c]
-            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    out = Fraction(sgn)
-    for i in range(n):
-        out *= a[i][i]
-    return d.canon(out)
+            if not d.is_zero(a[i][c]):
+                f = div(a[i][c], a[c][c])
+                a[i] = [sub(x, mul(f, y)) for x, y in zip(a[i], a[c])]
+    return d.canon(prod)

@@ -73,9 +73,6 @@ class FpPresentation:
                 torsion.append((f, 1))
         return torsion, self.gens - r
 
-    def is_isomorphic(self, other):
-        return self.dom == other.dom and self.invariant_factors() == other.invariant_factors()
-
     def is_zero_module(self):
         torsion, free = self.invariant_factors()
         return free == 0 and not torsion

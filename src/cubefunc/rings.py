@@ -262,7 +262,7 @@ def a11_subring():
     matches its multiplication table against span{(1,1,1),(2,0,0),(0,6,0)}
     inside Z^3.
     """
-    from .faithful import shared_representation, word_lattice, _vec
+    from .faithful import hom_lattice, shared_representation, _vec
     from .matrix import LatticeSpan, solve as mat_solve
 
     rep = shared_representation()
@@ -284,21 +284,15 @@ def a11_subring():
         "(ph)^2 = 6(ph) fails": not (ph * ph - ph.scale(6)).is_zero(),
     }
     # the integral corner at level 1 is spanned by {1, a, b}
-    lat, mats = word_lattice(rep)
+    corner = hom_lattice(rep, 1, 1)
     n = rep.dims[0]
-    corner = LatticeSpan(rep.dom, n * n)
-    id1 = rep.gen_mats["id1"]
-    for col in lat.basis:
-        m = Mat(rep.dom, [col[i * rep.total:(i + 1) * rep.total] for i in range(rep.total)])
-        c = rep.corner(id1 * m * id1, 1, 1)
-        corner.insert(_vec(c))
     span = LatticeSpan(rep.dom, n * n)
     basis = [rep.corner(one, 1, 1), rep.corner(a, 1, 1), rep.corner(b, 1, 1)]
     for m in basis:
         span.insert(_vec(m))
-    report["corner rank 3"] = corner.rank == 3 and span.rank == 3
+    report["corner rank 3"] = len(corner) == 3 and span.rank == 3
     report["{1,a,b} spans the corner"] = all(
-        span.contains(col) for col in corner.basis
+        span.contains(_vec(c)) for c in corner
     )
     # multiplication table against the Z^3 model
     model = [(1, 1, 1), (2, 0, 0), (0, 6, 0)]
@@ -370,7 +364,7 @@ def verify_prop31_identities():
     """Every bullet identity of the 2-divisible structure theorem's proof,
     checked as exact matrix identities over Z[1/2]."""
     from .domains import Z_HALF
-    from .faithful import shared_representation, word_lattice, _vec
+    from .faithful import hom_lattice, shared_representation, _vec
     from .matrix import LatticeSpan
 
     rep = shared_representation(Z_HALF)
@@ -424,7 +418,6 @@ def verify_prop31_identities():
 
     # Z'-basis claims: the listed elements span each level corner of the
     # lattice of words over Z[1/2]
-    lat, _ = word_lattice(rep)
     claims = {
         1: (["e1", "f1", "a1"], 3),
         2: (
@@ -442,26 +435,16 @@ def verify_prop31_identities():
     E["b3*a3"] = E["b3"] * E["a3"]
     claims[2][0].extend(["v1*b2", "b2*v2"])
     claims[3][0].extend(["a3*b3", "b3*a3"])
-    corner_mats = {}
     for lvl, (names, count) in claims.items():
         n = rep.dims[lvl - 1]
-        corner = LatticeSpan(rep.dom, n * n)
-        idm = rep.gen_mats[f"id{lvl}"]
-        for col in lat.basis:
-            m = Mat(
-                rep.dom,
-                [col[i * rep.total:(i + 1) * rep.total] for i in range(rep.total)],
-            )
-            c = rep.corner(idm * m * idm, lvl, lvl)
-            corner.insert(_vec(c))
+        corner = hom_lattice(rep, lvl, lvl)
         span = LatticeSpan(rep.dom, n * n)
         for name in names:
             span.insert(_vec(rep.corner(E[name], lvl, lvl)))
         report[f"level {lvl} basis is independent"] = span.rank == count
-        report[f"level {lvl} basis spans the corner"] = corner.rank == count and all(
-            span.contains(col) for col in corner.basis
+        report[f"level {lvl} basis spans the corner"] = len(corner) == count and all(
+            span.contains(_vec(c)) for c in corner
         )
-        corner_mats[lvl] = corner
     # g A2 = A2 g = <g1, g2>
     gspan = LatticeSpan(rep.dom, rep.dims[1] ** 2)
     for name in ("g1", "g2"):
@@ -469,8 +452,7 @@ def verify_prop31_identities():
     gm = rep.corner(E["g"], 2, 2)
     left = LatticeSpan(rep.dom, rep.dims[1] ** 2)
     right = LatticeSpan(rep.dom, rep.dims[1] ** 2)
-    for col in corner_mats[2].basis:
-        m = Mat(rep.dom, [col[i * rep.dims[1]:(i + 1) * rep.dims[1]] for i in range(rep.dims[1])])
+    for m in hom_lattice(rep, 2, 2):
         left.insert(_vec(gm * m))
         right.insert(_vec(m * gm))
     report["g*A2 = <g1,g2>"] = all(gspan.contains(c) for c in left.basis) and all(

@@ -20,7 +20,7 @@ from collections import namedtuple
 import numpy as np
 
 from .domains import Z_HALF, Zloc, _is_prime
-from .matrix import LatticeSpan, Mat
+from .matrix import LatticeSpan, Mat, lattice_equal
 from .polys import companion_matrix, primary_root, reciprocal
 from .presentation import FpPresentation, ModuleMorphism, compose
 
@@ -578,26 +578,8 @@ def reversal_intertwiner(d, dom=Z_HALF):
             for i in range(piece.gens):
                 P.a[dst + i][src + i] = dom.one()
         perms.append(P)
-    for lvl in range(3):
-        got = LatticeSpan(dom, perms[lvl].rows)
-        rl = md.modules()[lvl].relations
-        cols_fwd = []
-        for c in range(rl.cols):
-            img = perms[lvl] * rl.col(c)
-            vec = [img.a[i][0] for i in range(img.rows)]
-            cols_fwd.append(vec)
-            got.insert(vec)
-        want = LatticeSpan(dom, perms[lvl].rows)
-        rr_ = mr.modules()[lvl].relations
-        cols_bwd = [
-            [rr_.a[i][c] for i in range(rr_.rows)] for c in range(rr_.cols)
-        ]
-        for vec in cols_bwd:
-            want.insert(vec)
-        same = all(want.contains(v) for v in cols_fwd) and all(
-            got.contains(v) for v in cols_bwd
-        )
-        if not same:
+    for P, fwd, bwd in zip(perms, md.modules(), mr.modules()):
+        if not lattice_equal(P * fwd.relations, bwd.relations):
             raise ValueError("generator reversal does not match the lattices")
     return perms
 

@@ -474,3 +474,85 @@ def test_decompose_guard_catches_a_lost_summand(monkeypatch):
     monkeypatch.setattr(gf2, "indecomposable_summands", lambda space: whole(space)[1:])
     with pytest.raises(ValueError, match="decomposition lost dimensions"):
         decompose(x)
+
+
+# ---------------------------------------------------------------------------
+# word rotations against their definition through the XWord constructor
+# ---------------------------------------------------------------------------
+
+
+def _shift_by_constructor(word, s):
+    """The s-th shift of a cyclic word, built and validated as an XWord:
+    it moves 2s letters, and the closing ~ becomes an interior relation."""
+    s = (2 * s) % word.n
+    allrels = list(word.rels) + ["~"]
+    rels = [allrels[(s + i) % word.n] for i in range(word.n - 1)]
+    return XWord(word.letters[s:] + word.letters[:s], rels, cyclic=True)
+
+
+def _shifts(word):
+    return [_shift_by_constructor(word, s) for s in range(word.n // 2)]
+
+
+def _band_key_by_constructor(d):
+    pairs = [(d.word, d.poly)]
+    if d.poly[0] != 0:
+        pairs.append((d.word.star(), gf2.reciprocal(2, d.poly)))
+    return min(("band", w.key(), poly) for word, poly in pairs for w in _shifts(word))
+
+
+def _assert_cyclic_word_rules(word):
+    assert word.is_symmetric() == (word == word.star())
+    assert word.is_aperiodic() == all(w != word for w in _shifts(word)[1:])
+    assert word.is_shift_symmetric() == any(w == w.star() for w in _shifts(word))
+
+
+def _small_cyclic_words():
+    """Every cyclic word _cyclic_words yields for budgets of 1-3 pair units."""
+    words = set()
+    for k in (1, 2, 3):
+        for units in itertools.combinations_with_replacement(gf2._PAIR_UNITS, k):
+            budget = {}
+            for s in itertools.chain.from_iterable(units):
+                budget[s] = budget.get(s, 0) + 1
+            for letters, rels in gf2._cyclic_words(budget):
+                try:
+                    words.add(XWord(letters, rels, cyclic=True))
+                except ValueError:
+                    continue
+    return sorted(words, key=XWord.key)
+
+
+def test_rotations_match_the_shifts_on_small_cyclic_words():
+    words = _small_cyclic_words()
+    assert len(words) > 100
+    bands = 0
+    for word in words:
+        _assert_cyclic_word_rules(word)
+        if not word.is_aperiodic():
+            continue
+        for d in (1, 2):
+            for pi in gf2.primary_polys(2, d):
+                try:
+                    datum = BandDatum5(word, pi)
+                except ValueError:
+                    continue
+                assert datum.canonical_key() == _band_key_by_constructor(datum)
+                bands += 1
+    assert bands > 100
+
+
+def test_rotations_match_the_shifts_on_random_bands():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        d = gf2.random_band_datum(rng)
+        _assert_cyclic_word_rules(d.word)
+        assert d.canonical_key() == _band_key_by_constructor(d)
+
+
+def test_string_canonical_key_matches_the_star_datum():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        d = gf2.random_string_datum(rng)
+        assert d.word.is_symmetric() == (d.word == d.word.star())
+        assert d.canonical_key() == min(d.key(), d.star().key())

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -336,16 +337,16 @@ def int_vectors_with_combinations(draw, n, count):
 
 
 @PROPERTY
-@given(st.data(), st.integers(0, 6), st.integers(1, 8))
-def test_lattice_insert_keeps_the_hermite_basis(data, n, count):
+@given(data=st.data(), n=st.integers(0, 6), count=st.integers(1, 8))
+def test_lattice_insert_keeps_the_hermite_basis(assert_column_hermite, data, n, count):
     vecs = data.draw(int_vectors_with_combinations(n, count))
     lat = LatticeSpan(ZZ, n)
     for i, v in enumerate(vecs):
         fresh = not lat.contains(v)
         assert lat.insert(v) == fresh
         cols = vecs[: i + 1]
-        h = column_hermite(_mat(ZZ, [[c[r] for c in cols] for r in range(n)], n, len(cols)))
-        assert lat.to_matrix() == h
+        assert_column_hermite(
+            lat.to_matrix(), _mat(ZZ, [[c[r] for c in cols] for r in range(n)], n, len(cols)))
         assert lat.pivots == [next(r for r, x in enumerate(c) if x) for c in lat.basis]
         assert all(lat.contains(w) for w in cols)
 
@@ -378,3 +379,166 @@ def test_rational_span_rank_matches_integer_rank(data, n, count):
         assert span.rank == after
         vecs.append(v)
         rows.append(_cleared(v))
+
+
+@PROPERTY
+@given(data=st.data(), dom=st.sampled_from([ZZ, Z_HALF, Zloc(3)]),
+       r=st.integers(0, 5), c=st.integers(0, 6))
+def test_column_hermite_has_the_defining_properties(assert_column_hermite, data, dom, r, c):
+    m = data.draw(matrices(dom, r, c))
+    assert_column_hermite(column_hermite(m), m)
+
+
+# -- the field elimination -------------------------------------------------------
+
+FIELD_ELEMENTS = {
+    GF2: st.integers(0, 1),
+    GF3: st.integers(0, 2),
+    GF(4): ELEMENTS[GF(4)],
+    Zmod(5): st.integers(0, 4),
+}
+# every domain det supports
+DET_ELEMENTS = {
+    ZZ: _sparse_int, Z_HALF: ELEMENTS[Z_HALF], Zloc(3): ELEMENTS[Zloc(3)],
+    **FIELD_ELEMENTS,
+}
+
+
+def _leibniz_det(m):
+    """The determinant as the signed sum over permutations."""
+    d = m.dom
+    total = d.zero()
+    for perm in itertools.permutations(range(m.rows)):
+        term = d.one()
+        for i, j in enumerate(perm):
+            term = d.mul(term, m.a[i][j])
+        inversions = sum(perm[j] > perm[i] for i in range(len(perm)) for j in range(i))
+        total = d.add(total, d.neg(term) if inversions % 2 else term)
+    return total
+
+
+@st.composite
+def low_rank_matrices(draw, dom, rows, cols):
+    """Matrices in which some rows are combinations of the rows above."""
+    el = DET_ELEMENTS[dom]
+    entries = []
+    for i in range(rows):
+        if i and draw(st.booleans()):
+            coeffs = [dom.canon(draw(el)) for _ in range(i)]
+            row = [dom.zero()] * cols
+            for c, above in zip(coeffs, entries):
+                row = [dom.add(x, dom.mul(c, dom.canon(y))) for x, y in zip(row, above)]
+            entries.append(row)
+        else:
+            entries.append([draw(el) for _ in range(cols)])
+    return _mat(dom, entries, rows, cols)
+
+
+def _checked_field_rank(m):
+    """The rank of m over a field, read off its Smith form after checking
+    U m V = diag(1, ..., 1, 0, ...) with U and V invertible."""
+    dom, r, c = m.dom, m.rows, m.cols
+    u, s, v = smith_normal_form(m)
+    assert (u.rows, u.cols, v.rows, v.cols) == (r, r, c, c)
+    assert u * m * v == s
+    assert not dom.is_zero(_leibniz_det(u)) and not dom.is_zero(_leibniz_det(v))
+    ones = 0
+    while ones < min(r, c) and s.a[ones][ones] == dom.one():
+        ones += 1
+    assert s == Mat.diag(dom, [dom.one()] * ones, r, c)
+    return ones
+
+
+@PROPERTY
+@given(data=st.data(), dom=st.sampled_from(list(FIELD_ELEMENTS)),
+       r=st.integers(0, 6), c=st.integers(0, 6))
+def test_field_smith_form_is_a_rank_diagonal_of_ones(data, dom, r, c):
+    m = data.draw(low_rank_matrices(dom, r, c))
+    # U and V are invertible, so the number of ones is the rank of m
+    assert _checked_field_rank(m) == rank(m)
+
+
+@PROPERTY
+@given(data=st.data(), dom=st.sampled_from(list(FIELD_ELEMENTS)),
+       r=st.integers(0, 6), c=st.integers(0, 6))
+def test_field_column_hermite_is_the_reduced_column_echelon_form(data, dom, r, c):
+    m = data.draw(low_rank_matrices(dom, r, c))
+    h = column_hermite(m)
+    assert h.rows == r
+    pivots = []
+    for k in range(h.cols):
+        p = next(i for i in range(r) if not dom.is_zero(h.a[i][k]))
+        assert not pivots or p > pivots[-1]
+        assert h.a[p][k] == dom.one()
+        assert all(dom.is_zero(h.a[p][l]) for l in range(h.cols) if l != k)
+        pivots.append(p)
+    # every column of m is the combination of h's columns read off at the
+    # pivot rows; h's columns are independent and as many as the rank of m
+    coeffs = Mat(dom, [[m.a[p][j] for j in range(c)] for p in pivots]) \
+        if pivots else Mat.zeros(dom, 0, c)
+    assert h * coeffs == m
+    assert h.cols == _checked_field_rank(m)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(data=st.data(), dom=st.sampled_from(list(DET_ELEMENTS)), n=st.integers(0, 4))
+def test_det_matches_the_permutation_sum(data, dom, n):
+    entries = [[data.draw(DET_ELEMENTS[dom]) for _ in range(n)] for _ in range(n)]
+    for m in (_mat(dom, entries, n, n), data.draw(low_rank_matrices(dom, n, n))):
+        assert det(m) == _leibniz_det(m)
+
+
+def test_det_over_a_composite_modulus_is_unsupported():
+    from cubefunc.domains import UnsupportedDomainError
+
+    with pytest.raises(UnsupportedDomainError):
+        det(Mat(Zmod(4), [[1, 2], [3, 1]]))
+    with pytest.raises(ValueError):
+        det(Mat(ZZ, [[1, 2]]))
+
+
+# -- canonicalization refuses inexact input ---------------------------------------
+
+CANON_DOMAINS = [ZZ, Z_HALF, Zloc(3), Zmod(4), Zmod(5), GF2, GF3, GF(4)]
+
+
+@pytest.mark.parametrize("dom", CANON_DOMAINS, ids=repr)
+def test_canon_accepts_exact_integers(dom):
+    import numpy as np
+
+    assert dom.canon(np.int64(3)) == dom.canon(3)
+    assert type(dom.canon(np.int64(3))) is type(dom.canon(3))
+    assert dom.canon(Fraction(4, 2)) == dom.canon(2)
+    assert type(dom.canon(Fraction(4, 2))) is type(dom.canon(2))
+
+
+@pytest.mark.parametrize("dom", CANON_DOMAINS, ids=repr)
+def test_canon_refuses_floats(dom):
+    import numpy as np
+
+    for x in (2.5, 2.0, np.float64(1.0), "1"):
+        with pytest.raises(TypeError):
+            dom.canon(x)
+
+
+@pytest.mark.parametrize("dom", [d for d in CANON_DOMAINS if d.kind not in ("loc", "inv")],
+                         ids=repr)
+def test_canon_refuses_proper_fractions(dom):
+    with pytest.raises(ValueError):
+        dom.canon(Fraction(1, 2))
+
+
+def test_canon_keeps_fractions_of_the_localizations():
+    assert Z_HALF.canon(Fraction(1, 2)) == Fraction(1, 2)
+    assert Zloc(3).canon(Fraction(1, 2)) == Fraction(1, 2)
+    with pytest.raises(ValueError):
+        Zloc(3).canon(Fraction(1, 3))
+
+
+def test_matrix_refuses_float_entries():
+    with pytest.raises(TypeError):
+        Mat(ZZ, [[2.5]])
+    with pytest.raises(TypeError):
+        Mat(ZZ, [[2.5, -0.5]])
+    with pytest.raises(ValueError):
+        Mat(GF3, [[Fraction(1, 2)]])
