@@ -75,6 +75,26 @@ class Representation:
             range(co, co + self.dims[lvl_src - 1]),
         )
 
+    def block(self, vec, lvl_src, lvl_dst):
+        """The corner of id_dst * m * id_src, sliced straight from the
+        vectorized matrix m (a word-lattice basis vector)."""
+        t = self.total
+        co = self.offset[lvl_src]
+        c1 = co + self.dims[lvl_src - 1]
+        ro = self.offset[lvl_dst]
+        a = [vec[i * t + co:i * t + c1] for i in range(ro, ro + self.dims[lvl_dst - 1])]
+        return Mat._trusted(self.dom, a, len(a), c1 - co)
+
+    def padded_block(self, vec, lvl_src, lvl_dst):
+        """id_dst * m * id_src for the vectorized matrix m: its level block
+        in place and zeros elsewhere."""
+        t, z = self.total, self.dom.zero()
+        co = self.offset[lvl_src]
+        a = [[z] * t for _ in range(t)]
+        for i, row in enumerate(self.block(vec, lvl_src, lvl_dst).a, self.offset[lvl_dst]):
+            a[i][co:co + len(row)] = row
+        return Mat._trusted(self.dom, a, t, t)
+
 
 @lru_cache(maxsize=None)
 def shared_representation(dom=ZZ):
@@ -134,12 +154,10 @@ def hom_lattice(rep, src, dst):
     if (src, dst) in cache:
         return cache[(src, dst)]
     lat, _ = word_lattice(rep)
-    ids = rep.gen_mats[f"id{src}"], rep.gen_mats[f"id{dst}"]
     rows, cols = rep.dims[dst - 1], rep.dims[src - 1]
     span = LatticeSpan(rep.dom, rows * cols)
     for col in lat.basis:
-        m = Mat(rep.dom, [col[i * rep.total:(i + 1) * rep.total] for i in range(rep.total)])
-        span.insert(_vec(rep.corner(ids[1] * m * ids[0], src, dst)))
+        span.insert(_vec(rep.block(col, src, dst)))
     basis = [
         Mat(rep.dom, [v[i * cols:(i + 1) * cols] for i in range(rows)])
         for v in span.basis

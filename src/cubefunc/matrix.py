@@ -546,40 +546,46 @@ def kernel(m):
     return v.submatrix(range(m.cols), idx)
 
 
+def smith_solve(u, s, b):
+    """The back-substitution over a Smith factorization u m v == s.
+
+    Returns the y with s y == u b that is 0 in the rows of zero diagonal
+    entries, or None when there is none, which is exactly when a column of
+    b lies outside the column lattice of m; x = v y then solves m x = b.
+    This is the one solving kernel behind ``solve``, ``in_column_lattice``
+    and the membership tests of presented modules, which keep u and s.
+    """
+    d = s.dom
+    zero = d.zero()
+    div = d.div
+    n = min(s.rows, s.cols)
+    y = []
+    for i, row in enumerate((u * b).a):
+        p = s.a[i][i] if i < n else zero
+        if d.is_zero(p):
+            if not all(d.is_zero(x) for x in row):
+                return None
+            if i < s.cols:
+                y.append([zero] * b.cols)
+        elif p == 1:
+            y.append(row)
+        else:
+            try:
+                y.append([div(x, p) for x in row])
+            except (ValueError, ZeroDivisionError):
+                return None
+    y.extend([zero] * b.cols for _ in range(s.rows, s.cols))
+    return Mat._trusted(d, y, s.cols, b.cols)
+
+
 def solve(m, b):
     """One solution x of m x = b over m.dom, or None if none exists.
 
     b may have several columns; a solution is found columnwise.
     """
-    d = m.dom
     u, s, v = smith_normal_form(m)
-    ub = u * b
-    n = min(s.rows, s.cols)
-    xs = []
-    for c in range(b.cols):
-        y = []
-        ok = True
-        for i in range(m.cols):
-            if i < n and not d.is_zero(s.a[i][i]):
-                if not d.divides(s.a[i][i], ub.a[i][c]):
-                    ok = False
-                    break
-                y.append(d.div(ub.a[i][c], s.a[i][i]))
-            else:
-                y.append(d.zero())
-        if not ok:
-            return None
-        # remaining rows of ub must be 0
-        for i in range(n, s.rows):
-            if not d.is_zero(ub.a[i][c]):
-                return None
-        # rows i < n with zero pivot: ub must vanish there too
-        for i in range(n):
-            if d.is_zero(s.a[i][i]) and not d.is_zero(ub.a[i][c]):
-                return None
-        xs.append(y)
-    x = Mat(d, [list(col) for col in zip(*xs)]) if xs and m.cols else Mat.zeros(d, m.cols, b.cols)
-    return v * x if m.cols else Mat.zeros(d, 0, b.cols)
+    y = smith_solve(u, s, b)
+    return None if y is None else v * y
 
 
 def inverse(m):
@@ -628,7 +634,8 @@ def _from_columns(cols, n):
 
 def in_column_lattice(m, b):
     """Whether every column of b lies in the column lattice (span) of m."""
-    return solve(m, b) is not None
+    u, s, _ = smith_normal_form(m)
+    return smith_solve(u, s, b) is not None
 
 
 def lattice_equal(m1, m2):

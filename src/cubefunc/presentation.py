@@ -2,7 +2,9 @@
 
 A module is given by a generator count and a relation matrix whose columns
 are relators.  Morphisms are matrices on generators, checked to carry the
-source relators into the target relation lattice.
+source relators into the target relation lattice.  Every membership
+test in a module, for its elements and for the maps into it, runs on one
+Smith factorization of its relation matrix, computed on first use.
 """
 
 from __future__ import annotations
@@ -10,17 +12,20 @@ from __future__ import annotations
 from .matrix import (
     Mat,
     column_hermite,
-    in_column_lattice,
     kernel as mat_kernel,
     smith_normal_form,
+    smith_solve,
     solve as mat_solve,
 )
 
 
 class FpPresentation:
-    """Module presented as coker(relations: D^r -> D^g)."""
+    """Module presented as coker(relations: D^r -> D^g).
 
-    __slots__ = ("dom", "gens", "relations")
+    The relation matrix is fixed once the module is made: the Smith form
+    that the membership tests share is computed from it once."""
+
+    __slots__ = ("dom", "gens", "relations", "_smith")
 
     def __init__(self, dom, gens, relations=None):
         self.dom = dom
@@ -32,6 +37,7 @@ class FpPresentation:
         if relations.dom != dom:
             raise ValueError("domain mismatch")
         self.relations = relations
+        self._smith = None
 
     @staticmethod
     def free(dom, n):
@@ -55,7 +61,7 @@ class FpPresentation:
             from .domains import UnsupportedDomainError
 
             raise UnsupportedDomainError(f"invariant factors need a PID, not {d}")
-        _, s, _ = smith_normal_form(self.relations)
+        _, s = self._smith_form()
         facts = []
         r = 0
         for i in range(min(s.rows, s.cols)):
@@ -77,9 +83,18 @@ class FpPresentation:
         torsion, free = self.invariant_factors()
         return free == 0 and not torsion
 
+    def _smith_form(self):
+        """(u, s) of the Smith form u * relations * v == s, computed once."""
+        if self._smith is None:
+            u, s, _ = smith_normal_form(self.relations)
+            self._smith = (u, s)
+        return self._smith
+
     def element_is_zero(self, col):
-        """Whether a generator-coordinate column vector is 0 in the module."""
-        return in_column_lattice(self.relations, col)
+        """Whether a generator-coordinate column vector is 0 in the module;
+        given a matrix, whether every one of its columns is."""
+        u, s = self._smith_form()
+        return smith_solve(u, s, col) is not None
 
     def elements_equal(self, c1, c2):
         return self.element_is_zero(c1 - c2)
@@ -103,9 +118,7 @@ class ModuleMorphism:
             raise ValueError("matrix does not respect the relations")
 
     def is_well_defined(self):
-        return in_column_lattice(
-            self.target.relations, self.matrix * self.source.relations
-        )
+        return self.target.element_is_zero(self.matrix * self.source.relations)
 
     def __repr__(self):
         return f"ModuleMorphism({self.source} -> {self.target})"
@@ -117,7 +130,7 @@ class ModuleMorphism:
         if self.source.gens != other.source.gens or self.target.gens != other.target.gens:
             return False
         diff = self.matrix - other.matrix
-        return in_column_lattice(self.target.relations, diff)
+        return self.target.element_is_zero(diff)
 
     def __hash__(self):
         raise TypeError("module morphisms are not hashable")
@@ -141,7 +154,7 @@ class ModuleMorphism:
         )
 
     def is_zero(self):
-        return in_column_lattice(self.target.relations, self.matrix)
+        return self.target.element_is_zero(self.matrix)
 
 
 def compose(g, f):

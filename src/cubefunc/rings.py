@@ -10,6 +10,7 @@ evaluated against any concrete diagram.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .domains import ZZ as ZZ_, Z_HALF
 from .matrix import Mat
@@ -133,8 +134,8 @@ class Expr:
             raise ValueError("zero expression has no shape; compare via defect")
         acc = Mat.zeros(d, dims[self.dst], dims[self.src])
         for w, c in self.terms.items():
-            m = Mat.identity(d, dims[word_type(w)[0]])
-            for g in reversed(w):
+            m = mats[w[-1]]
+            for g in reversed(w[:-1]):
                 m = mats[g] * m
             acc = acc + m.scale(d.canon(c))
         return acc
@@ -220,6 +221,12 @@ def cubic_relations(char2=False):
     return rels
 
 
+@lru_cache(maxsize=None)
+def _relation_defects(char2):
+    """(name, lhs - rhs) of each identity of ``cubic_relations(char2)``."""
+    return tuple((name, lhs - rhs) for name, lhs, rhs in cubic_relations(char2))
+
+
 def verify_relations(diagram, char2=None):
     """Check the identity list on a diagram; returns (ok, defect report).
 
@@ -227,26 +234,15 @@ def verify_relations(diagram, char2=None):
     """
     if char2 is None:
         char2 = diagram.dom.characteristic == 2
+    levels = {1: diagram.F1, 2: diagram.F2, 3: diagram.F3}
     report = []
-    ok = True
-    for name, lhs, rhs in cubic_relations(char2):
-        defect = (lhs - rhs)
-        if not defect.terms:
-            report.append((name, True))
-            continue
-        m = defect.evaluate(diagram)
-        # defect must vanish as a map of presented modules
-        zero = all(
-            diagram_target_zero(diagram, defect, m.col(j)) for j in range(m.cols)
-        )
+    for name, defect in _relation_defects(char2):
+        # the defect must vanish as a map of presented modules: every column
+        # of its matrix is 0 in the target module
+        zero = not defect.terms or levels[defect.dst].element_is_zero(
+            defect.evaluate(diagram))
         report.append((name, zero))
-        ok = ok and zero
-    return ok, report
-
-
-def diagram_target_zero(diagram, expr, col):
-    pres = {1: diagram.F1, 2: diagram.F2, 3: diagram.F3}[expr.dst]
-    return pres.element_is_zero(col)
+    return all(zero for _, zero in report), report
 
 
 # ---------------------------------------------------------------------------
@@ -576,19 +572,12 @@ def verify_A_alt_structure():
     etam = rep.eval(eta)
     ok32 = True
     ok23 = True
-    id2m, id3m = rep.gen_mats["id2"], rep.gen_mats["id3"]
     for col in lat.basis:
-        m = Mat(
-            rep.dom,
-            [col[i * rep.total:(i + 1) * rep.total] for i in range(rep.total)],
-        )
-        w32 = id2m * m * id3m
-        cand = e3m * w32
+        cand = e3m * rep.padded_block(col, 3, 2)
         ok32 = ok32 and (
             ideal.contains(_vec(cand)) or ideal.contains(_vec(cand - xim))
         )
-        w23 = id3m * m * id2m
-        cand = w23 * e3m
+        cand = rep.padded_block(col, 2, 3) * e3m
         ok23 = ok23 and (
             ideal.contains(_vec(cand)) or ideal.contains(_vec(cand - etam))
         )
@@ -604,11 +593,7 @@ def verify_A_alt_structure():
     def corner_of(cols):
         span = LatticeSpan(rep.dom, rep.total * rep.total)
         for col in cols:
-            m = Mat(
-                rep.dom,
-                [col[i * rep.total:(i + 1) * rep.total] for i in range(rep.total)],
-            )
-            span.insert(_vec(id3m * m * id3m))
+            span.insert(_vec(rep.padded_block(col, 3, 3)))
         return span
 
     corner = corner_of(lat.basis)

@@ -101,12 +101,7 @@ class A11Module:
             "ab = 0": a * b,
             "ba = 0": b * a,
         }
-        bad = []
-        for name, d in defects.items():
-            for j in range(d.cols):
-                if not self.pres.element_is_zero(d.col(j)):
-                    bad.append(name)
-                    break
+        bad = [name for name, d in defects.items() if not self.pres.element_is_zero(d)]
         return not bad, bad
 
 

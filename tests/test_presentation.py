@@ -1,7 +1,12 @@
 import random
+from fractions import Fraction
 
-from cubefunc.domains import ZZ, GF2, Zloc
-from cubefunc.matrix import Mat
+from hypothesis import given, settings, strategies as st
+
+import cubefunc.matrix
+import cubefunc.presentation
+from cubefunc.domains import GF, GF2, ZZ, Z_HALF, Zloc
+from cubefunc.matrix import LatticeSpan, Mat, in_column_lattice
 from cubefunc.presentation import (
     FpPresentation,
     ModuleMorphism,
@@ -127,3 +132,86 @@ def test_random_kernel_image_exactness():
         im, iincl = image(f)
         c, proj = cokernel(f)
         assert compose(proj, f).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# membership through the one Smith form of a presented module
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+# the denominators an entry may carry in each domain
+_DENOMINATORS = {ZZ: (1,), Z_HALF: (1, 2, 4), Zloc(3): (1, 2, 5), GF(3): (1,)}
+
+
+def _mat(dom, rows, r, c):
+    """The r x c matrix with the given rows; also when r or c is 0."""
+    return Mat(dom, rows) if r else Mat.zeros(dom, 0, c)
+
+
+@st.composite
+def membership_cases(draw):
+    """(relations, b, x, mask): b = relations * x + e with e zero in the
+    columns where mask is False, so those columns are members."""
+    dom = draw(st.sampled_from(sorted(_DENOMINATORS, key=str)))
+    gens, nrel, k = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    # a common factor 3 on the relations leaves torsion in every domain but GF(3)
+    scale = draw(st.sampled_from((1, 3)))
+    entry = st.builds(Fraction, st.integers(-6, 6).map(lambda n: scale * n),
+                      st.sampled_from(_DENOMINATORS[dom]))
+    small = st.integers(-3, 3)
+
+    def matrix(r, c, elems):
+        return _mat(dom, [[draw(elems) for _ in range(c)] for _ in range(r)], r, c)
+
+    relations = matrix(gens, nrel, entry)
+    x = matrix(nrel, k, small)
+    mask = [draw(st.booleans()) for _ in range(k)]
+    e = matrix(gens, k, small)
+    e = _mat(dom, [[y if mask[j] else 0 for j, y in enumerate(row)] for row in e.a], gens, k)
+    return relations, relations * x + e, x, mask
+
+
+@PROPERTY
+@given(membership_cases())
+def test_presentation_membership_matches_the_column_lattice(case):
+    relations, b, x, mask = case
+    dom, gens = relations.dom, relations.rows
+    pres = FpPresentation(dom, gens, relations)
+    # an oracle on another kernel: greedy reduction against a Hermite basis
+    span = LatticeSpan(dom, gens)
+    for j in range(relations.cols):
+        span.insert([row[j] for row in relations.a])
+    members = [span.contains([row[j] for row in b.a]) for j in range(b.cols)]
+    want = all(members)
+    assert in_column_lattice(relations, b) == want
+    assert pres.element_is_zero(b) == want
+    assert [pres.element_is_zero(b.col(j)) for j in range(b.cols)] == members
+    assert all(m for m, perturbed in zip(members, mask) if not perturbed)
+    assert pres.element_is_zero(relations * x)
+    f = ModuleMorphism(FpPresentation.free(dom, b.cols), pres, b, check=False)
+    assert f.is_zero() == want
+    assert (f == ModuleMorphism(f.source, pres, relations * x, check=False)) == want
+
+
+def test_membership_runs_one_smith_form_per_presentation(monkeypatch):
+    calls = []
+
+    def counted(real):
+        return lambda m: calls.append(m) or real(m)
+
+    for mod in (cubefunc.matrix, cubefunc.presentation):
+        monkeypatch.setattr(mod, "smith_normal_form", counted(mod.smith_normal_form))
+    rels = Mat(ZZ, [[2, 0], [0, 6], [0, 0]])
+    pres = FpPresentation(ZZ, 3, rels)
+    free = FpPresentation.free(ZZ, 1)
+    rng = random.Random(11)
+    for _ in range(25):
+        col = Mat(ZZ, [[rng.randint(-12, 12)] for _ in range(3)])
+        assert pres.element_is_zero(col) == (
+            col.a[0][0] % 2 == 0 and col.a[1][0] % 6 == 0 and col.a[2][0] == 0)
+        f = ModuleMorphism(free, pres, col, check=False)
+        assert f.is_zero() == pres.element_is_zero(col)
+        assert f == ModuleMorphism(free, pres, col + rels.col(1), check=True)
+    assert pres.invariant_factors() == ([(2, 1), (6, 1)], 1)
+    assert len(calls) == 1 and calls[0] is rels

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from cubefunc.domains import Z_HALF, ZZ
-from cubefunc.faithful import hom_lattice, word_lattice
-from cubefunc.functors import builtin, extract_diagram
-from cubefunc.matrix import Mat
+from cubefunc.faithful import faithful_diagram, hom_lattice, word_lattice
+from cubefunc.functors import CubicDiagram, builtin, extract_diagram
+from cubefunc.matrix import LatticeSpan, Mat, in_column_lattice
+from cubefunc.presentation import ModuleMorphism
 from cubefunc.rings import (
     BRingElement,
     Expr,
@@ -79,8 +80,6 @@ def test_relations_detect_perturbation():
     m = d.maps()["h1"].matrix
     m2 = Mat(ZZ, [row[:] for row in m.a])
     m2.a[0][0] = ZZ.add(m2.a[0][0], 1)
-    from cubefunc.functors import CubicDiagram
-
     tampered = CubicDiagram.from_matrices(
         ZZ,
         h=d.maps()["h"].matrix,
@@ -92,6 +91,68 @@ def test_relations_detect_perturbation():
     )
     ok, report = verify_relations(tampered)
     assert not ok
+
+
+def _relations_column_by_column(diagram):
+    """verify_relations by its definition: each column of each defect
+    matrix, one at a time, in the column lattice of the target relations."""
+    levels = {1: diagram.F1, 2: diagram.F2, 3: diagram.F3}
+    report = []
+    for name, lhs, rhs in cubic_relations(diagram.dom.characteristic == 2):
+        defect = lhs - rhs
+        zero = True
+        if defect.terms:
+            m = defect.evaluate(diagram)
+            rels = levels[defect.dst].relations
+            zero = all(in_column_lattice(rels, m.col(j)) for j in range(m.cols))
+        report.append((name, zero))
+    return all(z for _, z in report), report
+
+
+def _induced_diagrams(seed, ranks):
+    from cubefunc.wildness import SigmaModule, induce_cubic, phi_restrict
+
+    rng = random.Random(seed)
+    for rank in ranks:
+        action = [[[rng.randrange(4) for _ in range(rank)] for _ in range(rank)]
+                  for _ in range(2)]
+        yield induce_cubic(phi_restrict(SigmaModule(2, rank, action)))
+
+
+def _single_entry_mutations(d):
+    """Every diagram that adds 1 to one entry of one structure map of d,
+    on the same modules and unchecked."""
+    maps = d.maps()
+    for name, mor in maps.items():
+        for i in range(mor.matrix.rows):
+            for j in range(mor.matrix.cols):
+                m = mor.matrix.copy()
+                m.a[i][j] = d.dom.add(m.a[i][j], d.dom.one())
+                changed = dict(maps)
+                changed[name] = ModuleMorphism(mor.source, mor.target, m, check=False)
+                yield CubicDiagram(d.F1, d.F2, d.F3, **changed)
+
+
+@pytest.mark.parametrize("dom", [ZZ, Z_HALF], ids=str)
+def test_relations_report_matches_columnwise_on_faithful_diagram(dom):
+    d = faithful_diagram(dom)
+    assert verify_relations(d) == _relations_column_by_column(d)
+    assert verify_relations(d)[0]
+
+
+def test_relations_report_matches_columnwise_on_induced_diagrams():
+    for d in _induced_diagrams(2024, (1, 1, 2, 2, 3)):
+        assert verify_relations(d) == _relations_column_by_column(d)
+
+
+def test_relations_report_matches_columnwise_on_mutations():
+    (d,) = _induced_diagrams(5, (2,))
+    verdicts = []
+    for m in _single_entry_mutations(d):
+        got = verify_relations(m)
+        assert got == _relations_column_by_column(m)
+        verdicts.append(got[0])
+    assert False in verdicts and len(verdicts) > 50
 
 
 def test_relation_list_char2_drops_doubles():
@@ -218,3 +279,31 @@ class TestQuadrupleRing:
             assert (x + y) * z == x * z + y * z
             assert x * (y * z) == (x * y) * z
             assert x * BRingElement.one() == x
+
+
+def test_level_blocks_are_read_in_place(rep):
+    # the direct read of a word-lattice basis vector is id_dst * m * id_src
+    lat, _ = word_lattice(rep)
+    t = rep.total
+    for col in lat.basis:
+        m = Mat(ZZ, [col[i * t:(i + 1) * t] for i in range(t)])
+        for src in (1, 2, 3):
+            for dst in (1, 2, 3):
+                want = rep.gen_mats[f"id{dst}"] * m * rep.gen_mats[f"id{src}"]
+                assert rep.padded_block(col, src, dst) == want
+                assert rep.block(col, src, dst) == rep.corner(want, src, dst)
+
+
+@pytest.mark.parametrize("src", [1, 2, 3])
+@pytest.mark.parametrize("dst", [1, 2, 3])
+def test_hom_lattice_is_the_span_of_the_level_products(rep, src, dst):
+    # the basis is the one the span of the corners of id_dst * m * id_src gives
+    lat, _ = word_lattice(rep)
+    t = rep.total
+    ids = rep.gen_mats[f"id{src}"], rep.gen_mats[f"id{dst}"]
+    span = LatticeSpan(ZZ, rep.dims[dst - 1] * rep.dims[src - 1])
+    for col in lat.basis:
+        m = Mat(ZZ, [col[i * t:(i + 1) * t] for i in range(t)])
+        span.insert([x for row in rep.corner(ids[1] * m * ids[0], src, dst).a for x in row])
+    got = [[x for row in b.a for x in row] for b in hom_lattice(rep, src, dst)]
+    assert got == span.basis
