@@ -106,44 +106,45 @@ def _vec(m):
     return [x for row in m.a for x in row]
 
 
-def _close_under_generators(rep, span, max_rounds, what):
-    """Insert the generator images into span, then every product g * b of a
-    generator g with a matrix b that grew the span in the previous round,
-    until a round adds nothing; returns the matrices that grew the span."""
-    gens = list(rep.gen_mats.values())
-    frontier = [g for g in gens if span.insert(_vec(g))]
-    mats = frontier[:]
-    for _ in range(max_rounds):
-        new = []
-        for g in gens:
-            for b in frontier:
-                prod = g * b
-                if span.insert(_vec(prod)):
-                    new.append(prod)
-        if not new:
-            return mats
-        mats += new
-        frontier = new
-    raise RuntimeError(f"{what} did not stabilize")
+MAX_ROUNDS = 16   # rounds of the word-lattice closure before it gives up
 
 
-def algebra_dimension(rep, max_rounds=12):
-    """Dimension over Q of the unital algebra generated by the images."""
+def algebra_dimension(rep):
+    """Dimension over Q of the unital algebra generated by the images: the
+    rank over Q of the word-lattice basis, which spans that algebra."""
     span = RationalSpan(rep.total * rep.total)
-    _close_under_generators(rep, span, max_rounds, "algebra span")
+    for vec in word_lattice(rep)[0].basis:
+        span.insert(vec)
     return span.rank
 
 
-def word_lattice(rep, max_rounds=16):
+def word_lattice(rep):
     """The span over the base domain of all composable generator words,
-    as a LatticeSpan of vectorized matrices."""
+    as a LatticeSpan of vectorized matrices, with the matrices that grew it.
+
+    The generator images go in first, then every product g * b of a
+    generator g with a matrix b that grew the lattice in the previous
+    round, until a round adds nothing."""
     cached = getattr(rep, "_word_lattice", None)
     if cached is not None:
         return cached
     lat = LatticeSpan(rep.dom, rep.total * rep.total)
-    mats = _close_under_generators(rep, lat, max_rounds, "word lattice")
-    rep._word_lattice = (lat, mats)
-    return lat, mats
+    gens = list(rep.gen_mats.values())
+    frontier = [g for g in gens if lat.insert(_vec(g))]
+    mats = frontier[:]
+    for _ in range(MAX_ROUNDS):
+        new = []
+        for g in gens:
+            for b in frontier:
+                prod = g * b
+                if lat.insert(_vec(prod)):
+                    new.append(prod)
+        if not new:
+            rep._word_lattice = (lat, mats)
+            return lat, mats
+        mats += new
+        frontier = new
+    raise RuntimeError("word lattice did not stabilize")
 
 
 def hom_lattice(rep, src, dst):

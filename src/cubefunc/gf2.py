@@ -13,13 +13,22 @@ constructions (strings, bands and the trivial diagram).
 
 Matrices are uint8 arrays of zeros and ones.  Hom spaces, of cubic spaces
 and of modules over free algebras alike, are nullspaces of one Kronecker
-system (_intertwiners), and the deciders that enumerate them
-(find_isomorphism, split_indecomposable and the Z/4 deciders of
-wildness.py) test all combinations of a basis at once on bit-packed rows.
+system (_intertwiners), and the deciders test their elements at once on
+bit-packed rows.  Two facts about an indecomposable finite-dimensional
+object (Auslander-Reiten-Smalo, Representation Theory of Artin Algebras)
+make the deciders exact:
+
+- its endomorphism algebra is local: every endomorphism is nilpotent or
+  invertible.  split_indecomposable and wildness.indecomposable_mod2 share
+  one search for an element that is neither (_mixed_element), which
+  splits the object by Fitting's lemma;
+- if x or y is indecomposable and x ~ y, the maps x -> y that are not
+  isomorphisms form a proper subspace of Hom(x, y), so every basis of
+  Hom(x, y) has an invertible element.  find_isomorphism tests the basis
+  elements only, and its None is a proof under that hypothesis.
+
 Band polynomials come from polys.py.
 """
-
-import random
 
 import numpy as np
 
@@ -691,10 +700,6 @@ class SemiChainBunch:
     column strata F with S1 < ... < S5 < S7 < ... < S10 and S4 < S6 < S7,
     and the involution pairing R1-R15, R2-S8, R11-S4, S2-S9."""
 
-    E_CHAINS = (("R1", "R2", "R5", "R7", "R11", "R13", "R15"),
-                ("R5", "R10", "R11"))
-    F_CHAINS = (("S1", "S2", "S3", "S4", "S5", "S7", "S8", "S9", "S10"),
-                ("S4", "S6", "S7"))
     SIGMA = {"R1": "R15", "R15": "R1", "R2": "S8", "S8": "R2",
              "R11": "S4", "S4": "R11", "S2": "S9", "S9": "S2"}
     SPECIAL = ("R7", "S5")
@@ -702,22 +707,6 @@ class SemiChainBunch:
     @classmethod
     def sigma(cls, x):
         return cls.SIGMA.get(x, x)
-
-    @classmethod
-    def elements(cls):
-        rows = sorted({x for c in cls.E_CHAINS for x in c},
-                      key=lambda s: int(s[1:]))
-        cols = sorted({x for c in cls.F_CHAINS for x in c},
-                      key=lambda s: int(s[1:]))
-        return tuple(rows), tuple(cols)
-
-    @classmethod
-    def less(cls, x, y):
-        chains = cls.E_CHAINS if x.startswith("R") else cls.F_CHAINS
-        for c in chains:
-            if x in c and y in c:
-                return c.index(x) < c.index(y)
-        return False
 
 
 # the word alphabet: everything except the shadow elements R10, S6
@@ -1395,35 +1384,26 @@ def _first_combination(basis, dims, test):
 # ---------------------------------------------------------------------------
 
 
-def _is_invertible(f):
-    return all(rank(m) == len(m) for m in f)
-
-
 def find_isomorphism(x, y):
-    """An invertible morphism x -> y, or None.  Exhaustive over the hom
-    space when it has at most 2^ENUM_BITS elements, so a None answer is
-    then a proof of non-isomorphism.  Larger hom spaces fall back to seeded
-    random sampling; for isomorphic spaces the invertible fraction of the
-    hom space is at least 1/2, so a miss after a few thousand draws is
-    vanishingly unlikely."""
+    """An isomorphism x -> y, or None.  A returned map is always invertible;
+    None proves x and y non-isomorphic whenever x or y is indecomposable.
+
+    The rule: let y be indecomposable and phi: x -> y an isomorphism.  End y
+    is local, so the maps x -> y that are not isomorphisms are
+    rad(End y) phi, a proper linear subspace of Hom(x, y), and every basis
+    of Hom(x, y) has an invertible element (likewise when x is
+    indecomposable).  So the basis elements are tested for invertibility in
+    one packed batch and the first invertible one is returned.  decompose
+    meets the hypothesis: every part that reaches identify was certified
+    indecomposable by split_indecomposable.  Cubic spaces in general are
+    compared by their decompose reports."""
     if x.dims != y.dims:
         return None
     basis = hom_basis(x, y)
     if not basis:
         return None if sum(x.dims) else ()
-    if len(basis) <= ENUM_BITS:
-        return _first_combination(basis, x.dims, _invertible)
-    if len(hom_basis(y, x)) != len(basis):
-        return None
-    rng = random.Random(0x5eed ^ len(basis))
-    for _ in range(4096):
-        f = None
-        for g in basis:
-            if rng.randrange(2):
-                f = g if f is None else tuple(a ^ b for a, b in zip(f, g))
-        if f is not None and _is_invertible(f):
-            return f
-    return None
+    hit = _first(_invertible(_pack_basis(basis, x.dims)))
+    return None if hit is None else basis[hit]
 
 
 def _power_stable(mats_, n):
@@ -1451,33 +1431,44 @@ def _try_split(space, f):
 TOO_LARGE = "endomorphism algebra too large to certify locality"
 
 
-def split_indecomposable(space):
-    """Either (None, proof) where the space is indecomposable, or a pair
-    of proper subdiagram summands.  The proof is the dimension of the
-    endomorphism algebra, every element of which was checked to be
-    nilpotent or invertible.
+def _mixed_element(basis, dims):
+    """The first element of an endomorphism algebra, given by a basis of
+    square morphisms, that is neither nilpotent nor invertible, or None
+    when every element is one of the two: then the algebra is local, which
+    proves the object indecomposable.
 
-    The search tries the basis elements, then every combination when
-    there are at most 2^ENUM_BITS, else the sums of two basis elements; the
-    first element that is neither nilpotent nor invertible splits."""
-    n = sum(space.dims)
-    if n == 0:
-        raise ValueError("the zero space has no summands")
-    basis = hom_basis(space, space)
-    E = len(basis)
-    comps = _pack_basis(basis, space.dims)
+    The search screens the basis elements, then every combination when
+    there are at most 2^ENUM_BITS, else the sums of two basis elements;
+    when even those find nothing it raises ValueError(TOO_LARGE)."""
+    comps = _pack_basis(basis, dims)
     hit = _first(_mixed(comps))
     if hit is not None:
-        return _try_split(space, basis[hit])
+        return basis[hit]
+    E = len(basis)
     if E <= ENUM_BITS:
-        f = _first_combination(basis, space.dims, _mixed)
-        return (None, E) if f is None else _try_split(space, f)
+        return _first_combination(basis, dims, _mixed)
     left, right = np.triu_indices(E, 1)
     hit = _first(_mixed([c[left] ^ c[right] for c in comps]))
-    if hit is not None:
-        pair = zip(basis[left[hit]], basis[right[hit]])
-        return _try_split(space, tuple(a ^ b for a, b in pair))
-    raise ValueError(TOO_LARGE)
+    if hit is None:
+        raise ValueError(TOO_LARGE)
+    return tuple(a ^ b for a, b in zip(basis[left[hit]], basis[right[hit]]))
+
+
+def split_indecomposable(space):
+    """Either (None, proof) where the space is indecomposable, or a pair
+    of proper subdiagram summands.
+
+    The rule: a space is indecomposable iff its endomorphism algebra is
+    local, that is every endomorphism is nilpotent or invertible; an
+    endomorphism that is neither splits the space by Fitting's lemma.
+    _mixed_element searches End for one.  The proof is the dimension of
+    End, every element of which was checked to be nilpotent or invertible;
+    past the sizes _mixed_element searches this raises ValueError(TOO_LARGE)."""
+    if sum(space.dims) == 0:
+        raise ValueError("the zero space has no summands")
+    basis = hom_basis(space, space)
+    f = _mixed_element(basis, space.dims)
+    return (None, len(basis)) if f is None else _try_split(space, f)
 
 
 def indecomposable_summands(space):

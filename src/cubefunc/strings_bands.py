@@ -597,6 +597,7 @@ def _block_offset(cover, m, lvl):
 # ---------------------------------------------------------------------------
 
 ProbeVerdict = namedtuple("ProbeVerdict", "verdict witness endo_rank")
+MAX_CANDIDATES = 2000000    # the probe enumerates at most this many combinations
 
 
 def _snf_mod(a, p, k):
@@ -752,7 +753,7 @@ def _gfp_basis(gens, U1, d1, p):
     return kept
 
 
-def indecomposability_probe(module, level=3, prime=3, max_candidates=2000000):
+def indecomposability_probe(module, level=3, prime=3):
     """Decide whether the truncation M/q, q = prime**level, splits.
 
     Everything is computed in Z/q, on int64 arrays:
@@ -772,7 +773,7 @@ def indecomposability_probe(module, level=3, prime=3, max_candidates=2000000):
       e -> 3e^2 - 2e^3 to an idempotent endomorphism of M/q, which is
       returned as the witness with verdict "splits".
     - If no combination qualifies, End(M/q) has no idempotent but 0 and 1
-      and the verdict is "indecomposable-at-level"; past max_candidates
+      and the verdict is "indecomposable-at-level"; past MAX_CANDIDATES
       combinations it is "unknown".
 
     Raises ValueError unless level >= 1 and prime is a prime that is not
@@ -801,7 +802,7 @@ def indecomposability_probe(module, level=3, prime=3, max_candidates=2000000):
     r = len(basis)
     if r == 0:
         raise ValueError("the zero module has no summands")
-    if prime ** r > max_candidates:
+    if prime ** r > MAX_CANDIDATES:
         return ProbeVerdict("unknown", None, r)
 
     B = np.array(basis, dtype=np.int64)

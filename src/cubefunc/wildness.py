@@ -10,12 +10,15 @@ The deciders work on the mod-2 action tuples, which is exact: a module
 restricted along a -> 2x1, b -> 2x2 has a = 2A and b = 2B, so U a = b U
 over Z/4 says U A = B U mod 2.  Both compute a Hom space
 {U : U a_i = b_i U} over GF(2) as the nullspace of the stacked system
-I kron a_i^T + b_i kron I (gf2.module_hom_basis) and enumerate the
-combinations of its basis on gf2's bit-packed batch kernel, at most 2^16:
+I kron a_i^T + b_i kron I (gf2.module_hom_basis) and test its elements
+on gf2's bit-packed batch kernel:
 
 - iso_test_mod2 proves isomorphism with a witness U, invertible mod 2 with
   U a_i = b_i U, and proves non-isomorphism by dim Hom(A, B) != dim End(A)
-  or by a Hom space without an invertible element.  IsoVerdict.method is
+  or by a Hom space without an invertible element.  It enumerates every
+  combination of the Hom basis, at most 2^16, and not only the basis as
+  gf2.find_isomorphism does, because that rule needs an indecomposable
+  module and these need not be.  IsoVerdict.method is
   "hom space" (the Hom basis was enumerated; both answers are proofs),
   "hom dimension" (the dimensions differ: not isomorphic), "shape
   mismatch" (generator counts or ranks differ: not isomorphic) or
@@ -24,8 +27,11 @@ combinations of its basis on gf2's bit-packed batch kernel, at most 2^16:
   GL_d(Z/4) and reports "exhaustive mod 4" (or "rank mismatch").
 - indecomposable_mod2 proves indecomposability by checking that every
   endomorphism is nilpotent or invertible (End is local), and
-  decomposability by an endomorphism that is neither; larger algebras and
-  the zero module raise ValueError.
+  decomposability by an endomorphism that is neither.  It runs gf2's one
+  locality search (gf2._mixed_element, shared with split_indecomposable):
+  the basis, then every combination up to 2^16, else the sums of two
+  basis elements; if even those find no such element, and for the zero
+  module, it raises ValueError.
 """
 
 from __future__ import annotations
@@ -387,16 +393,15 @@ def indecomposable_mod2(l):
     lemma).
 
     End is the nullspace of the stacked system I kron a_i^T + a_i kron I,
-    and every combination of its basis is tested on bit-packed rows, so
-    both answers are proofs.  Past 2^16 combinations this raises the
-    ValueError "endomorphism algebra too large to certify locality", and
-    the zero module, which has no summands, raises a ValueError too."""
+    searched by gf2._mixed_element on bit-packed rows, so both answers are
+    proofs.  When End has more than 2^16 elements and no basis element or
+    sum of two is neither nilpotent nor invertible, this raises the
+    ValueError "endomorphism algebra too large to certify locality"; the
+    zero module, which has no summands, raises a ValueError too."""
     if l.rank == 0:
         raise ValueError("the zero module has no summands")
     from . import gf2
 
     mats = l.mod2_action()
     end = gf2.module_hom_basis(mats, mats, l.rank)
-    if len(end) > gf2.ENUM_BITS:
-        raise ValueError(gf2.TOO_LARGE)
-    return gf2._first_combination(end, (l.rank,), gf2._mixed) is None
+    return gf2._mixed_element(end, (l.rank,)) is None

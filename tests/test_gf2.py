@@ -326,17 +326,6 @@ def test_find_isomorphism_of_conjugates(datum):
 
 
 @pytest.mark.parametrize("datum", DATA, ids=repr)
-def test_find_isomorphism_sampling_fallback(datum, monkeypatch):
-    # past 2^ENUM_BITS homomorphisms find_isomorphism samples seeded random
-    # combinations; every datum but D[S5, 1] has a Hom space of dimension > 1
-    monkeypatch.setattr(gf2, "ENUM_BITS", 1)
-    x, y = _conjugate_pair(datum)
-    f = find_isomorphism(x, y)
-    assert f is not None
-    _assert_isomorphism(f, x, y)
-
-
-@pytest.mark.parametrize("datum", DATA, ids=repr)
 def test_realized_data_are_indecomposable(datum):
     x = realize(datum)
     assert split_indecomposable(x) == (None, len(hom_basis(x, x)))
@@ -364,11 +353,47 @@ def test_non_isomorphic_data_have_no_isomorphism():
     assert find_isomorphism(*_non_isomorphic_pair()) is None
 
 
-def test_sampling_fallback_finds_no_isomorphism_between_non_isomorphic_data(monkeypatch):
-    monkeypatch.setattr(gf2, "ENUM_BITS", 1)
-    x, y = _non_isomorphic_pair()
-    assert len(hom_basis(x, y)) == len(hom_basis(y, x)) > 1
-    assert find_isomorphism(x, y) is None
+def _certified(data):
+    """The data whose realization split_indecomposable proves
+    indecomposable (End local); the others are dropped."""
+    out = []
+    for d in data:
+        try:
+            if split_indecomposable(realize(d))[0] is None:
+                out.append(d)
+        except ValueError:             # End too large to certify
+            pass
+    return out
+
+
+def _random_data(seed, n=24):
+    rng = np.random.default_rng(seed)
+    return [gf2.random_band_datum(rng, max_pairs=2) if i % 3 == 0
+            else gf2.random_string_datum(rng, max_units=2) for i in range(n)]
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_find_isomorphism_agrees_with_the_exhaustive_oracle(seed):
+    # an indecomposable y has a local End, so the maps x -> y that are not
+    # isomorphisms form a proper subspace of Hom(x, y) and every basis has
+    # an isomorphism: testing the basis decides what testing all 2^E
+    # combinations decides
+    pool = [realize(d) for d in DATA + _certified(_random_data(seed))]
+    rng = np.random.default_rng(seed)
+    pairs = [(x, x.conjugate(*(random_invertible(rng, n) for n in x.dims)))
+             for x in pool for _ in range(4)]
+    pairs += [(x, y) for x in pool for y in pool if x is not y and x.dims == y.dims]
+    hits = 0
+    for x, y in pairs:
+        basis = hom_basis(x, y)
+        assert len(basis) <= gf2.ENUM_BITS
+        oracle = gf2._first_combination(basis, x.dims, gf2._invertible)
+        f = find_isomorphism(x, y)
+        assert (f is None) == (oracle is None)
+        if f is not None:
+            _assert_isomorphism(f, x, y)
+            hits += 1
+    assert hits >= 4 * len(pool)
 
 
 def test_zero_space_has_no_summands():

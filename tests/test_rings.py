@@ -5,7 +5,9 @@ import random
 import pytest
 
 from cubefunc.domains import Z_HALF, ZZ
-from cubefunc.faithful import faithful_diagram, hom_lattice, word_lattice
+from cubefunc.faithful import (
+    algebra_dimension, faithful_diagram, hom_lattice, shared_representation, word_lattice,
+)
 from cubefunc.functors import CubicDiagram, builtin, extract_diagram
 from cubefunc.matrix import LatticeSpan, Mat, in_column_lattice
 from cubefunc.presentation import ModuleMorphism
@@ -307,3 +309,10 @@ def test_hom_lattice_is_the_span_of_the_level_products(rep, src, dst):
         span.insert([x for row in rep.corner(ids[1] * m * ids[0], src, dst).a for x in row])
     got = [[x for row in b.a for x in row] for b in hom_lattice(rep, src, dst)]
     assert got == span.basis
+
+
+@pytest.mark.parametrize("dom", [ZZ, Z_HALF], ids=str)
+def test_algebra_dimension_is_the_word_lattice_rank(dom):
+    # the word-lattice basis spans the generated algebra over Q
+    rep = shared_representation(dom)
+    assert algebra_dimension(rep) == word_lattice(rep)[0].rank == 39

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubefunc import gf2
 from cubefunc.gf2 import inverse, rank
 from cubefunc.rings import verify_relations
 from cubefunc.wildness import (
@@ -301,3 +302,52 @@ def test_rank5_deciders():
     v = iso_test_mod2(SigmaModule(2, 5, jordan), SigmaModule(2, 5, conj))
     assert v.isomorphic is True and v.method == "hom space"
     _assert_witness(v, jordan, conj)
+
+
+@pytest.mark.parametrize("pair", ["zero", "identity and zero"])
+def test_rank5_decider_on_the_full_matrix_algebra(pair):
+    # End = M_5(GF(2)), of dimension 25: past 2^16 combinations, and the
+    # basis screen finds the idempotent E_11, so the answer is a proof
+    first = np.eye(5, dtype=np.int64) if pair != "zero" else np.zeros((5, 5), dtype=np.int64)
+    lm = SigmaModule(2, 5, [first.tolist(), [[0] * 5] * 5])
+    assert len(gf2.module_hom_basis(*[lm.mod2_action()] * 2, 5)) == 25
+    assert indecomposable_mod2(lm) is False
+
+
+def test_one_locality_search(monkeypatch):
+    # indecomposable_mod2 and gf2.split_indecomposable share _mixed_element
+    seen = []
+    search = gf2._mixed_element
+    monkeypatch.setattr(gf2, "_mixed_element", lambda b, d: seen.append(d) or search(b, d))
+    j = np.eye(3, k=1, dtype=np.int64).tolist()
+    assert indecomposable_mod2(SigmaModule(2, 3, [j, j])) is True
+    space = gf2.realize(gf2.StringDatum5(gf2.XWord.parse("S7-R1~R15-S10")))
+    assert gf2.split_indecomposable(space)[0] is None
+    assert seen == [(3,), space.dims]
+
+
+def _units(n, cells):
+    """Matrix units E_ij of size n, one 1-tuple per cell (i, j)."""
+    out = []
+    for i, j in cells:
+        e = np.zeros((n, n), dtype=np.uint8)
+        e[i, j] = 1
+        out.append((e,))
+    return out
+
+
+def test_mixed_element_tries_pairwise_sums_past_the_enumeration_limit():
+    # 17 nilpotent basis elements: the strictly upper E_ij of size 6, E_21
+    # and E_31; no basis element is mixed, but E_12 + E_21 is, and it is
+    # the first mixed pair in the order of np.triu_indices
+    upper = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    basis = _units(6, upper + [(1, 0), (2, 0)])
+    assert len(basis) > gf2.ENUM_BITS
+    (f,) = gf2._mixed_element(basis, (6,))
+    want = np.zeros((6, 6), dtype=np.uint8)
+    want[0, 1] = want[1, 0] = 1
+    assert np.array_equal(f, want)
+    # 17 strictly upper E_ij of size 7: every pairwise sum is nilpotent too
+    with pytest.raises(ValueError, match=gf2.TOO_LARGE):
+        gf2._mixed_element(_units(7, [(i, j) for i in range(7)
+                                      for j in range(i + 1, 7)][:17]), (7,))
