@@ -470,17 +470,16 @@ def verify_A_alt_structure():
     """Identities of the two-object quotient where level 1 is annihilated.
 
     An identity x = y there means x - y lies in the two-sided ideal
-    generated by id1; membership is decided in the integral word lattice of
-    the faithful representation.
+    generated by id1; membership is decided level block by level block in
+    the integral word lattice of the faithful representation.
     """
-    from .faithful import shared_representation, word_lattice, ideal_lattice, _vec
+    from .faithful import hom_lattice, ideal_lattice, shared_representation, word_lattice, _vec
 
     rep = shared_representation()
-    lat, mats = word_lattice(rep)
-    ideal = ideal_lattice(rep, mats, rep.gen_mats["id1"])
+    ideal = ideal_lattice(rep, "id1")
 
     def member(expr):
-        return ideal.contains(_vec(rep.eval(expr)))
+        return expr.src is None or ideal.has(expr.src, expr.dst, rep.level_block(expr))
 
     e1 = P1 * H2 * P2 * H1
     e2 = P2 * H1 * P1 * H2
@@ -567,22 +566,15 @@ def verify_A_alt_structure():
     report["xi*f2 = xi"] = member(xi * f2 - xi)
     report["f2*eta = eta"] = member(f2 * eta - eta)
     # e3 A(3,2) = <xi> and A(2,3) e3 = <eta>, as lattices modulo the ideal
-    e3m = rep.eval(e3)
-    xim = rep.eval(xi)
-    etam = rep.eval(eta)
-    ok32 = True
-    ok23 = True
-    for col in lat.basis:
-        cand = e3m * rep.padded_block(col, 3, 2)
-        ok32 = ok32 and (
-            ideal.contains(_vec(cand)) or ideal.contains(_vec(cand - xim))
-        )
-        cand = rep.padded_block(col, 2, 3) * e3m
-        ok23 = ok23 and (
-            ideal.contains(_vec(cand)) or ideal.contains(_vec(cand - etam))
-        )
-    report["e3*A(3,2) = <xi>"] = ok32
-    report["A(2,3)*e3 = <eta>"] = ok23
+    e3m, xim, etam = (rep.level_block(x) for x in (e3, xi, eta))
+    report["e3*A(3,2) = <xi>"] = all(
+        ideal.has(3, 2, c) or ideal.has(3, 2, c - xim)
+        for c in (e3m * m for m in hom_lattice(rep, 3, 2))
+    )
+    report["A(2,3)*e3 = <eta>"] = all(
+        ideal.has(2, 3, c) or ideal.has(2, 3, c - etam)
+        for c in (m * e3m for m in hom_lattice(rep, 2, 3))
+    )
 
     # The level-3 corner modulo the ideal is the order inside Z x Mat(2, Z)
     # of pairs (a, B) with 3 | b12 and a = b22 (mod 3).  Certify this by
@@ -590,17 +582,11 @@ def verify_A_alt_structure():
     # integrally and multiplies like the standard basis of that order.
     from .matrix import LatticeSpan
 
-    def corner_of(cols):
-        span = LatticeSpan(rep.dom, rep.total * rep.total)
-        for col in cols:
-            span.insert(_vec(rep.padded_block(col, 3, 3)))
-        return span
-
-    corner = corner_of(lat.basis)
-    elems = [rep.eval(x) for x in (f1, f2, al1, al2, beta)]
-    span = corner_of(ideal.basis)
-    for x in elems:
-        span.insert(_vec(x))
+    corner = word_lattice(rep)[0].blocks[3, 3]
+    elems = [rep.level_block(x) for x in (f1, f2, al1, al2, beta)]
+    span = LatticeSpan(rep.dom, corner.n)
+    for vec in ideal.blocks[3, 3].basis + [_vec(x) for x in elems]:
+        span.insert(vec)
     report["corner spanned by f1,f2,a1,a2,beta"] = all(
         span.contains(c) for c in corner.basis
     ) and all(corner.contains(c) for c in span.basis)
@@ -629,7 +615,7 @@ def verify_A_alt_structure():
             for k, c in enumerate(coeffs):
                 if c:
                     diff = diff - elems[k] * c
-            table_ok = table_ok and ideal.contains(_vec(diff))
+            table_ok = table_ok and ideal.has(3, 3, diff)
     report["corner table matches congruence order"] = table_ok
 
     report["ok"] = all(v for k, v in report.items() if isinstance(v, bool))
@@ -638,13 +624,10 @@ def verify_A_alt_structure():
 
 def a_alt_algebra_dimension():
     """Q-dimension of the quotient algebra (regression value)."""
-    from .faithful import shared_representation, word_lattice, ideal_lattice, algebra_dimension
+    from .faithful import algebra_dimension, ideal_lattice, shared_representation
 
     rep = shared_representation()
-    total = algebra_dimension(rep)
-    lat, mats = word_lattice(rep)
-    ideal = ideal_lattice(rep, mats, rep.gen_mats["id1"])
-    return total - ideal.rank
+    return algebra_dimension(rep) - ideal_lattice(rep, "id1").rank
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,20 @@
 """Formal word calculus, the verification suites, and the quadruple ring."""
 
 import random
+from functools import lru_cache
 
 import pytest
 
 from cubefunc.domains import Z_HALF, ZZ
 from cubefunc.faithful import (
-    algebra_dimension, faithful_diagram, hom_lattice, shared_representation, word_lattice,
+    GradedLattice, algebra_dimension, faithful_diagram, hom_lattice, ideal_lattice,
+    shared_representation, word_lattice,
 )
 from cubefunc.functors import CubicDiagram, builtin, extract_diagram
 from cubefunc.matrix import LatticeSpan, Mat, in_column_lattice
 from cubefunc.presentation import ModuleMorphism
 from cubefunc.rings import (
+    GEN_TYPES,
     BRingElement,
     Expr,
     H,
@@ -26,6 +29,7 @@ from cubefunc.rings import (
     a11_subring,
     a_alt_algebra_dimension,
     cubic_relations,
+    halved_elements,
     verify_A_alt_structure,
     verify_prop31_identities,
     verify_relations,
@@ -223,7 +227,7 @@ class TestCornerSuites:
             assert all(v is True for k, v in report.items() if k != "resolution")
         assert isinstance(level1_report["resolution"], str)
 
-    @pytest.mark.parametrize("src, dst", [(1, 2), (1, 3)])
+    @pytest.mark.parametrize("src, dst", [(s, t) for s in (1, 2, 3) for t in (1, 2, 3)])
     def test_hom_lattice_basis_is_hermite(self, rep, src, dst, assert_column_hermite):
         # the incrementally built basis is the Hermite form of all corners
         # of the word lattice, checked here by its defining properties
@@ -284,16 +288,19 @@ class TestQuadrupleRing:
 
 
 def test_level_blocks_are_read_in_place(rep):
-    # the direct read of a word-lattice basis vector is id_dst * m * id_src
+    # a level block read off a word-lattice basis vector and padded back is
+    # id_dst * m * id_src, and every basis vector lives in one block
     lat, _ = word_lattice(rep)
     t = rep.total
     for col in lat.basis:
         m = Mat(ZZ, [col[i * t:(i + 1) * t] for i in range(t)])
+        nonzero = 0
         for src in (1, 2, 3):
             for dst in (1, 2, 3):
                 want = rep.gen_mats[f"id{dst}"] * m * rep.gen_mats[f"id{src}"]
-                assert rep.padded_block(col, src, dst) == want
-                assert rep.block(col, src, dst) == rep.corner(want, src, dst)
+                assert rep.pad(src, dst, rep.corner(m, src, dst)) == want
+                nonzero += not want.is_zero()
+        assert nonzero == 1
 
 
 @pytest.mark.parametrize("src", [1, 2, 3])
@@ -316,3 +323,108 @@ def test_algebra_dimension_is_the_word_lattice_rank(dom):
     # the word-lattice basis spans the generated algebra over Q
     rep = shared_representation(dom)
     assert algebra_dimension(rep) == word_lattice(rep)[0].rank == 39
+
+
+# The graded lattices against one flat LatticeSpan of vectorized 33x33
+# matrices, built from the grown matrices as the closure of the whole
+# algebra would build it.
+
+
+def _flat(m):
+    return [x for row in m.a for x in row]
+
+
+@lru_cache(maxsize=None)
+def _flat_lattices(dom):
+    rep = shared_representation(dom)
+    _, mats = word_lattice(rep)
+    words = LatticeSpan(rep.dom, rep.total ** 2)
+    for m in mats:
+        assert words.insert(_flat(m))
+    ideal = LatticeSpan(rep.dom, rep.total ** 2)
+    for b1 in mats:
+        left = b1 * rep.gen_mats["id1"]
+        for b2 in mats:
+            ideal.insert(_flat(left * b2))
+    return rep, words, ideal
+
+
+@pytest.fixture(params=[ZZ, Z_HALF], ids=str)
+def flat_oracle(request):
+    return _flat_lattices(request.param)
+
+
+def _same_lattice(graded, flat):
+    # over Z both are column Hermite forms, which are unique; over Z[1/2]
+    # column_hermite is no normal form (the flat span re-folds every block
+    # on each insert), so there the lattices are compared
+    assert graded.rank == flat.rank
+    if graded.rep.dom == ZZ:
+        assert graded.basis == flat.basis
+    assert all(flat.contains(v) for v in graded.basis)
+    assert all(graded.contains(v) for v in flat.basis)
+
+
+def test_word_and_ideal_lattices_match_the_flat_oracle(flat_oracle):
+    rep, words, ideal = flat_oracle
+    _same_lattice(word_lattice(rep)[0], words)
+    _same_lattice(ideal_lattice(rep, "id1"), ideal)
+
+
+def test_membership_matches_the_flat_oracle(flat_oracle):
+    rep, words, ideal = flat_oracle
+    rng = random.Random(5)
+    for graded, flat in ((word_lattice(rep)[0], words), (ideal_lattice(rep, "id1"), ideal)):
+        basis = graded.basis
+        probes = [[sum(xs) for xs in zip(*basis[k::3])] for k in range(3)]
+        for v in basis:
+            for i in (next(i for i, x in enumerate(v) if x), rng.randrange(len(v))):
+                w = list(v)
+                w[i] += 1
+                probes.append(w)
+        for v in probes:
+            assert graded.contains(v) == flat.contains(v)
+
+
+def test_alt_structure_membership_matches_the_flat_oracle(monkeypatch):
+    # every block membership that verify_A_alt_structure decides (all of
+    # them in the ideal, over ZZ), padded and decided again in the flat ideal
+    rep, _, ideal = _flat_lattices(ZZ)
+    seen = []
+    has = GradedLattice.has
+
+    def recording(self, src, dst, block):
+        got = has(self, src, dst, block)
+        seen.append((got, rep.pad(src, dst, block)))
+        return got
+
+    monkeypatch.setattr(GradedLattice, "has", recording)
+    assert verify_A_alt_structure()["ok"]
+    assert len(seen) > 60 and any(not got for got, _ in seen)
+    for got, m in seen:
+        assert got == ideal.contains(_flat(m))
+
+
+def test_eval_matches_the_padded_product_chain(flat_oracle):
+    rep = flat_oracle[0]
+    exprs = [Expr.zero(), ID1, H1 * P1 * H1 - H1 * 2, P1 * H2 * P2 * H1 * P1 - P1]
+    if rep.dom == Z_HALF:
+        exprs += list(halved_elements().values())
+    for expr in exprs:
+        want = Mat.zeros(rep.dom, rep.total, rep.total)
+        for w, c in expr.terms.items():
+            m = rep.gen_mats[w[-1]]
+            for g in reversed(w[:-1]):
+                m = rep.gen_mats[g] * m
+            want = want + m.scale(rep.dom.canon(c))
+        assert rep.eval(expr) == want
+
+
+def test_non_composable_products_vanish(flat_oracle):
+    # the closure skips g * b where b does not end where g starts
+    rep = flat_oracle[0]
+    lat, mats = word_lattice(rep)
+    for (_, t, _), m in zip(lat.grown, mats):
+        for name, (gs, _) in GEN_TYPES.items():
+            if gs != t:
+                assert (rep.gen_mats[name] * m).is_zero()

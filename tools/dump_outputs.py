@@ -1,14 +1,15 @@
 """Print the result of every benchmark op, one line per op.
 
 Runs the ops of the three workloads of perfbench/workloads.py (verify_z,
-extract_zhalf, decide) at seeds 0 and 1009, in order and in this one
-process, and prints for each op its workload, seed, label and the repr of
-its result.  An op that raises prints the exception instead.  Decompose
+extract_zhalf, decide) at the seeds given as arguments (default 0 and
+1009), in order and in this one process, and prints for each op its
+workload, seed, label and the repr of its result.  An op that raises prints the exception instead.  Decompose
 reports add their summand_dims(); a repr that holds a memory address
 prints the class name instead.  Two trees that give the same answers give
 byte-identical output, so a refactor can be checked with
 
     python3 tools/dump_outputs.py | sha1sum
+    python3 tools/dump_outputs.py $(seq 0 20) | sha1sum
 
 on both trees.
 """
@@ -32,12 +33,13 @@ def _show(result):
     return text
 
 
-def main():
+def main(argv=None):
+    seeds = [int(s) for s in (sys.argv[1:] if argv is None else argv)] or SEEDS
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     import workloads
 
     for name in WORKLOADS:
-        for seed in SEEDS:
+        for seed in seeds:
             for op in workloads.SETUPS[name](seed):
                 try:
                     shown = _show(op.run())
