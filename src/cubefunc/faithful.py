@@ -1,41 +1,35 @@
-"""A faithful matrix model of the structure-map calculus.
+"""A matrix model of the structure-map calculus.
 
 The direct sum of the diagrams of all seven built-in functors gives total
 spaces of ranks 6, 15, 12.  The six structure maps act on the 33-dimensional
-sum, and the rational algebra they generate turns out to have dimension 39,
-certifying that identities verified here hold in the defining presentation.
+sum, and the rational algebra they generate has dimension 39.  Nothing here
+shows that the model is faithful to the defining presentation: a "= 0"
+verdict decided here holds in the model, and a "!= 0" verdict transfers to
+the presented ring, which maps onto the model.
 
 The model is graded by level pair.  A word from level s to level t, and so
 every ``Expr`` (whose terms share one type), lives in the level block
-(s, t) of the 33x33 matrix: the Hom group A(s, t).  A product g * b of two
-words is zero unless g starts where b ends.  So words are multiplied as
-level blocks and padded to 33x33 only on request, and the word and ideal
-lattices are kept as one ``LatticeSpan`` of vectorized blocks per level
-pair: each is the direct sum of its nine block lattices, and a closure
-needs only the composable products.  Nothing is lost against one lattice of
-1,089-entry vectorized matrices: the blocks occupy disjoint entries, and
-row-major order within a block is the order of those entries in the big
-vector.  So over Z, where the column Hermite form of a lattice is unique,
-the embedded block bases sorted by pivot are exactly the Hermite basis of
-the big lattice.  Over Z[1/2] they span the same lattice, but the basis may
-differ: ``column_hermite`` there is no normal form, and the big lattice
-folds its whole basis again on every insert.
+(s, t) of the 33x33 matrix: the Hom group A(s, t).  Words are multiplied
+as level blocks, and the level ranks differ, so a product of two words that
+do not compose fails on its shapes.  The word and ideal lattices are kept as
+one ``LatticeSpan`` of vectorized blocks per level pair, and a closure needs
+only the composable products.  ``Representation.eval`` pads a block to the
+33x33 matrix for callers that want the whole matrix.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .domains import ZZ
 from .functors import FUNCTOR_IDS, builtin, extract_diagram
 from .matrix import LatticeSpan, Mat, RationalSpan
-from .rings import GEN_TYPES
+from .rings import GEN_TYPES, _evaluate, _gen_matrices
 
 LEVELS = (1, 2, 3)
 
 
 @lru_cache(maxsize=None)
-def faithful_diagram(dom=ZZ):
+def faithful_diagram(dom):
     """The direct sum of all built-in diagrams over the given domain."""
     total = None
     for fid in FUNCTOR_IDS:
@@ -48,19 +42,14 @@ class Representation:
     """Images of the nine generator letters on F1+F2+F3: each as its level
     block (``gen_blocks``) and as a padded 33x33 matrix (``gen_mats``)."""
 
-    def __init__(self, dom=ZZ):
+    def __init__(self, dom):
         self.dom = dom
         self.diagram = faithful_diagram(dom)
         dims = (self.diagram.F1.gens, self.diagram.F2.gens, self.diagram.F3.gens)
         self.dims = dims
         self.total = sum(dims)
         self.offset = {1: 0, 2: dims[0], 3: dims[0] + dims[1]}
-        maps = self.diagram.maps()
-        self.gen_blocks = {
-            name: Mat.identity(dom, dims[src - 1]) if name.startswith("id")
-            else maps[name].matrix
-            for name, (src, _) in GEN_TYPES.items()
-        }
+        self.gen_blocks = _gen_matrices(self.diagram)
         self.gen_mats = {
             name: self.pad(*GEN_TYPES[name], m) for name, m in self.gen_blocks.items()
         }
@@ -75,23 +64,11 @@ class Representation:
             a[i][co:co + len(row)] = row
         return Mat._trusted(self.dom, a, t, t)
 
-    def level_block(self, expr):
-        """The (src, dst) level block of a nonzero expression, its words
-        multiplied as blocks."""
-        d = self.dom
-        acc = Mat.zeros(d, self.dims[expr.dst - 1], self.dims[expr.src - 1])
-        for w, c in expr.terms.items():
-            m = self.gen_blocks[w[-1]]
-            for g in reversed(w[:-1]):
-                m = self.gen_blocks[g] * m
-            acc = acc + m.scale(d.canon(c))
-        return acc
-
     def eval(self, expr):
         """The 33x33 matrix of a formal expression (padded to full size)."""
         if expr.src is None:
             return Mat.zeros(self.dom, self.total, self.total)
-        return self.pad(expr.src, expr.dst, self.level_block(expr))
+        return self.pad(expr.src, expr.dst, _evaluate(expr, self.gen_blocks))
 
     def corner(self, big, lvl_src, lvl_dst):
         ro, co = self.offset[lvl_dst], self.offset[lvl_src]
@@ -102,15 +79,11 @@ class Representation:
 
 
 class GradedLattice:
-    """A lattice of 33x33 matrices that each live in one level block, kept
-    as one LatticeSpan of vectorized blocks per level pair (src, dst).
-
-    ``basis``, ``rank`` and ``contains`` read it as the lattice of the
-    vectorized 33x33 matrices; ``grown`` lists (src, dst, block) of every
-    insert that grew it, in order."""
+    """A lattice of level blocks, kept as one LatticeSpan of vectorized
+    blocks per level pair (src, dst); ``grown`` lists (src, dst, block) of
+    every insert that grew it, in order."""
 
     def __init__(self, rep):
-        self.rep = rep
         self.blocks = {
             (s, t): LatticeSpan(rep.dom, rep.dims[t - 1] * rep.dims[s - 1])
             for s in LEVELS for t in LEVELS
@@ -132,25 +105,9 @@ class GradedLattice:
     def rank(self):
         return sum(lat.rank for lat in self.blocks.values())
 
-    @property
-    def basis(self):
-        """The block bases in place in vectorized 33x33 matrices, by pivot."""
-        rep = self.rep
-        cols = [
-            _vec(rep.pad(s, t, _unvec(rep.dom, v, rep.dims[s - 1])))
-            for (s, t), lat in self.blocks.items() for v in lat.basis
-        ]
-        return sorted(cols, key=lambda v: next(i for i, x in enumerate(v) if x))
-
-    def contains(self, vec):
-        """Whether the lattice holds the vectorized 33x33 matrix vec: each
-        of its level blocks lies in the lattice of that block."""
-        m = _unvec(self.rep.dom, vec, self.rep.total)
-        return all(self.has(s, t, self.rep.corner(m, s, t)) for s, t in self.blocks)
-
 
 @lru_cache(maxsize=None)
-def shared_representation(dom=ZZ):
+def shared_representation(dom):
     """A memoized Representation; the verification suites all share it."""
     return Representation(dom)
 
@@ -169,16 +126,20 @@ MAX_ROUNDS = 16   # rounds of the word-lattice closure before it gives up
 
 def algebra_dimension(rep):
     """Dimension over Q of the unital algebra generated by the images: the
-    rank over Q of the word-lattice basis, which spans that algebra."""
-    span = RationalSpan(rep.total * rep.total)
-    for vec in word_lattice(rep)[0].basis:
-        span.insert(vec)
-    return span.rank
+    rank over Q of the word-lattice basis, which spans that algebra.  The
+    level blocks occupy disjoint entries, so their ranks add up."""
+    dim = 0
+    for lat in word_lattice(rep).blocks.values():
+        span = RationalSpan(lat.n)
+        for vec in lat.basis:
+            span.insert(vec)
+        dim += span.rank
+    return dim
 
 
 def word_lattice(rep):
     """The span over the base domain of all composable generator words, as
-    a GradedLattice, with the 33x33 matrices that grew it.
+    a GradedLattice.
 
     The generator blocks go in first, then every product g * b of a
     generator g with a block b that grew the lattice in the previous round
@@ -198,15 +159,15 @@ def word_lattice(rep):
                 if bt == gs:
                     lat.insert(bs, gt, g * b)
         if len(lat.grown) == done:
-            rep._word_lattice = (lat, [rep.pad(*x) for x in lat.grown])
-            return rep._word_lattice
+            rep._word_lattice = lat
+            return lat
     raise RuntimeError("word lattice did not stabilize")
 
 
 def hom_lattice(rep, src, dst):
     """An integral basis, as level-block matrices, of the words from level
     src to level dst: the basis of block (src, dst) of the word lattice."""
-    lat = word_lattice(rep)[0].blocks[src, dst]
+    lat = word_lattice(rep).blocks[src, dst]
     return [_unvec(rep.dom, v, rep.dims[src - 1]) for v in lat.basis]
 
 
@@ -220,7 +181,7 @@ def ideal_lattice(rep, name):
         return cache[name]
     gs, gt = GEN_TYPES[name]
     g = rep.gen_blocks[name]
-    grown = word_lattice(rep)[0].grown
+    grown = word_lattice(rep).grown
     lat = GradedLattice(rep)
     for s1, t1, b1 in grown:
         if s1 == gt:

@@ -15,7 +15,6 @@ from .matrix import (
     kernel as mat_kernel,
     smith_normal_form,
     smith_solve,
-    solve as mat_solve,
 )
 
 
@@ -95,9 +94,6 @@ class FpPresentation:
         given a matrix, whether every one of its columns is."""
         u, s = self._smith_form()
         return smith_solve(u, s, col) is not None
-
-    def elements_equal(self, c1, c2):
-        return self.element_is_zero(c1 - c2)
 
 
 class ModuleMorphism:
@@ -195,15 +191,6 @@ def image(f):
     return pres, incl
 
 
-def cokernel(f):
-    """Cokernel of f as (presentation, projection morphism from the target)."""
-    d = f.target.dom
-    rels = f.target.relations.hstack(f.matrix)
-    pres = FpPresentation(d, f.target.gens, rels)
-    proj = ModuleMorphism(f.target, pres, Mat.identity(d, f.target.gens), check=False)
-    return pres, proj
-
-
 def direct_sum(summands):
     """Direct sum with split injections and projections."""
     if not summands:
@@ -224,15 +211,3 @@ def direct_sum(summands):
         projections.append(ModuleMorphism(pres, p, prj, check=False))
         offset += p.gens
     return pres, injections, projections
-
-
-def morphism_solve(f, y):
-    """A column x (source coordinates) with f(x) = y in the target, or None.
-
-    y may have several columns; solved jointly.
-    """
-    big = f.matrix.hstack(f.target.relations)
-    x = mat_solve(big, y)
-    if x is None:
-        return None
-    return x.submatrix(range(f.source.gens), range(x.cols))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .domains import ZZ as ZZ_, Z_HALF
-from .matrix import Mat
+from .matrix import LatticeSpan, Mat, solve as mat_solve
 
 # generator -> (source level, target level)
 GEN_TYPES = {
@@ -87,7 +87,7 @@ class Expr:
         return Expr(t)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + self._coerced(other).scale(-1)
 
     def __neg__(self):
         return self.scale(-1)
@@ -100,6 +100,7 @@ class Expr:
         """Formal composition: (self * other) means self after other."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        other = self._coerced(other)
         t = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -117,28 +118,28 @@ class Expr:
             return "Expr(0)"
         parts = []
         for w, c in sorted(self.terms.items()):
-            name = "".join(w[::-1]) if w else "1"
             parts.append(f"{c}*{'.'.join(w)}")
         return "Expr(" + " + ".join(parts) + ")"
 
     def evaluate(self, diagram):
         """The matrix of this expression on a CubicDiagram."""
-        mats = _gen_matrices(diagram)
-        dims = {
-            1: diagram.F1.gens,
-            2: diagram.F2.gens,
-            3: diagram.F3.gens,
-        }
-        d = diagram.dom
-        if self.src is None:
-            raise ValueError("zero expression has no shape; compare via defect")
-        acc = Mat.zeros(d, dims[self.dst], dims[self.src])
-        for w, c in self.terms.items():
-            m = mats[w[-1]]
-            for g in reversed(w[:-1]):
-                m = mats[g] * m
-            acc = acc + m.scale(d.canon(c))
-        return acc
+        return _evaluate(self, _gen_matrices(diagram))
+
+
+def _evaluate(expr, mats):
+    """The matrix of expr with each letter read as the matrix mats[letter]:
+    each word multiplied right to left, and the words summed with their
+    coefficients.  The identity letters give the shapes of the levels."""
+    if expr.src is None:
+        raise ValueError("zero expression has no shape; compare via defect")
+    d = mats["id1"].dom
+    acc = Mat.zeros(d, mats[f"id{expr.dst}"].rows, mats[f"id{expr.src}"].rows)
+    for w, c in expr.terms.items():
+        m = mats[w[-1]]
+        for g in reversed(w[:-1]):
+            m = mats[g] * m
+        acc = acc + m.scale(d.canon(c))
+    return acc
 
 
 def _concat(w1, w2):
@@ -258,13 +259,10 @@ def a11_subring():
     matches its multiplication table against span{(1,1,1),(2,0,0),(0,6,0)}
     inside Z^3.
     """
-    from .faithful import hom_lattice, shared_representation, _vec
-    from .matrix import LatticeSpan, solve as mat_solve
+    from .faithful import shared_representation, word_lattice, _vec
 
-    rep = shared_representation()
-    one = rep.eval(ID1)
-    ph = rep.eval(P * H)
-    bar = rep.eval(PBAR * HBAR)
+    rep = shared_representation(ZZ_)
+    one, ph, bar = (_evaluate(x, rep.gen_blocks) for x in (ID1, P * H, PBAR * HBAR))
     a = ph - bar
     # the naive reading b = ph fails b^2 = 6b (ph has eigenvalue 2 on the
     # degree-2 part of the representable); the barred composite is the one
@@ -280,19 +278,14 @@ def a11_subring():
         "(ph)^2 = 6(ph) fails": not (ph * ph - ph.scale(6)).is_zero(),
     }
     # the integral corner at level 1 is spanned by {1, a, b}
-    corner = hom_lattice(rep, 1, 1)
-    n = rep.dims[0]
-    span = LatticeSpan(rep.dom, n * n)
-    basis = [rep.corner(one, 1, 1), rep.corner(a, 1, 1), rep.corner(b, 1, 1)]
-    for m in basis:
-        span.insert(_vec(m))
-    report["corner rank 3"] = len(corner) == 3 and span.rank == 3
-    report["{1,a,b} spans the corner"] = all(
-        span.contains(_vec(c)) for c in corner
-    )
+    corner = word_lattice(rep).blocks[1, 1]
+    basis = [one, a, b]
+    vecs = [_vec(m) for m in basis]
+    report["corner rank 3"] = corner.rank == 3 and _lattice(rep.dom, vecs).rank == 3
+    report["{1,a,b} spans the corner"] = _same_lattice(rep.dom, vecs, corner.basis)
     # multiplication table against the Z^3 model
     model = [(1, 1, 1), (2, 0, 0), (0, 6, 0)]
-    bmat = Mat.hstack_all(ZZ_, [Mat.column(ZZ_, _vec(m)) for m in basis])
+    bmat = Mat.hstack_all(ZZ_, [Mat.column(ZZ_, v) for v in vecs])
     table_ok = True
     for i in range(3):
         for j in range(3):
@@ -312,6 +305,23 @@ def a11_subring():
     report["multiplication table matches Z^3 span"] = table_ok
     report["ok"] = all(v for k, v in report.items() if isinstance(v, bool))
     return report
+
+
+def _lattice(dom, vecs):
+    """The LatticeSpan over dom of vecs, a nonempty list of vectors of one
+    length."""
+    span = LatticeSpan(dom, len(vecs[0]))
+    for v in vecs:
+        span.insert(v)
+    return span
+
+
+def _same_lattice(dom, xs, ys):
+    """Whether the vector lists xs and ys span the same lattice over dom:
+    each is folded into a LatticeSpan, and each basis is tested in the
+    other span."""
+    a, b = _lattice(dom, xs), _lattice(dom, ys)
+    return all(a.contains(v) for v in b.basis) and all(b.contains(v) for v in a.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +368,14 @@ def halved_elements():
 
 def verify_prop31_identities():
     """Every bullet identity of the 2-divisible structure theorem's proof,
-    checked as exact matrix identities over Z[1/2]."""
-    from .domains import Z_HALF
-    from .faithful import hom_lattice, shared_representation, _vec
-    from .matrix import LatticeSpan
+    checked as an exact identity of level blocks over Z[1/2].  Each element
+    is evaluated once, as its level block, so a product of two elements
+    that do not compose fails on its shapes instead of vanishing."""
+    from .faithful import hom_lattice, shared_representation, word_lattice, _vec
 
     rep = shared_representation(Z_HALF)
-    E = {k: rep.eval(v) for k, v in halved_elements().items()}
-    for name in ("h", "p", "h1", "h2", "p1", "p2", "id1", "id2", "id3"):
-        E[name] = rep.gen_mats[name]
+    E = {k: _evaluate(v, rep.gen_blocks) for k, v in halved_elements().items()}
+    E.update(rep.gen_blocks)
     half = Z_HALF.canon(Fraction(1, 2))
 
     def zero(m):
@@ -404,11 +413,13 @@ def verify_prop31_identities():
     report["b3*a3*b3 = 3b3"] = zero(E["b3"] * E["a3"] * E["b3"] - E["b3"].scale(3))
     report["(p1/2)*h1 = e2"] = zero(E["p1"].scale(half) * E["h1"] - E["e2"])
     report["h1*(p1/2) = e3"] = zero(E["h1"] * E["p1"].scale(half) - E["e3"])
-    for i in ("1", "2"):
+    # h_i and p_i kill the idempotent of the other index: e2 = p1h1/2 and
+    # f2 = p2h2/2, and h1*p2 = h2*p1 = 0
+    for i, x in (("1", "f2"), ("2", "e2")):
         report[f"g*p{i} = 0"] = zero(E["g"] * E["p" + i])
         report[f"h{i}*g = 0"] = zero(E["h" + i] * E["g"])
-        report[f"f2*h{i} = 0"] = zero(E["f2"] * E["h" + i])
-        report[f"p{i}*f2 = 0"] = zero(E["p" + i] * E["f2"])
+        report[f"h{i}*{x} = 0"] = zero(E["h" + i] * E[x])
+        report[f"{x}*p{i} = 0"] = zero(E[x] * E["p" + i])
     report["g2*h = 0"] = zero(E["g2"] * E["h"])
     report["p*g2 = 0"] = zero(E["p"] * E["g2"])
 
@@ -431,32 +442,19 @@ def verify_prop31_identities():
     E["b3*a3"] = E["b3"] * E["a3"]
     claims[2][0].extend(["v1*b2", "b2*v2"])
     claims[3][0].extend(["a3*b3", "b3*a3"])
+    words = word_lattice(rep)
     for lvl, (names, count) in claims.items():
-        n = rep.dims[lvl - 1]
-        corner = hom_lattice(rep, lvl, lvl)
-        span = LatticeSpan(rep.dom, n * n)
-        for name in names:
-            span.insert(_vec(rep.corner(E[name], lvl, lvl)))
-        report[f"level {lvl} basis is independent"] = span.rank == count
-        report[f"level {lvl} basis spans the corner"] = len(corner) == count and all(
-            span.contains(_vec(c)) for c in corner
+        corner = words.blocks[lvl, lvl]
+        vecs = [_vec(E[name]) for name in names]
+        report[f"level {lvl} basis is independent"] = _lattice(rep.dom, vecs).rank == count
+        report[f"level {lvl} basis spans the corner"] = corner.rank == count and _same_lattice(
+            rep.dom, vecs, corner.basis
         )
     # g A2 = A2 g = <g1, g2>
-    gspan = LatticeSpan(rep.dom, rep.dims[1] ** 2)
-    for name in ("g1", "g2"):
-        gspan.insert(_vec(rep.corner(E[name], 2, 2)))
-    gm = rep.corner(E["g"], 2, 2)
-    left = LatticeSpan(rep.dom, rep.dims[1] ** 2)
-    right = LatticeSpan(rep.dom, rep.dims[1] ** 2)
-    for m in hom_lattice(rep, 2, 2):
-        left.insert(_vec(gm * m))
-        right.insert(_vec(m * gm))
-    report["g*A2 = <g1,g2>"] = all(gspan.contains(c) for c in left.basis) and all(
-        left.contains(c) for c in gspan.basis
-    )
-    report["A2*g = <g1,g2>"] = all(gspan.contains(c) for c in right.basis) and all(
-        right.contains(c) for c in gspan.basis
-    )
+    gm, a2 = E["g"], hom_lattice(rep, 2, 2)
+    g12 = [_vec(E["g1"]), _vec(E["g2"])]
+    report["g*A2 = <g1,g2>"] = _same_lattice(rep.dom, [_vec(gm * m) for m in a2], g12)
+    report["A2*g = <g1,g2>"] = _same_lattice(rep.dom, [_vec(m * gm) for m in a2], g12)
     report["ok"] = all(v for k, v in report.items() if isinstance(v, bool))
     return report
 
@@ -475,11 +473,14 @@ def verify_A_alt_structure():
     """
     from .faithful import hom_lattice, ideal_lattice, shared_representation, word_lattice, _vec
 
-    rep = shared_representation()
+    rep = shared_representation(ZZ_)
     ideal = ideal_lattice(rep, "id1")
 
+    def block(expr):
+        return _evaluate(expr, rep.gen_blocks)
+
     def member(expr):
-        return expr.src is None or ideal.has(expr.src, expr.dst, rep.level_block(expr))
+        return expr.src is None or ideal.has(expr.src, expr.dst, block(expr))
 
     e1 = P1 * H2 * P2 * H1
     e2 = P2 * H1 * P1 * H2
@@ -566,7 +567,7 @@ def verify_A_alt_structure():
     report["xi*f2 = xi"] = member(xi * f2 - xi)
     report["f2*eta = eta"] = member(f2 * eta - eta)
     # e3 A(3,2) = <xi> and A(2,3) e3 = <eta>, as lattices modulo the ideal
-    e3m, xim, etam = (rep.level_block(x) for x in (e3, xi, eta))
+    e3m, xim, etam = (block(x) for x in (e3, xi, eta))
     report["e3*A(3,2) = <xi>"] = all(
         ideal.has(3, 2, c) or ideal.has(3, 2, c - xim)
         for c in (e3m * m for m in hom_lattice(rep, 3, 2))
@@ -580,16 +581,11 @@ def verify_A_alt_structure():
     # of pairs (a, B) with 3 | b12 and a = b22 (mod 3).  Certify this by
     # checking that {f1, f2, a1, a2, beta} spans the corner lattice
     # integrally and multiplies like the standard basis of that order.
-    from .matrix import LatticeSpan
-
-    corner = word_lattice(rep)[0].blocks[3, 3]
-    elems = [rep.level_block(x) for x in (f1, f2, al1, al2, beta)]
-    span = LatticeSpan(rep.dom, corner.n)
-    for vec in ideal.blocks[3, 3].basis + [_vec(x) for x in elems]:
-        span.insert(vec)
-    report["corner spanned by f1,f2,a1,a2,beta"] = all(
-        span.contains(c) for c in corner.basis
-    ) and all(corner.contains(c) for c in span.basis)
+    corner = word_lattice(rep).blocks[3, 3]
+    elems = [block(x) for x in (f1, f2, al1, al2, beta)]
+    report["corner spanned by f1,f2,a1,a2,beta"] = _same_lattice(
+        rep.dom, ideal.blocks[3, 3].basis + [_vec(x) for x in elems], corner.basis
+    )
 
     def model_mul(x, y):
         (ax, bx), (ay, by) = x, y
@@ -626,7 +622,7 @@ def a_alt_algebra_dimension():
     """Q-dimension of the quotient algebra (regression value)."""
     from .faithful import algebra_dimension, ideal_lattice, shared_representation
 
-    rep = shared_representation()
+    rep = shared_representation(ZZ_)
     return algebra_dimension(rep) - ideal_lattice(rep, "id1").rank
 
 

@@ -20,7 +20,7 @@ from collections import namedtuple
 import numpy as np
 
 from .domains import Z_HALF, Zloc, _is_prime
-from .matrix import LatticeSpan, Mat, lattice_equal
+from .matrix import LatticeSpan, Mat
 from .polys import companion_matrix, primary_root, reciprocal
 from .presentation import FpPresentation, ModuleMorphism, compose
 
@@ -135,20 +135,6 @@ class BModuleDiagram:
 
     def invariant_factors(self):
         return tuple(m.invariant_factors() for m in self.modules())
-
-    def is_3_power_torsion(self):
-        d = self.dom
-        three = d.canon(3)
-        for torsion, free in self.invariant_factors():
-            if free:
-                return False
-            for factor, _ in torsion:
-                f = factor
-                while d.divides(three, f):
-                    f = d.div(f, three)
-                if not d.is_unit(f):
-                    return False
-        return True
 
 
 def projective_diagram(c, dom=Z_HALF):
@@ -551,45 +537,6 @@ def build_band_module(b, dom=Z_HALF):
             )
     rel_vectors.append((lvl, closing))
     return _quotient_by(cover, rel_vectors)
-
-
-def reversal_intertwiner(d, dom=Z_HALF):
-    """Explicit map carrying M^D onto the module of the reversed diagram.
-
-    Reversing the generator order permutes the projective summands of the
-    free cover; the result is the per-level permutation matrices, after
-    checking they carry one relation lattice exactly onto the other.
-    """
-    rev = d.reverse()
-    md, mr = build_string_module(d, dom), build_string_module(rev, dom)
-    cd, cr = _FreeCover(d.components(), dom), _FreeCover(rev.components(), dom)
-    n = d.n
-    perms = []
-    for lvl in range(3):
-        size = cd.diagram.modules()[lvl].gens
-        P = Mat.zeros(dom, size, size)
-        for m in range(n):
-            # summand m of the cover of D becomes summand n-1-m for D*
-            piece = projective_diagram(cd.comps[m], dom).modules()[lvl]
-            if piece.gens == 0:
-                continue
-            src = _block_offset(cd, m, lvl)
-            dst = _block_offset(cr, n - 1 - m, lvl)
-            for i in range(piece.gens):
-                P.a[dst + i][src + i] = dom.one()
-        perms.append(P)
-    for P, fwd, bwd in zip(perms, md.modules(), mr.modules()):
-        if not lattice_equal(P * fwd.relations, bwd.relations):
-            raise ValueError("generator reversal does not match the lattices")
-    return perms
-
-
-def _block_offset(cover, m, lvl):
-    """Coordinate offset of summand m inside level lvl of the free cover."""
-    off = 0
-    for j in range(m):
-        off += projective_diagram(cover.comps[j], cover.dom).modules()[lvl].gens
-    return off
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def _induction_data():
     """
     from .faithful import hom_lattice, shared_representation
 
-    rep = shared_representation()
+    rep = shared_representation(ZZ)
     w2 = hom_lattice(rep, 1, 2)
     w3 = hom_lattice(rep, 1, 3)
     one = rep.eval(ID1)
