@@ -1,15 +1,15 @@
-"""Exact coefficient domains: Z, localizations, Z[1/S], Z/m, and small finite fields.
+"""Exact coefficient domains: Z, localizations, Z[1/S] and Z/m.
 
-Every element is a plain Python value (int, Fraction, or coefficient tuple)
-kept in a canonical form chosen by the domain; all arithmetic is exact.
+Every element is a plain Python int or Fraction kept in a canonical form
+chosen by the domain; all arithmetic is exact.  The prime field GF(p) is
+Z/p: ``GF(p)`` checks that p is prime and returns ``Zmod(p)``.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-
-from .polys import first_irreducible, poly_divmod, poly_mul, poly_pow
+from math import gcd
 
 
 def _is_prime(n: int) -> bool:
@@ -25,23 +25,6 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-def _prime_power(q: int):
-    """Return (p, k) with q == p**k, or None if q is not a prime power."""
-    if q < 2:
-        return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            return (q, 1) if _is_prime(q) else None
-        if q % p:
-            continue
-        k, m = 0, q
-        while m % p == 0:
-            m //= p
-            k += 1
-        return (p, k) if m == 1 else None
-    return None
 
 
 def _as_int(x):
@@ -67,21 +50,16 @@ class Domain:
     - "Z"    : the integers
     - "loc"  : Z localized at a prime p (fractions with denominator prime to p)
     - "inv"  : Z with a set of primes inverted, e.g. Z[1/2]
-    - "mod"  : Z/m
-    - "gf"   : the field GF(q), q a prime power
+    - "mod"  : Z/m, a field when m is prime
     """
 
-    __slots__ = ("kind", "p", "inverted", "m", "q", "char", "deg", "_modulus")
+    __slots__ = ("kind", "p", "inverted", "m")
 
-    def __init__(self, kind, p=None, inverted=None, m=None, q=None):
+    def __init__(self, kind, p=None, inverted=None, m=None):
         self.kind = kind
         self.p = p
         self.inverted = tuple(sorted(inverted)) if inverted else None
         self.m = m
-        self.q = q
-        self.char = None
-        self.deg = None
-        self._modulus = None
         if kind == "loc":
             if not _is_prime(p):
                 raise ValueError(f"localization prime must be prime, got {p}")
@@ -91,20 +69,13 @@ class Domain:
         elif kind == "mod":
             if m < 2:
                 raise ValueError(f"modulus must be >= 2, got {m}")
-        elif kind == "gf":
-            pk = _prime_power(q)
-            if pk is None:
-                raise ValueError(f"GF order must be a prime power, got {q}")
-            self.char, self.deg = pk
-            if self.deg > 1:
-                self._modulus = first_irreducible(self.char, self.deg) + (1,)
         elif kind != "Z":
             raise ValueError(f"unknown domain kind {kind!r}")
 
     # -- identity / hashing -------------------------------------------------
 
     def _key(self):
-        return (self.kind, self.p, self.inverted, self.m, self.q)
+        return (self.kind, self.p, self.inverted, self.m)
 
     def __eq__(self, other):
         return isinstance(other, Domain) and self._key() == other._key()
@@ -119,15 +90,13 @@ class Domain:
             return f"Z_({self.p})"
         if self.kind == "inv":
             return "Z[1/{}]".format(",".join(str(x) for x in self.inverted))
-        if self.kind == "mod":
-            return f"Z/{self.m}"
-        return f"GF({self.q})"
+        return f"Z/{self.m}"
 
     # -- structural predicates ----------------------------------------------
 
     @property
     def is_field(self):
-        return self.kind == "gf" or (self.kind == "mod" and _is_prime(self.m))
+        return self.kind == "mod" and _is_prime(self.m)
 
     @property
     def is_pid(self):
@@ -137,19 +106,14 @@ class Domain:
 
     @property
     def characteristic(self):
-        if self.kind == "gf":
-            return self.char
-        if self.kind == "mod":
-            return self.m
-        return 0
+        return self.m if self.kind == "mod" else 0
 
     # -- element arithmetic --------------------------------------------------
 
     def canon(self, x):
-        """Canonical form of an element given as an int (or numpy integer),
-        a Fraction, or a coefficient tuple over GF(p^k), k > 1.  A float or
-        another type raises TypeError; a proper fraction over Z, Z/m or
-        GF(q) raises ValueError."""
+        """Canonical form of an element given as an int (or numpy integer)
+        or a Fraction.  A float or another type raises TypeError; a proper
+        fraction over Z or Z/m raises ValueError."""
         if self.kind == "Z":
             return x if type(x) is int else _as_int(x)
         if self.kind in ("loc", "inv"):
@@ -157,17 +121,7 @@ class Domain:
                 x = Fraction(x if type(x) is int or isinstance(x, Fraction) else _as_int(x))
             self._check_denominator(x.denominator)
             return x
-        if self.kind == "mod":
-            return (x if type(x) is int else _as_int(x)) % self.m
-        # gf
-        if self.deg == 1:
-            return (x if type(x) is int else _as_int(x)) % self.char
-        if not isinstance(x, (tuple, list)):
-            return (_as_int(x) % self.char,) + (0,) * (self.deg - 1)
-        t = tuple(_as_int(c) % self.char for c in x)
-        if len(t) != self.deg:
-            raise ValueError(f"GF({self.q}) element needs {self.deg} coefficients")
-        return t
+        return (x if type(x) is int else _as_int(x)) % self.m
 
     def _check_denominator(self, d):
         if self.kind == "loc":
@@ -187,44 +141,24 @@ class Domain:
         return self.canon(1)
 
     def add(self, a, b):
-        if self.kind == "gf" and self.deg > 1:
-            return tuple((x + y) % self.char for x, y in zip(a, b))
         if self.kind == "mod":
             return (a + b) % self.m
-        if self.kind == "gf":
-            return (a + b) % self.char
         return a + b
 
     def neg(self, a):
-        if self.kind == "gf" and self.deg > 1:
-            return tuple((-x) % self.char for x in a)
         if self.kind == "mod":
             return (-a) % self.m
-        if self.kind == "gf":
-            return (-a) % self.char
         return -a
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if self.kind == "gf" and self.deg > 1:
-            return self._gf_reduce(poly_mul(self.char, a, b))
         if self.kind == "mod":
             return (a * b) % self.m
-        if self.kind == "gf":
-            return (a * b) % self.char
         return a * b
 
-    def _gf_reduce(self, c):
-        """A polynomial as an element: its remainder mod the field's
-        modulus, padded to deg coefficients."""
-        r = poly_divmod(self.char, c, self._modulus)[1]
-        return r + (0,) * (self.deg - len(r))
-
     def is_zero(self, a):
-        if self.kind == "gf" and self.deg > 1:
-            return all(c == 0 for c in a)
         return a == 0
 
     def is_unit(self, a):
@@ -240,11 +174,7 @@ class Domain:
                 while n % p == 0:
                     n //= p
             return n == 1
-        if self.kind == "mod":
-            from math import gcd
-
-            return gcd(a, self.m) == 1
-        return True  # field, nonzero
+        return gcd(a, self.m) == 1
 
     def inv(self, a):
         if not self.is_unit(a):
@@ -253,12 +183,7 @@ class Domain:
             return a
         if self.kind in ("loc", "inv"):
             return 1 / Fraction(a)
-        if self.kind == "mod":
-            return pow(a, -1, self.m)
-        if self.deg == 1:
-            return pow(a, -1, self.char)
-        # extension field: a^(q-2)
-        return self._gf_reduce(poly_pow(self.char, a, self.q - 2, self._modulus))
+        return pow(a, -1, self.m)
 
     def div(self, a, b):
         """Exact division a/b; raises if not exact in the domain."""
@@ -276,7 +201,10 @@ class Domain:
         raise UnsupportedDomainError(f"division not supported in {self}")
 
     def divides(self, a, b):
-        """Whether a | b in the domain."""
+        """Whether a | b in the domain.  In Z/m, a is associate to
+        gcd(a, m), so a | b iff gcd(a, m) | b."""
+        if self.kind == "mod":
+            return b % gcd(a, self.m) == 0
         if self.is_zero(a):
             return self.is_zero(b)
         try:
@@ -286,16 +214,16 @@ class Domain:
             return False
 
     def canonical_associate(self, a):
-        """The canonical representative of a up to units (PID domains)."""
+        """The canonical representative of a up to units: |a| in Z, the
+        p-part in Z_(p), a with the inverted primes stripped in Z[1/S],
+        and gcd(a, m) in Z/m (0 for 0, 1 for a unit)."""
         if self.is_zero(a):
             return self.zero()
-        if self.is_field:
-            return self.one()
+        if self.kind == "mod":
+            return gcd(a, self.m)
         if self.kind == "Z":
             return abs(a)
-        f = Fraction(a)
-        n = abs(f.numerator)
-        primes = (self.p,) if self.kind == "loc" else self.inverted
+        n = abs(Fraction(a).numerator)
         if self.kind == "loc":
             # keep only the p-part
             k = 0
@@ -304,7 +232,7 @@ class Domain:
                 k += 1
             return Fraction(self.p**k)
         # inv: strip inverted primes
-        for p in primes:
+        for p in self.inverted:
             while n % p == 0:
                 n //= p
         return Fraction(n)
@@ -319,40 +247,21 @@ class Domain:
             d["inverted"] = list(self.inverted)
         elif self.kind == "mod":
             d["m"] = self.m
-        elif self.kind == "gf":
-            d["q"] = self.q
         return d
 
     @staticmethod
     def from_json(d):
-        return Domain(
-            d["kind"],
-            p=d.get("p"),
-            inverted=d.get("inverted"),
-            m=d.get("m"),
-            q=d.get("q"),
-        )
+        return Domain(d["kind"], p=d.get("p"), inverted=d.get("inverted"), m=d.get("m"))
 
     def elem_to_str(self, a):
-        if self.kind == "gf" and self.deg > 1:
-            return ",".join(str(c) for c in a)
         if isinstance(a, Fraction):
             return f"{a.numerator}/{a.denominator}" if a.denominator != 1 else str(a.numerator)
         return str(a)
 
     def elem_from_str(self, s):
-        if self.kind == "gf" and self.deg > 1:
-            return self.canon(tuple(int(c) for c in s.split(",")))
         if "/" in s:
             return self.canon(Fraction(s))
         return self.canon(int(s))
-
-
-# Common domains
-ZZ = Domain("Z")
-GF2 = Domain("gf", q=2)
-GF3 = Domain("gf", q=3)
-Z_HALF = Domain("inv", inverted=(2,))
 
 
 def Zloc(p):
@@ -363,5 +272,15 @@ def Zmod(m):
     return Domain("mod", m=m)
 
 
-def GF(q):
-    return Domain("gf", q=q)
+def GF(p):
+    """The prime field GF(p), which is Z/p."""
+    if not _is_prime(p):
+        raise ValueError(f"GF order must be prime, got {p}")
+    return Zmod(p)
+
+
+# Common domains
+ZZ = Domain("Z")
+GF2 = GF(2)
+GF3 = GF(3)
+Z_HALF = Domain("inv", inverted=(2,))

@@ -13,7 +13,8 @@ Everything is list-of-lists with canonical domain elements; no floats ever.
 slicing results are built from entries that are canonical already and are
 trusted, not re-canonicalized: the domain's element operations return
 canonical elements, and so do the native int/Fraction ``+`` and ``*`` with
-which products over Z, Z_(p) and Z[1/S] accumulate.
+which products over Z, Z_(p) and Z[1/S] accumulate; over Z/m each product
+row is reduced mod m once it is accumulated.
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ class Mat:
                 f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
-    # A falsy entry is zero in every domain (coefficient tuples are never
-    # falsy), so the elementwise operations skip the zero operands.
+    # A falsy entry is zero in every domain, so the elementwise operations
+    # skip the zero operands.
 
     def __add__(self, other):
         self._check_addable(other)
@@ -167,33 +168,25 @@ class Mat:
             )
         _check_same_domain(self, other)
         d = self.dom
+        m = d.m  # the modulus of Z/m, None for the Z-like domains
         z = d.zero()
         n = other.cols
+        # nonzero (column, entry) pairs of each right row, indexed once
+        right = [
+            [(j, y) for j, y in enumerate(row) if y] if any(row) else ()
+            for row in other.a
+        ]
         out = []
-        if d.kind in _NATIVE:
-            # nonzero (column, entry) pairs of each right row, indexed once
-            right = [
-                [(j, y) for j, y in enumerate(row) if y] if any(row) else ()
-                for row in other.a
-            ]
-            for row in self.a:
-                acc = [z] * n
-                if any(row):
-                    for x, pairs in zip(row, right):
-                        if x and pairs:
-                            for j, y in pairs:
-                                acc[j] += x * y
-                out.append(acc)
-        else:
-            add, mul = d.add, d.mul
-            right = [[(j, y) for j, y in enumerate(row) if y != z] for row in other.a]
-            for row in self.a:
-                acc = [z] * n
+        for row in self.a:
+            acc = [z] * n
+            if any(row):
                 for x, pairs in zip(row, right):
-                    if pairs and x != z:
+                    if x and pairs:
                         for j, y in pairs:
-                            acc[j] = add(acc[j], mul(x, y))
-                out.append(acc)
+                            acc[j] += x * y
+                if m:
+                    acc = [v % m for v in acc]
+            out.append(acc)
         return Mat._trusted(d, out, self.rows, n)
 
     def transpose(self):
@@ -203,10 +196,7 @@ class Mat:
         return Mat._trusted(self.dom, a, self.cols, self.rows)
 
     def is_zero(self):
-        d = self.dom
-        if d.kind in _NATIVE:
-            return not any(map(any, self.a))
-        return all(d.is_zero(x) for row in self.a for x in row)
+        return not any(map(any, self.a))
 
     def hstack(self, other):
         if self.rows != other.rows:
@@ -839,7 +829,7 @@ class RationalSpan:
 
 def det(m):
     """Determinant by Gaussian elimination: in Fraction arithmetic over the
-    Z-like domains, and with the field operations over GF(q) and Z/p."""
+    Z-like domains, and with the field operations over Z/p."""
     if m.rows != m.cols:
         raise ValueError("det needs a square matrix")
     d = m.dom

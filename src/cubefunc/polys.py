@@ -1,8 +1,10 @@
-"""Polynomials over a prime field GF(p).
+"""Polynomials over a prime field GF(p) = Z/p.
 
 A polynomial is a tuple of ints in 0..p-1, lowest degree first, with no
 trailing zeros; the zero polynomial is ().  Every function takes the prime
-p first and accepts untrimmed coefficient sequences.
+p first and accepts untrimmed coefficient sequences.  The band parameters
+of the classification are primary polynomials, which enter matrices as
+companion matrices over Z/p.
 """
 
 from functools import lru_cache
@@ -50,19 +52,15 @@ def poly_divmod(p, a, b):
     return poly_trim(q), tuple(a)
 
 
-def poly_pow(p, a, e, mod=None):
-    """a^e, reduced mod the polynomial `mod` when one is given."""
+def poly_pow(p, a, e):
+    """a^e."""
     out, base = (1,), poly_trim(a, p)
     while e:
         if e & 1:
             out = poly_mul(p, out, base)
-            if mod is not None:
-                out = poly_divmod(p, out, mod)[1]
         e >>= 1
         if e:
             base = poly_mul(p, base, base)
-            if mod is not None:
-                base = poly_divmod(p, base, mod)[1]
     return out
 
 
@@ -89,14 +87,6 @@ def irreducible_polys(p, d):
     """All monic irreducible polynomials of degree d, as a tuple in the
     order of _monic_polys."""
     return tuple(f for f in _monic_polys(p, d) if is_irreducible(p, f))
-
-
-def first_irreducible(p, k):
-    """The coefficients below the leading 1 of the first monic irreducible
-    of degree k >= 2 in the order of _monic_polys, without building the
-    list; candidates with a zero constant term are divisible by t and are
-    skipped untested."""
-    return next(f[:-1] for f in _monic_polys(p, k) if f[0] and is_irreducible(p, f))
 
 
 def primary_root(p, pi):

@@ -376,10 +376,7 @@ class BandData3:
         return BandData3(StringDiagram3("iii", rot(d.i), rot(d.j), rot(d.k)), self.poly)
 
     def star(self):
-        d = self.diagram
-        rev = lambda row: list(reversed(row))
-        return BandData3(StringDiagram3("iii", rev(d.i), rev(d.j), rev(d.k)),
-                         reciprocal(3, self.poly))
+        return BandData3(self.diagram.reverse(), reciprocal(3, self.poly))
 
 
 def _is_periodic(d):

@@ -231,67 +231,6 @@ def regular_a11_module():
 
 
 # ---------------------------------------------------------------------------
-# the bimodule N
-# ---------------------------------------------------------------------------
-
-
-class NCPoly:
-    """A noncommutative polynomial over Z/4 in variables x1..xn."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        for w, c in (terms or {}).items():
-            c %= 4
-            if c:
-                self.terms[tuple(w)] = c
-
-    @staticmethod
-    def var(i):
-        return NCPoly({(i,): 1})
-
-    @staticmethod
-    def const(c):
-        return NCPoly({(): c})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, NCPoly) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w, c in sorted(self.terms.items()):
-            mono = "*".join(f"x{i}" for i in w) or "1"
-            bits.append(f"{c}*{mono}" if c != 1 or not w else mono)
-        return " + ".join(bits)
-
-
-class BimoduleN:
-    """The rank-(n+1) bimodule: x1 acts as the upper Jordan cell, x2 by the
-    matrix with subdiagonal x1, ..., xn, both over Z/4<x1..xn>."""
-
-    def __init__(self, n):
-        if n < 1:
-            raise ValueError("need n >= 1")
-        self.n = n
-        self.rank = n + 1
-        zero = NCPoly()
-        self.x1 = [[NCPoly.const(1) if j == i + 1 else zero for j in range(n + 1)]
-                   for i in range(n + 1)]
-        self.x2 = [[NCPoly.var(i) if i == j + 1 else zero for j in range(n + 1)]
-                   for i in range(n + 1)]
-
-
-def bimodule_N(n):
-    return BimoduleN(n)
-
-
-# ---------------------------------------------------------------------------
 # isomorphism testing
 # ---------------------------------------------------------------------------
 

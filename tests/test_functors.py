@@ -158,7 +158,7 @@ def test_diagram_direct_sum():
     assert verify_relations(s)[0]
 
 
-@pytest.mark.parametrize("dom", [Z_HALF, GF2, Zloc(3)], ids=str)
+@pytest.mark.parametrize("dom", [Z_HALF, GF2, Zloc(3)], ids=["Z[1/2]", "GF(2)", "Z_(3)"])
 def test_diagram_base_change(dom):
     # the diagram over dom is the Z diagram with its entries mapped into dom
     for fid in FUNCTOR_IDS:

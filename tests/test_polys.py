@@ -1,18 +1,15 @@
-"""Polynomials over GF(p): division, irreducible and primary lists, the
-reciprocal, and the moduli of the GF(p^k) domains."""
+"""Polynomials over GF(p) = Z/p, with coefficients as ints: division,
+irreducible and primary lists, the reciprocal and companion matrices."""
 
 from itertools import product
 
 import pytest
 
-from cubefunc.domains import GF
 from cubefunc.polys import (
     companion_matrix,
-    first_irreducible,
     irreducible_polys,
     poly_divmod,
     poly_mul,
-    poly_pow,
     poly_trim,
     primary_polys,
     primary_root,
@@ -114,7 +111,8 @@ def test_companion_matrix_has_the_polynomial_as_characteristic(p, pi):
                for i in range(2) for j in range(2))
 
 
-# the GF(p^k) domain moduli below the leading 1, low to high
+# the first monic irreducible of degree k over GF(p) in the order of
+# irreducible_polys, below the leading 1 (low to high)
 MODULI = {
     (2, 2): (1, 1), (2, 3): (1, 0, 1), (2, 4): (1, 0, 0, 1), (2, 5): (1, 0, 0, 1, 0),
     (2, 8): (1, 0, 0, 0, 1, 1, 0, 1),
@@ -125,14 +123,6 @@ MODULI = {
 
 @pytest.mark.parametrize("pk, modulus", MODULI.items(), ids=str)
 def test_domain_moduli_are_pinned(pk, modulus):
-    p, k = pk
-    assert first_irreducible(p, k) == modulus
-    assert GF(p ** k)._modulus == modulus + (1,)
-    assert primary_root(p, modulus + (1,)) == modulus + (1,)
-
-
-def test_pow_with_a_modulus_is_the_remainder_of_the_power():
-    m = (1, 1, 0, 1)
-    for a in _monic(2, 2):
-        for e in range(6):
-            assert poly_pow(2, a, e, m) == poly_divmod(2, poly_pow(2, a, e), m)[1]
+    first = irreducible_polys(*pk)[0]
+    assert first == modulus + (1,)
+    assert primary_root(pk[0], first) == first

@@ -13,7 +13,6 @@ from cubefunc.wildness import (
     A11Module,
     IsoVerdict,
     SigmaModule,
-    bimodule_N,
     brute_force_a11_iso,
     indecomposable_mod2,
     induce_cubic,
@@ -101,24 +100,6 @@ class TestInduction:
         )
         d = induce_cubic(zero)
         assert d.F1.is_zero_module() and d.F2.is_zero_module() and d.F3.is_zero_module()
-
-
-class TestBimodule:
-    def test_small_patterns(self):
-        n1 = bimodule_N(1)
-        assert str(n1.x2[1][0]) == "x1"
-        assert n1.x2[0][0].is_zero() and n1.x2[0][1].is_zero()
-        n2 = bimodule_N(2)
-        assert n2.rank == 3
-        assert str(n2.x2[1][0]) == "x1" and str(n2.x2[2][1]) == "x2"
-
-    def test_x1_is_jordan(self):
-        n = bimodule_N(3)
-        for i in range(n.rank):
-            for j in range(n.rank):
-                expect_one = j == i + 1
-                entry = n.x1[i][j]
-                assert entry.terms == ({(): 1} if expect_one else {})
 
 
 class TestIsoTest:
