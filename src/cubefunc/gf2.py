@@ -13,22 +13,27 @@ constructions (strings, bands and the trivial diagram).
 
 Matrices are uint8 arrays of zeros and ones.  Hom spaces, of cubic spaces
 and of modules over free algebras alike, are nullspaces of one Kronecker
-system (_intertwiners), and the deciders test their elements at once on
-bit-packed rows.  Two facts about an indecomposable finite-dimensional
-object (Auslander-Reiten-Smalo, Representation Theory of Artin Algebras)
-make the deciders exact:
+system (_intertwiners).  Two facts about an indecomposable
+finite-dimensional object (Auslander-Reiten-Smalo, Representation Theory
+of Artin Algebras) make the deciders exact:
 
 - its endomorphism algebra is local: every endomorphism is nilpotent or
   invertible.  split_indecomposable and wildness.indecomposable_mod2 share
-  one search for an element that is neither (_mixed_element), which
-  splits the object by Fitting's lemma;
+  one kernel that decides this by linear algebra on a basis of End
+  (_locality): the ideal J generated by commutators is nilpotent, and
+  squaring fixes only span{1} on the commutative End/J.  A local End comes
+  with that certificate (Locality); otherwise an element that is neither
+  nilpotent nor invertible splits the object by Fitting's lemma;
 - if x or y is indecomposable and x ~ y, the maps x -> y that are not
   isomorphisms form a proper subspace of Hom(x, y), so every basis of
   Hom(x, y) has an invertible element.  find_isomorphism tests the basis
-  elements only, and its None is a proof under that hypothesis.
+  elements only, on bit-packed rows, and its None is a proof under that
+  hypothesis.
 
 Band polynomials come from polys.py.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -1222,13 +1227,7 @@ def module_hom_basis(amats, bmats, d):
 # A batch of C matrices with r rows and c columns is a uint64 array
 # [C, r, ceil(c / 64)]: column j of a row is bit j % 64 of its word j // 64.
 # Adding rows is xor of words, and each function below runs a few numpy
-# operations per column over the whole batch.  The deciders enumerate the
-# 2^E combinations of a morphism basis in chunks of at most _CHUNK_WORDS
-# words; combination i is the sum of the basis elements at the set bits of
-# i (the order of _bit_matrix), so the first hit is the same in any chunking.
-
-ENUM_BITS = 16          # the deciders enumerate at most 2^16 combinations
-_CHUNK_WORDS = 1 << 18
+# operations per column over the whole batch.
 
 
 def _bit_matrix(count, width):
@@ -1305,21 +1304,6 @@ def _stable_power(a):
     return a
 
 
-def _combinations(basis, lo, count):
-    """Combinations lo .. lo + count - 1 of a packed basis [E, r, W], in
-    the order of _bit_matrix.  count is a power of two dividing lo: the
-    low bits are filled in by doubling, the high ones are common."""
-    out = np.empty((count,) + basis.shape[1:], dtype=np.uint64)
-    out[0] = 0
-    low = count.bit_length() - 1
-    for e in range(low):
-        out[1 << e: 2 << e] = out[: 1 << e] ^ basis[e]
-    for e in range(low, len(basis)):
-        if lo >> e & 1:
-            out ^= basis[e]
-    return out
-
-
 def _invertible(batch):
     """Which morphisms of a batch (one packed [C, n, W] array per
     component) are invertible in every component."""
@@ -1355,28 +1339,172 @@ def _first(mask):
     return int(hits[0]) if hits.size else None
 
 
-def _combination(basis, i, dims):
-    """Combination i of a basis of square morphisms, unpacked."""
-    out = tuple(zeros(n, n) for n in dims)
-    for e, f in enumerate(basis):
-        if i >> e & 1:
-            out = tuple(a ^ b for a, b in zip(out, f))
-    return out
+def _invertible_element(basis, dims):
+    """The first invertible element of a basis of morphisms, or None."""
+    hit = _first(_invertible(_pack_basis(basis, dims))) if basis else None
+    return None if hit is None else basis[hit]
 
 
-def _first_combination(basis, dims, test):
-    """The first combination of a basis of square GF(2) morphisms that
-    passes test (_invertible or _mixed), or None.  All 2^E combinations
-    are tested, in chunks of at most _CHUNK_WORDS words."""
-    comps = _pack_basis(basis, dims)
+# ---------------------------------------------------------------------------
+# locality of an endomorphism algebra
+# ---------------------------------------------------------------------------
+#
+# An algebra A is given by a basis b_1..b_E of square morphisms (tuples of
+# matrices, one per component) that spans a subalgebra containing the
+# identity, such as a basis from hom_basis(x, x).  Its elements are row
+# vectors of coordinates in that basis, and mult[i, j] holds the
+# coordinates of b_i b_j.  Every question below is linear algebra on
+# E x E matrices.  See Ronyai, "Computing the structure of finite
+# algebras", J. Symbolic Comput. 9 (1990), for the method.
+
+Locality = namedtuple("Locality", "ideal index fixed")
+Locality.__doc__ = """Certificate that an algebra A is local.
+
+ideal: a basis of the two-sided ideal J generated by the commutators of
+the basis of A;
+index: the least m with J^m = 0;
+fixed: a basis of the fixed space of x -> x^2 on A/J, lifted to A: one
+element, congruent to 1 mod J."""
+
+
+def _flat(basis, dims):
+    """The basis as rows [E, sum n^2]: each component flattened row by row."""
+    return np.array([np.concatenate([f[c].reshape(-1) for c in range(len(dims))])
+                     for f in basis], dtype=np.uint8).reshape(len(basis), -1)
+
+
+def _elements(coords, flat, dims):
+    """The morphisms with the given rows of coordinates."""
+    off = np.cumsum([0] + [n * n for n in dims])
+    return [tuple(v[off[c]: off[c + 1]].reshape(n, n) for c, n in enumerate(dims))
+            for v in _mul(coords, flat)]
+
+
+def _row_basis(rows):
+    r, piv = _eliminate(rows)
+    return r[: len(piv)]
+
+
+def _structure(flat, dims):
+    """(mult, one): coordinates of every product b_i b_j and of 1.
+
+    x = c flat has x[piv] = c flat[:, piv] at E pivot positions where the
+    basis rows are independent, so only those entries of each product are
+    computed."""
+    E = len(flat)
+    piv = np.array(_eliminate(flat)[1], dtype=np.int64)
+    at_piv = np.zeros((E, E, E), dtype=np.int64)
+    one = np.zeros(E, dtype=np.int64)
+    off = 0
+    for n in dims:
+        sel = np.flatnonzero((piv >= off) & (piv < off + n * n))
+        if sel.size:
+            r, s = np.divmod(piv[sel] - off, n)
+            m = flat[:, off: off + n * n].reshape(E, n, n).astype(np.int64)
+            at_piv[:, :, sel] = np.einsum("ipt,jtp->ijp", m[:, r, :], m[:, :, s])
+            one[sel] = r == s
+        off += n * n
+    g = inverse(flat[:, piv]).astype(np.int64)
+    return (at_piv @ g & 1).astype(np.uint8), (one @ g & 1).astype(np.uint8)
+
+
+def _dot(a, b):
+    """a @ b over GF(2) as a float64 product, which numpy hands to BLAS;
+    exact, since no sum here comes near 2^53."""
+    return (a.astype(np.float64) @ b.astype(np.float64) % 2).astype(np.uint8)
+
+
+def _commutator_ideal(mult):
+    """Row basis of the two-sided ideal J = A C A generated by the
+    commutators C of basis elements.  A contains 1, so A C is spanned by
+    the products b_l c, and (A C) A by the products y b_l."""
+    E = len(mult)
+    ideal = _row_basis((mult ^ mult.transpose(1, 0, 2)).reshape(-1, E))
+    for side in (mult.transpose(1, 0, 2), mult):     # b_l y, then y b_l
+        ideal = _row_basis(_dot(ideal, side.reshape(E, -1)).reshape(-1, E))
+    return ideal
+
+
+def _nilpotency_index(ideal, mult):
+    """The least m with J^m = 0, or None when J is not nilpotent: the
+    powers J^(k+1) = J^k J shrink until they are 0 or stop shrinking."""
+    E = len(mult)
+    power, m = ideal, 1
+    while len(power):
+        by_basis = _dot(power, mult.reshape(E, -1)).reshape(-1, E, E)   # x b_j
+        nxt = _row_basis(_dot(ideal, by_basis).reshape(-1, E))
+        if len(nxt) == len(power):
+            return None
+        power, m = nxt, m + 1
+    return m
+
+
+def _locality(basis, dims):
+    """Decide whether the algebra A with this basis is local, that is
+    every element is nilpotent or invertible.  Returns (True, Locality)
+    when it is, else (False, f) with f an element that is neither, or
+    (False, None) when the proof holds no such element.
+
+    1. The basis elements are screened for one that is neither.
+    2. J, the ideal generated by the commutators of the basis, is built.
+       If J is not nilpotent, A is not local: a local A has a field as
+       A/rad A, so its commutators lie in the nilpotent ideal rad A.
+    3. Otherwise A/J is commutative and x -> x^2 is linear on it; its
+       fixed vectors are the idempotents of A/J.  J lies in rad A, so A is
+       local iff A/J is, iff that fixed space is span{1}.  Any other fixed
+       x satisfies x^2 - x in J, so x^(2^k) is an idempotent congruent to
+       x for large k, neither 0 nor 1: x is neither nilpotent nor
+       invertible."""
+    if len(basis) == 1:                   # A = GF(2) 1, a field
+        return True, Locality([], 1, list(basis))
+    hit = _first(_mixed(_pack_basis(basis, dims)))
+    if hit is not None:
+        return False, basis[hit]
+    flat = _flat(basis, dims)
+    mult, one = _structure(flat, dims)
+    ideal = _commutator_ideal(mult)
+    index = _nilpotency_index(ideal, mult)
+    if index is None:
+        return False, None
     E = len(basis)
-    words = max(1, sum(c.shape[1] * c.shape[2] for c in comps))
-    size = 1 << min(E, max(0, (_CHUNK_WORDS // words).bit_length() - 1))
-    for lo in range(0, 1 << E, size):
-        hit = _first(test([_combinations(c, lo, size) for c in comps]))
+    quot, section = quotient_map(ideal.T, E)
+    squares = mult[np.arange(E), np.arange(E)].T       # columns b_i^2
+    frob = mats(quot, squares, section)
+    fixed = nullspace(frob ^ eye(len(frob)))
+    if fixed.shape[1] == 1:
+        certificate = Locality(_elements(ideal, flat, dims), index,
+                               _elements(_mul(section, fixed).T, flat, dims))
+        return True, certificate
+    one_bar = _mul(quot, one[:, None])
+    x = next(v for v in fixed.T if (v[:, None] != one_bar).any())
+    return False, _elements(_mul(section, x[:, None]).T, flat, dims)[0]
+
+
+def _mixed_search(basis, dims):
+    """An element that is neither nilpotent nor invertible, of an algebra
+    A proved not local.  Seeded random combinations of the basis are
+    tested in packed batches of 64.  A/rad A has a factor M_k(GF(q)) with
+    k >= 2, and an element whose image there is singular but not
+    nilpotent qualifies: at least 1/q - 1/q^2 of all elements."""
+    comps = _pack_basis(basis, dims)
+    flat = _flat(basis, dims)
+    rng = np.random.default_rng(0)
+    while True:
+        coeffs = rng.integers(0, 2, size=(64, len(basis)), dtype=np.uint8)
+        batch = [np.bitwise_xor.reduce(coeffs[:, :, None, None] * c[None], axis=1)
+                 for c in comps]
+        hit = _first(_mixed(batch))
         if hit is not None:
-            return _combination(basis, lo + hit, dims)
-    return None
+            return _elements(coeffs[hit: hit + 1], flat, dims)[0]
+
+
+def _split_or_certify(basis, dims):
+    """(f, None) with f neither nilpotent nor invertible, or (None,
+    Locality) when the algebra is local."""
+    local, got = _locality(basis, dims)
+    if local:
+        return None, got
+    return (got if got is not None else _mixed_search(basis, dims)), None
 
 
 # ---------------------------------------------------------------------------
@@ -1402,8 +1530,7 @@ def find_isomorphism(x, y):
     basis = hom_basis(x, y)
     if not basis:
         return None if sum(x.dims) else ()
-    hit = _first(_invertible(_pack_basis(basis, x.dims)))
-    return None if hit is None else basis[hit]
+    return _invertible_element(basis, x.dims)
 
 
 def _power_stable(mats_, n):
@@ -1428,47 +1555,20 @@ def _try_split(space, f):
     return a, b
 
 
-TOO_LARGE = "endomorphism algebra too large to certify locality"
-
-
-def _mixed_element(basis, dims):
-    """The first element of an endomorphism algebra, given by a basis of
-    square morphisms, that is neither nilpotent nor invertible, or None
-    when every element is one of the two: then the algebra is local, which
-    proves the object indecomposable.
-
-    The search screens the basis elements, then every combination when
-    there are at most 2^ENUM_BITS, else the sums of two basis elements;
-    when even those find nothing it raises ValueError(TOO_LARGE)."""
-    comps = _pack_basis(basis, dims)
-    hit = _first(_mixed(comps))
-    if hit is not None:
-        return basis[hit]
-    E = len(basis)
-    if E <= ENUM_BITS:
-        return _first_combination(basis, dims, _mixed)
-    left, right = np.triu_indices(E, 1)
-    hit = _first(_mixed([c[left] ^ c[right] for c in comps]))
-    if hit is None:
-        raise ValueError(TOO_LARGE)
-    return tuple(a ^ b for a, b in zip(basis[left[hit]], basis[right[hit]]))
-
-
 def split_indecomposable(space):
-    """Either (None, proof) where the space is indecomposable, or a pair
-    of proper subdiagram summands.
+    """Either (None, certificate) where the space is indecomposable, or a
+    pair of proper subdiagram summands.
 
     The rule: a space is indecomposable iff its endomorphism algebra is
     local, that is every endomorphism is nilpotent or invertible; an
     endomorphism that is neither splits the space by Fitting's lemma.
-    _mixed_element searches End for one.  The proof is the dimension of
-    End, every element of which was checked to be nilpotent or invertible;
-    past the sizes _mixed_element searches this raises ValueError(TOO_LARGE)."""
+    _locality decides this by linear algebra on a basis of End, and the
+    certificate is its Locality: the commutator ideal J of End, its
+    nilpotency index and the fixed space of squaring on End/J."""
     if sum(space.dims) == 0:
         raise ValueError("the zero space has no summands")
-    basis = hom_basis(space, space)
-    f = _mixed_element(basis, space.dims)
-    return (None, len(basis)) if f is None else _try_split(space, f)
+    f, certificate = _split_or_certify(hom_basis(space, space), space.dims)
+    return (None, certificate) if f is None else _try_split(space, f)
 
 
 def indecomposable_summands(space):
@@ -1651,14 +1751,20 @@ def _candidate_data(budget):
                 if all(v % d == 0 for v in positive)]
     for d in divisors:
         base = {k: v // d for k, v in budget.items()}
+        polys = primary_polys(2, d)
+        shifted = set()      # a shift of an earlier word gives the same keys
         for letters, rels in _cyclic_words(base):
+            if tuple(letters) in shifted:
+                continue
             try:
                 word = XWord(letters, rels, cyclic=True)
             except ValueError:
                 continue
-            if not word.is_aperiodic():
-                continue
-            for pi in primary_polys(2, d):
+            rotations = word.rotations()
+            shifted.update(rotations)
+            if word.letters in rotations[1:]:
+                continue                     # periodic
+            for pi in polys:
                 try:
                     cands.append(BandDatum5(word, pi))
                 except ValueError:
@@ -1672,18 +1778,42 @@ def _candidate_data(budget):
     return out
 
 
+def _composites(space):
+    """Composite maps along the cycle F1 -h-> F2 -h1-> F3 -p1-> F2 -p-> F1,
+    the ones that tell most candidates of a budget apart first.  Their
+    ranks are isomorphism invariants."""
+    p1h1h = mats(space.p1, space.h1, space.h)
+    pp1h1h = _mul(space.p, p1h1h)
+    yield pp1h1h
+    yield space.p1
+    pp1 = _mul(space.p, space.p1)
+    yield pp1
+    yield _mul(pp1h1h, space.p)
+    yield p1h1h
+    hpp1h1 = mats(space.h, pp1, space.h1)
+    yield _mul(hpp1h1, space.h)
+    yield hpp1h1
+
+
 def identify(space):
     """The datum realizing a given indecomposable space (no trivial or
-    F1-point part), up to the allowed symmetries."""
+    F1-point part), up to the allowed symmetries.
+
+    Each candidate of the space's strata budget is realized; one whose
+    dims or _composites ranks differ from the space's is not isomorphic
+    to it, and find_isomorphism decides the others."""
     budget, points = _strata_budget(space)
     if points:
         raise ValueError("space contains F1-point summands")
+    ranks = [rank(m) for m in _composites(space)]
     for cand in _candidate_data(budget):
         try:
             rs = realize(cand)
         except ValueError:
             continue
         if rs.dims != space.dims:
+            continue
+        if any(rank(m) != r for m, r in zip(_composites(rs), ranks)):
             continue
         if find_isomorphism(rs, space) is not None:
             return cand

@@ -10,28 +10,25 @@ The deciders work on the mod-2 action tuples, which is exact: a module
 restricted along a -> 2x1, b -> 2x2 has a = 2A and b = 2B, so U a = b U
 over Z/4 says U A = B U mod 2.  Both compute a Hom space
 {U : U a_i = b_i U} over GF(2) as the nullspace of the stacked system
-I kron a_i^T + b_i kron I (gf2.module_hom_basis) and test its elements
-on gf2's bit-packed batch kernel:
+I kron a_i^T + b_i kron I (gf2.module_hom_basis), and both rest on gf2's
+locality kernel (gf2._locality, shared with gf2.split_indecomposable),
+which decides by linear algebra whether an endomorphism algebra is local.
+Every answer is a proof; nothing is left undecided.
 
 - iso_test_mod2 proves isomorphism with a witness U, invertible mod 2 with
-  U a_i = b_i U, and proves non-isomorphism by dim Hom(A, B) != dim End(A)
-  or by a Hom space without an invertible element.  It enumerates every
-  combination of the Hom basis, at most 2^16, and not only the basis as
-  gf2.find_isomorphism does, because that rule needs an indecomposable
-  module and these need not be.  IsoVerdict.method is
-  "hom space" (the Hom basis was enumerated; both answers are proofs),
-  "hom dimension" (the dimensions differ: not isomorphic), "shape
-  mismatch" (generator counts or ranks differ: not isomorphic) or
-  "inconclusive" (more than 2^16 homomorphisms, not searched; isomorphic
-  is None).  brute_force_a11_iso, the test oracle, searches all of
+  U a_i = b_i U: an invertible element of the Hom basis, or else one
+  assembled from isomorphisms of the indecomposable summands of the two
+  tuples (Krull-Schmidt).  It proves non-isomorphism by
+  dim Hom(A, B) != dim End(A) or by a summand of A with no isomorphic
+  partner in B.  IsoVerdict.method is "hom space" (decided on the Hom
+  space and the summands), "hom dimension" (the dimensions differ: not
+  isomorphic) or "shape mismatch" (generator counts or ranks differ: not
+  isomorphic).  brute_force_a11_iso, the test oracle, searches all of
   GL_d(Z/4) and reports "exhaustive mod 4" (or "rank mismatch").
-- indecomposable_mod2 proves indecomposability by checking that every
-  endomorphism is nilpotent or invertible (End is local), and
-  decomposability by an endomorphism that is neither.  It runs gf2's one
-  locality search (gf2._mixed_element, shared with split_indecomposable):
-  the basis, then every combination up to 2^16, else the sums of two
-  basis elements; if even those find no such element, and for the zero
-  module, it raises ValueError.
+- indecomposable_mod2 proves indecomposability by a gf2.Locality
+  certificate of End, and decomposability by an endomorphism that is
+  neither nilpotent nor invertible, or by a commutator ideal of End that is
+  not nilpotent.  The zero module raises ValueError.
 """
 
 from __future__ import annotations
@@ -260,6 +257,48 @@ def _batch_conjugacy(us, amats, bmats, mod):
     return alive
 
 
+def _summands(mats, d):
+    """The indecomposable summands of the GF(2) module of an action tuple,
+    as pairs (P, action) with a_i P = P action_i: the columns of P span
+    the summand.  Split by Fitting's lemma on gf2's locality kernel."""
+    from . import gf2
+
+    f, _ = gf2._split_or_certify(gf2.module_hom_basis(mats, mats, d), (d,))
+    if f is None:
+        return [(gf2.eye(d), mats)]
+    (g,) = gf2._power_stable(f, d)
+    out = []
+    for cols in (gf2.nullspace(g), gf2.column_space(g)):
+        sub = [gf2.solve(cols, gf2._mul(a, cols)) for a in mats]
+        out += [(gf2._mul(cols, p), act) for p, act in _summands(sub, cols.shape[1])]
+    return out
+
+
+def _match_summands(xs, ys):
+    """U with U a_i = b_i U, built from an isomorphism of each summand of
+    A onto its own summand of B, or None when some summand of A has no
+    isomorphic partner left: then A and B are not isomorphic
+    (Krull-Schmidt).  Summands are indecomposable, so Hom(x, y) has an
+    invertible basis element iff x ~ y (the rule of gf2.find_isomorphism)."""
+    from . import gf2
+
+    free = list(ys)
+    src, dst = [], []
+    for p, act in xs:
+        k = p.shape[1]
+        for i, (q, bact) in enumerate(free):
+            if q.shape[1] == k:
+                phi = gf2._invertible_element(gf2.module_hom_basis(act, bact, k), (k,))
+                if phi is not None:
+                    break
+        else:
+            return None
+        del free[i]
+        src.append(p)
+        dst.append(gf2._mul(q, phi[0]))
+    return gf2._mul(np.hstack(dst), gf2.inverse(np.hstack(src)))
+
+
 def iso_test_mod2(l, lp):
     """Decide simultaneous conjugacy of the mod-2 reductions: is there an
     invertible U over GF(2) with U a_i = b_i U for every i?
@@ -267,26 +306,29 @@ def iso_test_mod2(l, lp):
     Hom = {U : U a_i = b_i U} is the nullspace of the stacked system
     I kron a_i^T + b_i kron I.  If A and B are isomorphic, Hom(A, B) and
     End(A) have the same dimension, so different dimensions prove them
-    non-isomorphic ("hom dimension").  Otherwise every combination of the
-    Hom basis is tested for invertibility on bit-packed rows, at most 2^16
-    of them: the first invertible one is the witness, and none proves
-    non-isomorphism ("hom space").  A larger Hom space is not searched
-    ("inconclusive").  The module docstring lists every method."""
+    non-isomorphic ("hom dimension").  Otherwise ("hom space"), an
+    invertible element of the Hom basis is a witness.  Failing that, both
+    tuples are split into indecomposables by gf2's locality kernel, and
+    by Krull-Schmidt A ~ B iff their summands match one to one up to
+    isomorphism: the witness is assembled from the summand isomorphisms,
+    and a summand without a partner proves non-isomorphism.  The module
+    docstring lists every method."""
     if l.n != lp.n or l.rank != lp.rank:
         return IsoVerdict(False, None, "shape mismatch")
     from . import gf2
 
     d = l.rank
+    if d == 0:
+        return IsoVerdict(True, [], "hom space")
     amats, bmats = l.mod2_action(), lp.mod2_action()
     hom = gf2.module_hom_basis(amats, bmats, d)
     if len(hom) != len(gf2.module_hom_basis(amats, amats, d)):
         return IsoVerdict(False, None, "hom dimension")
-    if len(hom) > gf2.ENUM_BITS:
-        return IsoVerdict(None, None, "inconclusive")
-    u = gf2._first_combination(hom, (d,), gf2._invertible)
+    u = gf2._invertible_element(hom, (d,))
+    u = u[0] if u is not None else _match_summands(_summands(amats, d), _summands(bmats, d))
     if u is None:
         return IsoVerdict(False, None, "hom space")
-    return IsoVerdict(True, u[0].tolist(), "hom space")
+    return IsoVerdict(True, u.tolist(), "hom space")
 
 
 @lru_cache(maxsize=8)
@@ -332,15 +374,16 @@ def indecomposable_mod2(l):
     lemma).
 
     End is the nullspace of the stacked system I kron a_i^T + a_i kron I,
-    searched by gf2._mixed_element on bit-packed rows, so both answers are
-    proofs.  When End has more than 2^16 elements and no basis element or
-    sum of two is neither nilpotent nor invertible, this raises the
-    ValueError "endomorphism algebra too large to certify locality"; the
-    zero module, which has no summands, raises a ValueError too."""
+    and gf2's locality kernel (gf2._locality, shared with
+    split_indecomposable) decides it by linear algebra, so both answers
+    are proofs: True by a gf2.Locality certificate (the commutator ideal J
+    of End is nilpotent and squaring fixes only span{1} on End/J), False
+    by an element that is neither nilpotent nor invertible or by a J that
+    is not nilpotent.  The zero module, which has no summands, raises a
+    ValueError."""
     if l.rank == 0:
         raise ValueError("the zero module has no summands")
     from . import gf2
 
     mats = l.mod2_action()
-    end = gf2.module_hom_basis(mats, mats, l.rank)
-    return gf2._mixed_element(end, (l.rank,)) is None
+    return gf2._locality(gf2.module_hom_basis(mats, mats, l.rank), (l.rank,))[0]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gf2_oracle
 from cubefunc import gf2
 from cubefunc.gf2 import inverse, rank
 from cubefunc.rings import verify_relations
@@ -285,10 +286,59 @@ def test_rank5_deciders():
     _assert_witness(v, jordan, conj)
 
 
+def _block_sum(a, b):
+    out = []
+    for x, y in zip(a, b):
+        m = np.zeros((len(x) + len(y),) * 2, dtype=np.int64)
+        m[:len(x), :len(x)] = x
+        m[len(x):, len(x):] = y
+        out.append(m.tolist())
+    return out
+
+
+def _conjugate_mod4(rng, mats):
+    d = len(mats[0])
+    u = _unit_mod2(rng, d)
+    ui = inverse(u.astype(np.uint8)).astype(np.int64)
+    return [((u @ np.array(m) @ ui) % 2 + 2 * np.array(_mats(rng, d, 1)[0])) % 4
+            for m in mats]
+
+
+@PROPERTY
+@given(st.integers(2, 3), _seeds, st.booleans())
+def test_iso_of_block_sums_matches_brute_force(d, seed, same):
+    # decomposable tuples, so that the summand matching decides when no
+    # Hom basis element is invertible
+    rng = random.Random(seed)
+    k = rng.randrange(1, d)
+    x, y = _mats(rng, k), _mats(rng, d - k)
+    a = _block_sum(x, y)
+    b = _block_sum(y, x) if same else _block_sum(x, _mats(rng, d - k))
+    v = _check_against_brute_force(a, [m.tolist() for m in _conjugate_mod4(rng, b)], d)
+    assert v.isomorphic is True or not same
+
+
+@pytest.mark.parametrize("first", [
+    np.zeros((5, 5), dtype=np.int64),
+    np.pad(np.eye(2, k=1, dtype=np.int64), ((0, 3), (0, 3))),
+], ids=["zero", "J2 + 0 + 0 + 0"])
+def test_iso_past_the_old_enumeration_limit(first):
+    # Hom spaces of dimension 25 and 17: more than 2^16 homomorphisms,
+    # which were not searched ("inconclusive"); each is now decided with
+    # a witness, against a conjugate of the tuple
+    a = [first.tolist(), [[0] * 5] * 5]
+    b = [m.tolist() for m in _conjugate_mod4(random.Random(7), a)]
+    la, lb = SigmaModule(2, 5, a), SigmaModule(2, 5, b)
+    assert len(gf2.module_hom_basis(la.mod2_action(), lb.mod2_action(), 5)) > 16
+    v = iso_test_mod2(la, lb)
+    assert v.isomorphic is True and v.method == "hom space"
+    _assert_witness(v, a, b)
+
+
 @pytest.mark.parametrize("pair", ["zero", "identity and zero"])
 def test_rank5_decider_on_the_full_matrix_algebra(pair):
-    # End = M_5(GF(2)), of dimension 25: past 2^16 combinations, and the
-    # basis screen finds the idempotent E_11, so the answer is a proof
+    # End = M_5(GF(2)), of dimension 25: the basis screen finds the
+    # idempotent E_11, so the answer is a proof
     first = np.eye(5, dtype=np.int64) if pair != "zero" else np.zeros((5, 5), dtype=np.int64)
     lm = SigmaModule(2, 5, [first.tolist(), [[0] * 5] * 5])
     assert len(gf2.module_hom_basis(*[lm.mod2_action()] * 2, 5)) == 25
@@ -296,15 +346,19 @@ def test_rank5_decider_on_the_full_matrix_algebra(pair):
 
 
 def test_one_locality_search(monkeypatch):
-    # indecomposable_mod2 and gf2.split_indecomposable share _mixed_element
+    # indecomposable_mod2, iso_test_mod2 and gf2.split_indecomposable share
+    # gf2._locality
     seen = []
-    search = gf2._mixed_element
-    monkeypatch.setattr(gf2, "_mixed_element", lambda b, d: seen.append(d) or search(b, d))
+    kernel = gf2._locality
+    monkeypatch.setattr(gf2, "_locality", lambda b, d: seen.append(d) or kernel(b, d))
     j = np.eye(3, k=1, dtype=np.int64).tolist()
     assert indecomposable_mod2(SigmaModule(2, 3, [j, j])) is True
     space = gf2.realize(gf2.StringDatum5(gf2.XWord.parse("S7-R1~R15-S10")))
     assert gf2.split_indecomposable(space)[0] is None
-    assert seen == [(3,), space.dims]
+    zero = SigmaModule(2, 2, [[[0, 0], [0, 0]]] * 2)
+    assert iso_test_mod2(zero, zero).isomorphic is True
+    # the zero module of rank 2 splits once, into two local summands
+    assert seen == [(3,), space.dims, (2,), (1,), (1,), (2,), (1,), (1,)]
 
 
 def _units(n, cells):
@@ -317,18 +371,26 @@ def _units(n, cells):
     return out
 
 
-def test_mixed_element_tries_pairwise_sums_past_the_enumeration_limit():
-    # 17 nilpotent basis elements: the strictly upper E_ij of size 6, E_21
-    # and E_31; no basis element is mixed, but E_12 + E_21 is, and it is
-    # the first mixed pair in the order of np.triu_indices
-    upper = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-    basis = _units(6, upper + [(1, 0), (2, 0)])
-    assert len(basis) > gf2.ENUM_BITS
-    (f,) = gf2._mixed_element(basis, (6,))
-    want = np.zeros((6, 6), dtype=np.uint8)
-    want[0, 1] = want[1, 0] = 1
-    assert np.array_equal(f, want)
-    # 17 strictly upper E_ij of size 7: every pairwise sum is nilpotent too
-    with pytest.raises(ValueError, match=gf2.TOO_LARGE):
-        gf2._mixed_element(_units(7, [(i, j) for i in range(7)
-                                      for j in range(i + 1, 7)][:17]), (7,))
+def test_matrix_algebra_with_no_mixed_basis_element():
+    # M_2(GF(2)) on the basis {1, E12, E21, E12 + E21 + E22}: each basis
+    # element is invertible or nilpotent, and [E12, E21] = 1, so the
+    # commutator ideal is all of A and not nilpotent: A is not local
+    one = (np.eye(2, dtype=np.uint8),)
+    (e12,), (e21,), (e22,) = _units(2, [(0, 1), (1, 0), (1, 1)])
+    basis = [one, (e12,), (e21,), (e12 ^ e21 ^ e22,)]
+    assert not gf2._mixed(gf2._pack_basis(basis, (2,))).any()
+    assert gf2._locality(basis, (2,)) == (False, None)
+    (f,) = gf2._mixed_search(basis, (2,))
+    assert gf2._mixed(gf2._pack_basis([(f,)], (2,)))[0]
+    assert gf2_oracle.first_combination(basis, (2,), gf2._mixed) is not None
+
+
+def test_unipotent_upper_triangular_algebra_is_certified_local():
+    # 1 + the strictly upper triangular 7 x 7 matrices: E = 22 > 16, which
+    # the enumeration refused; its commutator ideal is nilpotent
+    basis = [(np.eye(7, dtype=np.uint8),)] + _units(
+        7, [(i, j) for i in range(7) for j in range(i + 1, 7)])
+    assert len(basis) == 22
+    local, certificate = gf2._locality(basis, (7,))
+    assert local is True
+    gf2_oracle.check_locality(basis, (7,), certificate)
