@@ -23,7 +23,10 @@ of Artin Algebras) make the deciders exact:
   (_locality): the ideal J generated by commutators is nilpotent, and
   squaring fixes only span{1} on the commutative End/J.  A local End comes
   with that certificate (Locality); otherwise an element that is neither
-  nilpotent nor invertible splits the object by Fitting's lemma;
+  nilpotent nor invertible splits the object by Fitting's lemma.  The
+  steps after a packed screen of the basis are written once for every
+  GF(p), on structure constants (_local_algebra), and also decide the
+  3-local probe of strings_bands over GF(3);
 - if x or y is indecomposable and x ~ y, the maps x -> y that are not
   isomorphisms form a proper subspace of Hom(x, y), so every basis of
   Hom(x, y) has an invertible element.  find_isomorphism tests the basis
@@ -37,6 +40,7 @@ from collections import namedtuple
 
 import numpy as np
 
+from .matrix import _snf_mod
 from .polys import (
     companion_matrix, poly_deg, poly_pow, poly_trim, primary_polys,
     primary_root, reciprocal,
@@ -1349,22 +1353,25 @@ def _invertible_element(basis, dims):
 # locality of an endomorphism algebra
 # ---------------------------------------------------------------------------
 #
-# An algebra A is given by a basis b_1..b_E of square morphisms (tuples of
-# matrices, one per component) that spans a subalgebra containing the
-# identity, such as a basis from hom_basis(x, x).  Its elements are row
-# vectors of coordinates in that basis, and mult[i, j] holds the
-# coordinates of b_i b_j.  Every question below is linear algebra on
-# E x E matrices.  See Ronyai, "Computing the structure of finite
-# algebras", J. Symbolic Comput. 9 (1990), for the method.
+# An algebra A over GF(p) is given by its structure constants on a basis
+# b_1..b_E: its elements are row vectors of coordinates, mult[i, j] holds
+# the coordinates of b_i b_j and one those of 1.  Every question below is
+# linear algebra on E x E matrices over GF(p), and each row reduction runs
+# on _eliminate for p = 2 and on matrix._snf_mod for odd p.  See Ronyai,
+# "Computing the structure of finite algebras", J. Symbolic Comput. 9
+# (1990), for the method.  Over GF(2), A is the span of a basis of square
+# morphisms (tuples of matrices, one per component) containing the
+# identity, such as a basis from hom_basis(x, x), and _structure computes
+# its constants.
 
 Locality = namedtuple("Locality", "ideal index fixed")
-Locality.__doc__ = """Certificate that an algebra A is local.
+Locality.__doc__ = """Certificate that an algebra A over GF(p) is local.
 
 ideal: a basis of the two-sided ideal J generated by the commutators of
 the basis of A;
 index: the least m with J^m = 0;
-fixed: a basis of the fixed space of x -> x^2 on A/J, lifted to A: one
-element, congruent to 1 mod J."""
+fixed: a basis of the fixed space of x -> x^p on A/J, lifted to A: one
+element, congruent to a nonzero multiple of 1 mod J."""
 
 
 def _flat(basis, dims):
@@ -1380,9 +1387,36 @@ def _elements(coords, flat, dims):
             for v in _mul(coords, flat)]
 
 
-def _row_basis(rows):
-    r, piv = _eliminate(rows)
-    return r[: len(piv)]
+def _row_basis(rows, p):
+    """A basis of the row span over GF(p).  For odd p the Smith form
+    U rows V = diag(1, .., 1, 0, ..) has U rows = diag V^-1, so the first
+    rank rows of U rows are a basis."""
+    if p == 2:
+        r, piv = _eliminate(rows)
+        return r[: len(piv)]
+    u, exps, _ = _snf_mod(rows, p, 1)
+    return (u @ rows % p)[: exps.count(0)]
+
+
+def _nullspace(a, p):
+    """Columns form a basis of {x : a x = 0} over GF(p): for odd p, the
+    columns of V past the rank, as a V = U^-1 diag(1, .., 1, 0, ..)."""
+    if p == 2:
+        return nullspace(a)
+    _, exps, v = _snf_mod(a, p, 1)
+    return v[:, exps.count(0):]
+
+
+def _quotient(rows, dim, p):
+    """(quot, section) for GF(p)^dim modulo the span of independent rows:
+    quot has kernel exactly the span, and quot section = 1.  For odd p,
+    U rows V = [1 0], so the span is that of the first rows of V^-1."""
+    if p == 2:
+        return quotient_map(rows.T, dim)
+    _, exps, v = _snf_mod(rows, p, 1)
+    u2, _, v2 = _snf_mod(v, p, 1)                  # u2 v v2 = 1
+    j = exps.count(0)
+    return v[:, j:].T, (v2 @ u2 % p)[j:].T
 
 
 def _structure(flat, dims):
@@ -1408,103 +1442,153 @@ def _structure(flat, dims):
     return (at_piv @ g & 1).astype(np.uint8), (one @ g & 1).astype(np.uint8)
 
 
-def _dot(a, b):
-    """a @ b over GF(2) as a float64 product, which numpy hands to BLAS;
-    exact, since no sum here comes near 2^53."""
-    return (a.astype(np.float64) @ b.astype(np.float64) % 2).astype(np.uint8)
+def _dot(a, b, p):
+    """a @ b over GF(p), as a float64 product, which numpy hands to BLAS;
+    exact while no sum comes near 2^53, and on int64 past that."""
+    if a.shape[-1] * (p - 1) ** 2 < 2 ** 53:
+        out = a.astype(np.float64) @ b.astype(np.float64) % p
+    else:
+        out = a.astype(np.int64) @ b.astype(np.int64) % p
+    return out.astype(np.uint8 if p == 2 else np.int64)
 
 
-def _commutator_ideal(mult):
+def _commutator_ideal(mult, p):
     """Row basis of the two-sided ideal J = A C A generated by the
     commutators C of basis elements.  A contains 1, so A C is spanned by
     the products b_l c, and (A C) A by the products y b_l."""
     E = len(mult)
-    ideal = _row_basis((mult ^ mult.transpose(1, 0, 2)).reshape(-1, E))
+    commutators = (mult + (p - 1) * mult.transpose(1, 0, 2)) % p
+    ideal = _row_basis(commutators.reshape(-1, E), p)
     for side in (mult.transpose(1, 0, 2), mult):     # b_l y, then y b_l
-        ideal = _row_basis(_dot(ideal, side.reshape(E, -1)).reshape(-1, E))
+        ideal = _row_basis(_dot(ideal, side.reshape(E, -1), p).reshape(-1, E), p)
     return ideal
 
 
-def _nilpotency_index(ideal, mult):
+def _nilpotency_index(ideal, mult, p):
     """The least m with J^m = 0, or None when J is not nilpotent: the
     powers J^(k+1) = J^k J shrink until they are 0 or stop shrinking."""
     E = len(mult)
     power, m = ideal, 1
     while len(power):
-        by_basis = _dot(power, mult.reshape(E, -1)).reshape(-1, E, E)   # x b_j
-        nxt = _row_basis(_dot(ideal, by_basis).reshape(-1, E))
+        by_basis = _dot(power, mult.reshape(E, -1), p).reshape(-1, E, E)   # x b_j
+        nxt = _row_basis(_dot(ideal, by_basis, p).reshape(-1, E), p)
         if len(nxt) == len(power):
             return None
         power, m = nxt, m + 1
     return m
 
 
-def _locality(basis, dims):
-    """Decide whether the algebra A with this basis is local, that is
-    every element is nilpotent or invertible.  Returns (True, Locality)
-    when it is, else (False, f) with f an element that is neither, or
-    (False, None) when the proof holds no such element.
+def _frobenius(mult, p):
+    """Rows b_i^p: b_i^2 = mult[i, i], then the right multiplications
+    y -> y b_i, the matrices mult[:, i], raised to the power p - 2 by
+    squaring."""
+    E = len(mult)
+    right = mult.transpose(1, 0, 2)
+    power = right[np.arange(E), np.arange(E)]
+    n = p - 2
+    while n:
+        if n & 1:
+            power = np.einsum("ij,ijk->ik", power.astype(np.int64), right) % p
+        n >>= 1
+        if n:
+            right = np.matmul(right.astype(np.int64), right) % p
+    return power
 
-    1. The basis elements are screened for one that is neither.
-    2. J, the ideal generated by the commutators of the basis, is built.
+
+def _fitting_idempotent(a, mult, one, p):
+    """The idempotent e with A e = A a^N, N >= E, when a is neither
+    nilpotent nor invertible, else None.
+
+    y -> y a^N is the power of y -> y a at which Fitting's lemma splits A
+    into the left ideals A a^N and {y : y a^N = 0}; both are nonzero
+    exactly for such a.  The part e of 1 = e + f in A a^N is then an
+    idempotent other than 0 and 1."""
+    E = len(mult)
+    power = np.tensordot(np.asarray(a, dtype=np.int64), mult, axes=([0], [1])) % p
+    for _ in range(max(1, (E - 1).bit_length())):
+        power = _dot(power, power, p)
+    image = _row_basis(power, p)
+    if len(image) in (0, E):
+        return None
+    kernel = _nullspace(power.T, p).T
+    # c image + d kernel + t one = 0 has one solution up to scale, t != 0
+    sol = _nullspace(np.vstack([image, kernel, one[None]]).T, p)[:, 0].astype(np.int64)
+    return -pow(int(sol[-1]), -1, p) * sol[: len(image)] @ image.astype(np.int64) % p
+
+
+def _idempotent_search(mult, one, p):
+    """A nontrivial idempotent of an algebra proved not local.  Seeded
+    random elements are tried.  A/rad A has a factor M_k(GF(q)) with
+    k >= 2, and an element whose image there is singular but not nilpotent
+    qualifies: at least 1/q - 1/q^2 of all elements."""
+    rng = np.random.default_rng(0)
+    while True:
+        e = _fitting_idempotent(rng.integers(0, p, len(mult)), mult, one, p)
+        if e is not None:
+            return e
+
+
+def _local_algebra(mult, one, p):
+    """Decide whether the algebra A over GF(p) with structure constants
+    (mult, one) is local, that is every element is nilpotent or
+    invertible.  Returns (True, (ideal, index, fixed)), the rows of a
+    Locality in coordinates, when it is, else (False, e) with e the
+    coordinates of an idempotent other than 0 and 1.
+
+    1. J, the ideal generated by the commutators of the basis, is built.
        If J is not nilpotent, A is not local: a local A has a field as
-       A/rad A, so its commutators lie in the nilpotent ideal rad A.
-    3. Otherwise A/J is commutative and x -> x^2 is linear on it; its
-       fixed vectors are the idempotents of A/J.  J lies in rad A, so A is
-       local iff A/J is, iff that fixed space is span{1}.  Any other fixed
-       x satisfies x^2 - x in J, so x^(2^k) is an idempotent congruent to
-       x for large k, neither 0 nor 1: x is neither nilpotent nor
-       invertible."""
+       A/rad A, so its commutators lie in the nilpotent ideal rad A.  An
+       idempotent is then found by _idempotent_search.
+    2. Otherwise A/J is commutative, so x -> x^p is linear on it; its
+       fixed vectors x are the sums of c_i times the primitive idempotents
+       of A/J, c_i in GF(p).  J lies in rad A, so A is local iff A/J is,
+       iff that fixed space is span{1}.
+    3. Any other fixed x has two different values c_i, so x - c is neither
+       nilpotent nor invertible for c one of them, and its Fitting
+       idempotent (_fitting_idempotent) splits A."""
+    E = len(mult)
+    ideal = _commutator_ideal(mult, p)
+    index = _nilpotency_index(ideal, mult, p)
+    if index is None:
+        return False, _idempotent_search(mult, one, p)
+    quot, section = _quotient(ideal, E, p)
+    frob = _dot(_dot(quot, _frobenius(mult, p).T, p), section, p)
+    fixed = _nullspace((frob + (p - 1) * np.eye(len(frob), dtype=np.int64)) % p, p)
+    lifts = _dot(section, fixed, p).T
+    if len(lifts) == 1:
+        return True, (ideal, index, lifts)
+    one_bar = _dot(quot, one[:, None], p)[:, 0]
+    k = int(np.flatnonzero(one_bar)[0])
+    # a fixed vector that is not a multiple of 1
+    x = next(x for x, v in zip(lifts, fixed.T)
+             if ((v.astype(np.int64) * int(one_bar[k]) - int(v[k]) * one_bar) % p).any())
+    for c in range(p):
+        e = _fitting_idempotent((x.astype(np.int64) - c * one) % p, mult, one, p)
+        if e is not None:
+            return False, e
+
+
+def _locality(basis, dims):
+    """Decide whether the algebra A over GF(2) with this basis of square
+    morphisms is local, that is every element is nilpotent or invertible.
+    Returns (True, Locality) when it is, else (False, f) with f an element
+    that is neither.
+
+    The basis elements are screened for one that is neither, on packed
+    rows; then _local_algebra decides on the structure constants, with a
+    nontrivial idempotent as f when A is not local."""
     if len(basis) == 1:                   # A = GF(2) 1, a field
         return True, Locality([], 1, list(basis))
     hit = _first(_mixed(_pack_basis(basis, dims)))
     if hit is not None:
         return False, basis[hit]
     flat = _flat(basis, dims)
-    mult, one = _structure(flat, dims)
-    ideal = _commutator_ideal(mult)
-    index = _nilpotency_index(ideal, mult)
-    if index is None:
-        return False, None
-    E = len(basis)
-    quot, section = quotient_map(ideal.T, E)
-    squares = mult[np.arange(E), np.arange(E)].T       # columns b_i^2
-    frob = mats(quot, squares, section)
-    fixed = nullspace(frob ^ eye(len(frob)))
-    if fixed.shape[1] == 1:
-        certificate = Locality(_elements(ideal, flat, dims), index,
-                               _elements(_mul(section, fixed).T, flat, dims))
-        return True, certificate
-    one_bar = _mul(quot, one[:, None])
-    x = next(v for v in fixed.T if (v[:, None] != one_bar).any())
-    return False, _elements(_mul(section, x[:, None]).T, flat, dims)[0]
-
-
-def _mixed_search(basis, dims):
-    """An element that is neither nilpotent nor invertible, of an algebra
-    A proved not local.  Seeded random combinations of the basis are
-    tested in packed batches of 64.  A/rad A has a factor M_k(GF(q)) with
-    k >= 2, and an element whose image there is singular but not
-    nilpotent qualifies: at least 1/q - 1/q^2 of all elements."""
-    comps = _pack_basis(basis, dims)
-    flat = _flat(basis, dims)
-    rng = np.random.default_rng(0)
-    while True:
-        coeffs = rng.integers(0, 2, size=(64, len(basis)), dtype=np.uint8)
-        batch = [np.bitwise_xor.reduce(coeffs[:, :, None, None] * c[None], axis=1)
-                 for c in comps]
-        hit = _first(_mixed(batch))
-        if hit is not None:
-            return _elements(coeffs[hit: hit + 1], flat, dims)[0]
-
-
-def _split_or_certify(basis, dims):
-    """(f, None) with f neither nilpotent nor invertible, or (None,
-    Locality) when the algebra is local."""
-    local, got = _locality(basis, dims)
-    if local:
-        return None, got
-    return (got if got is not None else _mixed_search(basis, dims)), None
+    local, got = _local_algebra(*_structure(flat, dims), 2)
+    if not local:
+        return False, _elements(got[None], flat, dims)[0]
+    ideal, index, fixed = got
+    return True, Locality(_elements(ideal, flat, dims), index,
+                          _elements(fixed, flat, dims))
 
 
 # ---------------------------------------------------------------------------
@@ -1567,8 +1651,8 @@ def split_indecomposable(space):
     nilpotency index and the fixed space of squaring on End/J."""
     if sum(space.dims) == 0:
         raise ValueError("the zero space has no summands")
-    f, certificate = _split_or_certify(hom_basis(space, space), space.dims)
-    return (None, certificate) if f is None else _try_split(space, f)
+    local, got = _locality(hom_basis(space, space), space.dims)
+    return (None, got) if local else _try_split(space, got)
 
 
 def indecomposable_summands(space):

@@ -11,6 +11,14 @@ M1 <-> M2 <-> M3 with maps a1, b1, a2, b2 subject to
 
 String and band modules are presented over the three indecomposable
 projectives by relations written with the operator table theta(i, j).
+
+indecomposability_probe decides whether the truncation M/p^k of such a
+module splits, by linear algebra and without enumeration: M/p^k is
+indecomposable iff the GF(p)-algebra End(M/p^k) / (N + p End), N the null
+endomorphisms, is local, which gf2's locality kernel decides over GF(p)
+(gf2._local_algebra).  "indecomposable-at-level" comes with that proof as
+a certificate (gf2.Locality), "splits" with an idempotent endomorphism of
+M/p^k other than 0 and 1 as a witness.
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ from collections import namedtuple
 import numpy as np
 
 from .domains import Z_HALF, Zloc, _is_prime
-from .matrix import LatticeSpan, Mat
+from . import gf2
+from .matrix import LatticeSpan, Mat, _snf_mod
 from .polys import companion_matrix, primary_root, reciprocal
 from .presentation import FpPresentation, ModuleMorphism, compose
 
@@ -540,50 +549,7 @@ def build_band_module(b, dom=Z_HALF):
 # indecomposability probing at a finite level
 # ---------------------------------------------------------------------------
 
-ProbeVerdict = namedtuple("ProbeVerdict", "verdict witness endo_rank")
-MAX_CANDIDATES = 2000000    # the probe enumerates at most this many combinations
-
-
-def _snf_mod(a, p, k):
-    """Smith form over the chain ring Z/p^k: (U, exps, V) with
-    U a V == diag(p^e for e in exps) mod p^k and U, V invertible.
-
-    a is an int array of shape (m, n); exps has min(m, n) entries,
-    nondecreasing, with k standing for a zero diagonal entry.  Z/p^k is
-    local, so an entry of least p-adic valuation divides the whole trailing
-    block: pivot on it, scale its row by the inverse of its unit part, and
-    clear its column and then its row, each in one vectorized step.  Every
-    entry stays below q = p^k, so int64 is exact while q^2 < 2^63.
-    """
-    q = p ** k
-    a = np.array(a, dtype=np.int64) % q
-    m, n = a.shape
-    U, V = np.eye(m, dtype=np.int64), np.eye(n, dtype=np.int64)
-    exps = []
-    for t in range(min(m, n)):
-        block = a[t:, t:]
-        for e in range(k):
-            hit = np.flatnonzero(block % p ** (e + 1))
-            if hit.size:
-                break
-        else:
-            exps += [k] * (min(m, n) - t)
-            break
-        i, j = divmod(int(hit[0]), n - t)
-        i, j = i + t, j + t
-        a[[t, i]], U[[t, i]] = a[[i, t]], U[[i, t]]
-        a[:, [t, j]], V[:, [t, j]] = a[:, [j, t]], V[:, [j, t]]
-        pe = p ** e
-        unit = pow(int(a[t, t]) // pe, -1, q)
-        a[t], U[t] = a[t] * unit % q, U[t] * unit % q
-        f = a[t + 1:, t] // pe
-        a[t + 1:] = (a[t + 1:] - np.outer(f, a[t])) % q
-        U[t + 1:] = (U[t + 1:] - np.outer(f, U[t])) % q
-        g = a[t, t + 1:] // pe
-        a[t, t + 1:] = 0
-        V[:, t + 1:] = (V[:, t + 1:] - np.outer(V[:, t], g)) % q
-        exps.append(e)
-    return U, exps, V
+ProbeVerdict = namedtuple("ProbeVerdict", "verdict witness endo_rank certificate")
 
 
 def _mat_mod(m, q):
@@ -676,17 +642,21 @@ def _span_residue(H, p, k):
     return U % d[:, None], d
 
 
-def _gfp_basis(gens, U1, d1, p):
-    """The generators that extend a GF(p)-basis of L / L1, in order, where
-    L1 = {x : (U1 x) % d1 == 0} contains p * gens.
-
-    p L lies in L1, so x -> ((U1 x) % d1) / (d1 / p) on the rows with
-    d1 > 1 maps L / L1 into GF(p)^rows with kernel zero; a generator is
-    kept iff it raises the GF(p) rank."""
+def _coordinates(vecs, span, p):
+    """x -> ((U1 x) % d1) / (d1 / p) on the rows with d1 > 1, for
+    span = (U1, d1) the membership data of a lattice L1 with p L in L1: a
+    linear map L / L1 -> GF(p)^rows with kernel zero."""
+    U1, d1 = span
     hi = d1 > 1
-    coords = (gens @ U1[hi].T % d1[hi]) // (d1[hi] // p)
+    return (vecs @ U1[hi].T % d1[hi]) // (d1[hi] // p)
+
+
+def _gfp_basis(gens, span, p):
+    """The generators that extend a GF(p)-basis of L / L1, in order, where
+    L1 = {x : (U1 x) % d1 == 0}, span = (U1, d1), contains p * gens: a
+    generator is kept iff it raises the GF(p) rank of its _coordinates."""
     kept, echelon = [], []
-    for g, y in zip(gens, coords):
+    for g, y in zip(gens, _coordinates(gens, span, p)):
         for piv, row in echelon:
             if y[piv]:
                 y = (y - y[piv] * row) % p
@@ -697,28 +667,76 @@ def _gfp_basis(gens, U1, d1, p):
     return kept
 
 
+ProbeAlgebra = namedtuple("ProbeAlgebra", "basis sizes offs null span mult one")
+ProbeAlgebra.__doc__ = """End(M/q), q = p^k, and its quotient algebra
+A = End / (N + p End) over GF(p), as the probe computes them.
+
+basis: int rows mod q, the vectorized endomorphism triples whose classes
+form a GF(p)-basis of A;
+sizes, offs: the generator count and the row offset of each level;
+null, span: membership data (U, d) of the null lattice N (columns in
+relations + q) and of N + p End (see _span_residue);
+mult, one: the structure constants of A on the basis over GF(p)."""
+
+
+def _levels(vec, sizes, offs):
+    """The three matrices of a vectorized endomorphism triple."""
+    return [np.asarray(vec[o:o + n * n], dtype=np.int64).reshape(n, n)
+            for n, o in zip(sizes, offs)]
+
+
+def _probe_algebra(module, p, k):
+    """The ProbeAlgebra of M/p^k.  Raises ValueError when M/q = 0.
+
+    The structure constants come from the _coordinates of the basis, C,
+    of its products and of 1: with U C V = [1 0] over GF(p) (_snf_mod),
+    an element with coordinates y = m C has m = y V[:, :r] U."""
+    q = p ** k
+    gens, sizes, offs, rels = _endo_basis_mod(module, p, k)
+    null = _null_columns(rels, sizes, offs)
+    span = _span_residue(np.hstack([null, p * gens.T % q]), p, k)
+    kept = _gfp_basis(gens, span, p)
+    if not kept:
+        raise ValueError("the zero module has no summands")
+    basis, r = np.array(kept, dtype=np.int64), len(kept)
+    prods = np.hstack([
+        np.einsum("iab,jbc->ijac", m, m).reshape(r * r, -1) % q
+        for m in (basis[:, o:o + n * n].reshape(r, n, n) for n, o in zip(sizes, offs))
+    ])
+    idvec = np.concatenate([np.eye(n, dtype=np.int64).reshape(-1) for n in sizes])
+    u, _, v = _snf_mod(_coordinates(basis, span, p), p, 1)
+    solve = lambda vecs: _coordinates(vecs, span, p) @ v[:, :r] % p @ u % p
+    return ProbeAlgebra(basis, sizes, offs, _span_residue(null, p, k), span,
+                        solve(prods).reshape(r, r, r), solve(idvec))
+
+
 def indecomposability_probe(module, level=3, prime=3):
     """Decide whether the truncation M/q, q = prime**level, splits.
 
-    Everything is computed in Z/q, on int64 arrays:
+    Everything is computed in Z/q, on int64 arrays, and nothing is
+    enumerated (_probe_algebra):
 
     - End(M/q) is the kernel mod q of the linear system of endomorphism
       triples (see _endo_basis_mod), read off the Smith form over the
-      chain ring Z/q (_snf_mod).
+      chain ring Z/q (matrix._snf_mod).
     - The null endomorphisms N (columns in relations + q) and N + p End
       are lattices containing q Z^total; their Smith forms mod q give
       membership tests (_span_residue).
-    - A GF(p)-basis of End/(N + p End) is kept from the generators
-      (_gfp_basis); its size is endo_rank.
-    - N + p End is a nil ideal of End, so idempotents lift along
-      End -> End/(N + p End).  All prime**endo_rank combinations of the
-      basis are enumerated; one that is idempotent modulo N + p End and
-      is neither 0 nor 1 there is lifted by the Newton step
-      e -> 3e^2 - 2e^3 to an idempotent endomorphism of M/q, which is
-      returned as the witness with verdict "splits".
-    - If no combination qualifies, End(M/q) has no idempotent but 0 and 1
-      and the verdict is "indecomposable-at-level"; past MAX_CANDIDATES
-      combinations it is "unknown".
+    - A GF(p)-basis of A = End/(N + p End) is kept from the generators
+      (_gfp_basis); its size is endo_rank.  The structure constants of A
+      over GF(p) come from the same membership data.
+    - N + p End is a nil ideal of End modulo N, so M/q is indecomposable
+      iff A is local, and idempotents lift along End -> A.
+      gf2._local_algebra decides this by linear algebra over GF(p): the
+      commutator ideal J of A, its nilpotency index and the fixed space of
+      x -> x^p on the commutative A/J.
+    - A local A gives the verdict "indecomposable-at-level" with that
+      proof as certificate, a gf2.Locality whose ideal and fixed hold
+      endomorphism triples of M/q: their classes span J and the fixed
+      space, J^index lies in N + p End, and the fixed space is span{1}.
+    - Otherwise a nontrivial idempotent of A is lifted by the Newton step
+      e -> 3e^2 - 2e^3 to an idempotent endomorphism of M/q, neither 0
+      nor 1, which is returned as the witness with verdict "splits".
 
     Raises ValueError unless level >= 1 and prime is a prime that is not
     a unit of the domain (Z, Z_(p) or Z[1/S]), when q is too large for
@@ -737,64 +755,19 @@ def indecomposability_probe(module, level=3, prime=3):
     q = prime ** level
     if (1 + sum(m.gens ** 2 for m in module.modules())) * q * q >= 2 ** 63:
         raise ValueError(f"level {level} is too deep for exact int64 arithmetic")
-    gens, sizes, offs, rels = _endo_basis_mod(module, prime, level)
-    total = offs[2] + sizes[2] ** 2
-    null = _null_columns(rels, sizes, offs)
-    U0, d0 = _span_residue(null, prime, level)
-    U1, d1 = _span_residue(np.hstack([null, prime * gens.T % q]), prime, level)
-    basis = _gfp_basis(gens, U1, d1, prime)
-    r = len(basis)
-    if r == 0:
-        raise ValueError("the zero module has no summands")
-    if prime ** r > MAX_CANDIDATES:
-        return ProbeVerdict("unknown", None, r)
-
-    B = np.array(basis, dtype=np.int64)
-
-    def np_mats(vec):
-        return [
-            np.array(vec[offs[l]:offs[l] + sizes[l] ** 2], dtype=np.int64).reshape(
-                sizes[l], sizes[l]
-            )
-            for l in range(3)
-        ]
-
-    bmats = [np_mats(b) for b in basis]
-    prods = np.zeros((r * r, total), dtype=np.int64)
-    for i in range(r):
-        for j in range(r):
-            prods[i * r + j] = np.concatenate(
-                [((bmats[i][l] @ bmats[j][l]) % q).reshape(-1) for l in range(3)]
-            )
-    idvec = np.concatenate(
-        [np.eye(sizes[l], dtype=np.int64).reshape(-1) for l in range(3)]
-    )
-
-    def nonmember(vecs, U, d):
-        """Rows of vecs (N, total) not lying in the lattice."""
-        return ((vecs @ U.T) % d).any(axis=1)
-
-    ncand = prime ** r
-    chunk = max(1, min(ncand, 10 ** 5))
-    digits = prime ** np.arange(r, dtype=np.int64)[::-1]
-    for start in range(1, ncand, chunk):
-        idx = np.arange(start, min(start + chunk, ncand), dtype=np.int64)
-        C = (idx[:, None] // digits) % prime
-        E = (C @ B) % q
-        outer = np.einsum("bi,bj->bij", C, C).reshape(len(idx), r * r)
-        defect = (outer @ prods - E) % q
-        good = (
-            ~nonmember(defect, U1, d1)
-            & nonmember(E, U1, d1)
-            & nonmember((E - idvec) % q, U1, d1)
-        )
-        if not good.any():
-            continue
-        vec = E[good][0]
-        witness = _newton_lift(np_mats(vec.tolist()), q, level, U0, d0)
-        if witness is not None:
-            return ProbeVerdict("splits", witness, r)
-    return ProbeVerdict("indecomposable-at-level", None, r)
+    alg = _probe_algebra(module, prime, level)
+    r = len(alg.basis)
+    lift = lambda coords: _levels(coords @ alg.basis % q, alg.sizes, alg.offs)
+    local, got = gf2._local_algebra(alg.mult, alg.one, prime)
+    if local:
+        ideal, index, fixed = got
+        triples = lambda rows: [[m.tolist() for m in lift(x)] for x in rows]
+        return ProbeVerdict("indecomposable-at-level", None, r,
+                            gf2.Locality(triples(ideal), index, triples(fixed)))
+    witness = _newton_lift(lift(got), q, level, *alg.null)
+    if witness is None:
+        raise ArithmeticError("an idempotent of End/(N + p End) did not lift")
+    return ProbeVerdict("splits", witness, r, None)
 
 
 def _newton_lift(mats, q, level, U0, d0):

@@ -27,8 +27,8 @@ Every answer is a proof; nothing is left undecided.
   GL_d(Z/4) and reports "exhaustive mod 4" (or "rank mismatch").
 - indecomposable_mod2 proves indecomposability by a gf2.Locality
   certificate of End, and decomposability by an endomorphism that is
-  neither nilpotent nor invertible, or by a commutator ideal of End that is
-  not nilpotent.  The zero module raises ValueError.
+  neither nilpotent nor invertible: a basis element, or else a nontrivial
+  idempotent.  The zero module raises ValueError.
 """
 
 from __future__ import annotations
@@ -263,8 +263,8 @@ def _summands(mats, d):
     the summand.  Split by Fitting's lemma on gf2's locality kernel."""
     from . import gf2
 
-    f, _ = gf2._split_or_certify(gf2.module_hom_basis(mats, mats, d), (d,))
-    if f is None:
+    local, f = gf2._locality(gf2.module_hom_basis(mats, mats, d), (d,))
+    if local:
         return [(gf2.eye(d), mats)]
     (g,) = gf2._power_stable(f, d)
     out = []
@@ -378,9 +378,8 @@ def indecomposable_mod2(l):
     split_indecomposable) decides it by linear algebra, so both answers
     are proofs: True by a gf2.Locality certificate (the commutator ideal J
     of End is nilpotent and squaring fixes only span{1} on End/J), False
-    by an element that is neither nilpotent nor invertible or by a J that
-    is not nilpotent.  The zero module, which has no summands, raises a
-    ValueError."""
+    by an element that is neither nilpotent nor invertible.  The zero
+    module, which has no summands, raises a ValueError."""
     if l.rank == 0:
         raise ValueError("the zero module has no summands")
     from . import gf2

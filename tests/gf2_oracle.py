@@ -1,4 +1,5 @@
-"""Reference checks for the GF(2) deciders, independent of their kernels.
+"""Reference checks for the GF(2) deciders and for locality certificates
+over any GF(p), independent of their kernels.
 
 - first_combination, the exhaustive oracle: it enumerates all 2^E
   combinations of a basis of square morphisms on gf2's bit-packed batch
@@ -7,8 +8,9 @@
   gf2._bit_matrix), so the first hit is the same in any chunking.  The
   deciders use linear algebra; the tests compare them with this search on
   small algebras.
-- check_locality re-verifies a gf2.Locality certificate with int64
-  products and a rank on Python integers, not with gf2's elimination.
+- check_locality re-verifies a gf2.Locality certificate over GF(p) with
+  int64 products and a rank on Python integers, not with the kernel's
+  elimination.  It serves the GF(2) deciders and the 3-local probe.
 """
 
 import numpy as np
@@ -61,61 +63,89 @@ def is_local(basis, dims):
     return first_combination(basis, dims, gf2._mixed) is None
 
 
-def _rank(vecs):
-    """Rank over GF(2) of 0/1 vectors, on Python ints: a basis with
-    distinct leading bits, kept in decreasing order."""
+def _rank(vecs, p=2):
+    """Rank over GF(p) of integer vectors, on Python ints.  Over GF(2) a
+    vector is one int and the basis has distinct leading bits, kept in
+    decreasing order; over GF(p) each new vector is reduced by the earlier
+    rows, in order, and kept with its first nonzero entry scaled to 1."""
     basis = []
     for v in vecs:
-        x = int.from_bytes(np.packbits(np.asarray(v, dtype=np.uint8) % 2).tobytes(), "big")
-        for b in basis:
-            x = min(x, x ^ b)
-        if x:
-            basis = sorted(basis + [x], reverse=True)
+        if p == 2:
+            x = int.from_bytes(np.packbits(np.asarray(v, dtype=np.int64) % 2 == 1).tobytes(), "big")
+            for b in basis:
+                x = min(x, x ^ b)
+            if x:
+                basis = sorted(basis + [x], reverse=True)
+            continue
+        x = [int(c) % p for c in v]
+        for piv, row in basis:
+            if x[piv]:
+                x = [(c - x[piv] * d) % p for c, d in zip(x, row)]
+        piv = next((i for i, c in enumerate(x) if c), None)
+        if piv is not None:
+            inv = pow(x[piv], -1, p)
+            basis.append((piv, [c * inv % p for c in x]))
     return len(basis)
 
 
-def _vec(f):
+def _flatten(f):
     return np.concatenate([np.asarray(m, dtype=np.int64).reshape(-1) for m in f])
 
 
-def _prod(f, g):
-    return tuple(a.astype(np.int64) @ b.astype(np.int64) % 2 for a, b in zip(f, g))
-
-
-def _independent(elements):
-    """A maximal independent subfamily."""
-    out = []
-    for f in elements:
-        if _rank([_vec(g) for g in out + [f]]) > len(out):
-            out.append(f)
-    return out
-
-
-def check_locality(basis, dims, certificate):
+def check_locality(basis, dims, certificate, p=2, modulus=None, vec=None):
     """Check that a gf2.Locality certificate proves the algebra A spanned
-    by basis local: J = certificate.ideal lies in A, is a two-sided ideal
-    that contains every commutator of basis elements, and has J^m = 0 for
-    m = certificate.index; and the fixed space of x -> x^2 on A/J is
-    span{1}, spanned by certificate.fixed."""
-    A = [_vec(b) for b in basis]
-    J = [_vec(x) for x in certificate.ideal]
-    rank_j = _rank(J)
-    inside = lambda span, vecs: _rank(span + vecs) == _rank(span)
+    by basis local over GF(p): J = certificate.ideal lies in A, is a
+    two-sided ideal that contains every commutator of basis elements, and
+    has J^m = 0 for m = certificate.index; and the fixed space of
+    x -> x^p on A/J is span{1}, spanned by certificate.fixed.
+
+    Elements are tuples of square integer matrices, multiplied mod
+    modulus (default p).  vec maps an element to a vector over GF(p) and
+    must be linear and injective on A (default: the entries mod p), so A
+    may be a quotient such as End(M/q) / (N + p End), vec then being the
+    probe's coordinates modulo N + p End."""
+    modulus = modulus or p
+    vec = vec or (lambda f: _flatten(f) % p)
+    rank = lambda vecs: _rank(vecs, p)
+    prod = lambda f, g: tuple(np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)
+                              % modulus for a, b in zip(f, g))
+    minus = lambda u, w: (u - w) % p
+    A = [vec(b) for b in basis]
+    J = [vec(x) for x in certificate.ideal]
+    rank_j = rank(J)
+    inside = lambda span, vecs: rank(span + vecs) == rank(span)
     one = tuple(np.eye(n, dtype=np.int64) for n in dims)
-    assert _rank(A) == len(A) and rank_j == len(J)
-    assert inside(A, [_vec(one)] + J)
-    assert inside(J, [_vec(_prod(b, x)) for b in basis for x in certificate.ideal])
-    assert inside(J, [_vec(_prod(x, b)) for b in basis for x in certificate.ideal])
-    assert inside(J, [_vec(_prod(b, c)) + _vec(_prod(c, b)) for b in basis for c in basis])
+    assert rank(A) == len(A) and rank_j == len(J)
+    assert inside(A, [vec(one)] + J)
+    assert inside(J, [vec(prod(b, x)) for b in basis for x in certificate.ideal])
+    assert inside(J, [vec(prod(x, b)) for b in basis for x in certificate.ideal])
+    assert inside(J, [minus(vec(prod(b, c)), vec(prod(c, b))) for b in basis for c in basis])
     power = list(certificate.ideal)
     for _ in range(certificate.index - 1):
-        power = _independent([_prod(p, x) for p in power for x in certificate.ideal])
-    assert not any(_vec(p).any() for p in power)
-    # x -> x^2 + x is linear mod J, since A/J is commutative; its kernel in
-    # A is J plus the lifts of the fixed space, so that space is span{1}
-    # iff the kernel has dimension dim J + 1
-    square_plus = [_vec(_prod(b, b)) + _vec(b) for b in basis]
-    assert len(A) - (_rank(J + square_plus) - rank_j) == rank_j + 1
+        power = _independent([prod(f, x) for f in power for x in certificate.ideal], vec, p)
+    assert not any(vec(f).any() for f in power)
+
+    def frobenius(b):
+        out = b
+        for _ in range(p - 1):
+            out = prod(out, b)
+        return out
+
+    # x -> x^p - x is linear mod J, since A/J is commutative of
+    # characteristic p; its kernel in A is J plus the lifts of the fixed
+    # space, so that space is span{1} iff the kernel has dimension dim J + 1
+    frob_minus = [minus(vec(frobenius(b)), vec(b)) for b in basis]
+    assert len(A) - (rank(J + frob_minus) - rank_j) == rank_j + 1
     assert len(certificate.fixed) == 1
     (f,) = certificate.fixed
-    assert inside(A, [_vec(f)]) and inside(J, [_vec(f) + _vec(one)])
+    assert inside(A, [vec(f)]) and inside(J + [vec(one)], [vec(f)]) and not inside(J, [vec(f)])
+
+
+def _independent(elements, vec, p):
+    """A maximal independent subfamily."""
+    out, vecs = [], []
+    for f in elements:
+        if _rank(vecs + [vec(f)], p) > len(vecs):
+            out.append(f)
+            vecs.append(vec(f))
+    return out

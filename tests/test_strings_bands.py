@@ -1,9 +1,12 @@
 from functools import lru_cache
 
+import gf2_oracle
 import numpy as np
+import probe_oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubefunc import gf2
 from cubefunc.domains import GF3, ZZ, Z_HALF, Zloc
 from cubefunc.matrix import Mat, det, smith_normal_form, solve
 from cubefunc.strings_bands import (
@@ -19,7 +22,8 @@ from cubefunc.strings_bands import (
     irreducible_torsion_free,
     projective_diagram,
 )
-from cubefunc.strings_bands import _snf_mod
+from cubefunc.strings_bands import _coordinates, _levels, _probe_algebra
+from cubefunc.matrix import _snf_mod
 
 
 def inv(m):
@@ -331,9 +335,8 @@ def test_probe_rejects_bad_level_and_prime():
 def test_probe_at_another_prime():
     # away from 3, b1 a1 / 3 is an idempotent of the projective at level 1
     m = build_string_module(STRING_CASES[0][0])
-    res = indecomposability_probe(m, level=2, prime=5)
+    res = _checked_probe(m, 2, prime=5)
     assert (res.verdict, res.endo_rank) == ("splits", 2)
-    _assert_split_certificate(m, res.witness, 25)
 
 
 @pytest.mark.parametrize("level", [1, 3])
@@ -414,6 +417,35 @@ def _assert_split_certificate(m, witness, q):
     assert not all(null(lvl, one[lvl] - E[lvl]) for lvl in range(3))
 
 
+def _assert_locality_certificate(alg, certificate, p, q):
+    """gf2_oracle.check_locality on A = End(M/q) / (N + p End), with the
+    probe's basis triples multiplied mod q and compared by their
+    coordinates modulo N + p End."""
+    triple = lambda f: tuple(np.array(m, dtype=np.int64).reshape(n, n)
+                             for m, n in zip(f, alg.sizes))
+    vec = lambda f: _coordinates(
+        np.concatenate([np.asarray(m).reshape(-1) for m in f]) % q, alg.span, p)
+    basis = [tuple(_levels(b, alg.sizes, alg.offs)) for b in alg.basis]
+    certificate = gf2.Locality([triple(x) for x in certificate.ideal], certificate.index,
+                               [triple(x) for x in certificate.fixed])
+    gf2_oracle.check_locality(basis, alg.sizes, certificate, p=p, modulus=q, vec=vec)
+
+
+def _checked_probe(m, level, prime=3):
+    """The probe's verdict, with its witness re-checked by
+    _assert_split_certificate or its certificate by check_locality."""
+    q = prime ** level
+    res = indecomposability_probe(m, level=level, prime=prime)
+    if res.verdict == "splits":
+        assert res.certificate is None
+        _assert_split_certificate(m, res.witness, q)
+    else:
+        assert res.verdict == "indecomposable-at-level" and res.witness is None
+        _assert_locality_certificate(_probe_algebra(m, prime, level), res.certificate,
+                                     prime, q)
+    return res
+
+
 @pytest.mark.parametrize("dom", [Z_HALF, Zloc(3), ZZ], ids=str)
 @pytest.mark.parametrize("name", list(PROBE_PINS))
 def test_probe_pinned_verdicts_and_certificates(name, dom):
@@ -421,12 +453,90 @@ def test_probe_pinned_verdicts_and_certificates(name, dom):
     module over Z[1/2], Z_(3) and Z."""
     m = _probe_modules(dom)[name]
     for level, pin in zip((1, 2, 3), PROBE_PINS[name]):
-        res = indecomposability_probe(m, level=level)
+        res = _checked_probe(m, level)
         assert (res.verdict, res.endo_rank) == pin, level
-        if res.verdict == "splits":
-            _assert_split_certificate(m, res.witness, 3 ** level)
-        else:
-            assert res.witness is None
+
+
+# the probe's locality kernel against the enumeration oracle -----------------
+
+ORACLE = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+ORACLE_SIZE = 3 ** 8          # the most combinations the oracle enumerates
+
+
+def _random_probe_module(kind, seed, dom=Z_HALF):
+    """A seeded string or band module, a direct sum of two, or one of the
+    probe modules above."""
+    rng = np.random.default_rng(seed)
+    string = lambda n: build_string_module(probe_oracle.random_string_datum(rng, n), dom)
+    band = lambda n: build_band_module(probe_oracle.random_band_datum(rng, n), dom)
+    if kind == "string":
+        return string(2)
+    if kind == "band":
+        return band(2)
+    if kind == "sum":
+        return string(1).direct_sum(band(1) if rng.integers(0, 2) else string(1))
+    mods = _probe_modules(dom)
+    return mods[sorted(mods)[seed % len(mods)]]
+
+
+def _assert_probe_matches_the_oracle(m, level, prime=3):
+    """Whether the probe was compared with the oracle: not when M/q = 0
+    or A is too large to enumerate."""
+    q = prime ** level
+    try:
+        alg = _probe_algebra(m, prime, level)
+    except ValueError:                   # M/q = 0
+        return False
+    r = len(alg.basis)
+    if prime ** r > ORACLE_SIZE:
+        return False
+    res = _checked_probe(m, level, prime)
+    assert gf2_oracle._rank(_coordinates(alg.basis, alg.span, prime), prime) == r
+    found = probe_oracle.enumerate_idempotent(alg, prime, q)
+    want = "indecomposable-at-level" if found is None else "splits"
+    assert (res.verdict, res.endo_rank) == (want, r)
+    return True
+
+
+@ORACLE
+@given(st.sampled_from(("string", "band", "sum", "named")), st.integers(0, 10 ** 6),
+       st.integers(1, 3))
+def test_probe_agrees_with_the_enumeration_oracle(kind, seed, level):
+    _assert_probe_matches_the_oracle(_random_probe_module(kind, seed), level)
+
+
+@pytest.mark.parametrize("name", list(PROBE_PINS))
+def test_probe_modules_agree_with_the_enumeration_oracle(name):
+    for level in (1, 2, 3):
+        _assert_probe_matches_the_oracle(_probe_modules(Z_HALF)[name], level)
+
+
+@pytest.mark.parametrize("prime", [2, 5])
+def test_probe_agrees_with_the_enumeration_oracle_at_other_primes(prime):
+    # over Z, where 2 is no unit; the kernel runs on _eliminate at p = 2.
+    # Only the free part of a module survives mod 2 or 5
+    compared = 0
+    for seed in range(24):
+        m = _random_probe_module(("string", "sum")[seed % 2], seed, ZZ)
+        compared += sum(_assert_probe_matches_the_oracle(m, level, prime) for level in (1, 2))
+    assert compared >= 10
+
+
+def test_probe_decides_past_the_old_enumeration_cap():
+    # the probe used to enumerate at most 2,000,000 combinations and
+    # answer "unknown" past them; 3^18 and 3^20 are far beyond
+    assert 3 ** 18 > 2_000_000
+    string0 = _probe_modules(Z_HALF)["string0"]
+    cube = string0.direct_sum(string0).direct_sum(string0)
+    for level in (1, 2, 3):
+        res = _checked_probe(cube, level)
+        assert (res.verdict, res.endo_rank) == ("splits", 18)
+    # pi = t^2 + t + 1 = (t - 1)^2 over Z/3
+    band = build_band_module(BandData3(
+        StringDiagram3("iii", [5, 6, 5, 6], [5, 6, 5, 6], [1, 1, 0, 1]), [1, 1, 1]))
+    res = _checked_probe(band, 3)
+    assert (res.verdict, res.endo_rank) == ("indecomposable-at-level", 20)
+    assert res.certificate.index > 1
 
 
 # Smith form over Z/p^k -----------------------------------------------------

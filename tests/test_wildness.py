@@ -374,14 +374,16 @@ def _units(n, cells):
 def test_matrix_algebra_with_no_mixed_basis_element():
     # M_2(GF(2)) on the basis {1, E12, E21, E12 + E21 + E22}: each basis
     # element is invertible or nilpotent, and [E12, E21] = 1, so the
-    # commutator ideal is all of A and not nilpotent: A is not local
+    # commutator ideal is all of A and not nilpotent: A is not local, and
+    # the seeded search on the structure constants finds an idempotent
     one = (np.eye(2, dtype=np.uint8),)
     (e12,), (e21,), (e22,) = _units(2, [(0, 1), (1, 0), (1, 1)])
     basis = [one, (e12,), (e21,), (e12 ^ e21 ^ e22,)]
     assert not gf2._mixed(gf2._pack_basis(basis, (2,))).any()
-    assert gf2._locality(basis, (2,)) == (False, None)
-    (f,) = gf2._mixed_search(basis, (2,))
+    local, (f,) = gf2._locality(basis, (2,))
+    assert local is False
     assert gf2._mixed(gf2._pack_basis([(f,)], (2,)))[0]
+    assert np.array_equal(gf2._mul(f, f), f)
     assert gf2_oracle.first_combination(basis, (2,), gf2._mixed) is not None
 
 
