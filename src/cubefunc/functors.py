@@ -7,6 +7,12 @@ The cross-effect pieces are cut out with the recursive idempotents
 f(k1...km) built from the coordinate projections of a direct sum, and the
 structure maps are three-step compositions through F(diagonal) and
 F(codiagonal).
+
+Before it builds the diagram, extract_diagram proves degree <= 3 by showing
+that the top cross-effects F_4 and F_5 vanish.  Each is one Moebius sum of
+the 2^m images F(e_T), streamed into one r x r integer accumulator, so the
+check holds O(r^2) entries (r = rank F(Z^m), 125 for tensor_cube at m = 5)
+and never the 2^m images at once.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 from .domains import ZZ
-from .matrix import Mat, column_hermite, inverse, rank as mat_rank, solve as mat_solve
+from .matrix import Mat, column_hermite, solve as mat_solve
 from .presentation import FpPresentation, ModuleMorphism, compose
 
 
@@ -253,25 +259,30 @@ def _minor(a, iis, js):
 # ---------------------------------------------------------------------------
 
 
-def _cross_effect_int(f, n, S, cache):
+def _projection_image(f, n, T):
+    """F(e_T) as plain-int rows, e_T the coordinate projection of Z^n onto
+    the coordinates in T."""
+    e = [[1 if (i == j and i in T) else 0 for j in range(n)] for i in range(n)]
+    return f._act_int(e, n, n)
+
+
+def _cross_effect_int(f, n, S, image):
     """f(S) as plain-int rows, for S a subset of {0..n-1}.
 
-    f(S) = sum over T subset of S of (-1)^{|S|-|T|} F(e_T), where e_T is the
-    coordinate projection of Z^n onto the coordinates in T.  The F(e_T) are
-    the integer matrices of f._act_int, kept in cache (keyed by T) so the
-    subsets S of one n share them.  Mapping the sum into the base domain
-    afterwards gives the same matrix as summing there, because Z -> base is
-    a ring homomorphism; act maps its integer matrix the same way.
+    f(S) = sum over T subset of S of (-1)^{|S|-|T|} F(e_T), the Moebius sum
+    over the subsets of S.  image(T) returns the integer matrix F(e_T); each
+    one is added into a single r x r accumulator as it comes, so the sum
+    holds no more than the accumulator and the image at hand.  Mapping the
+    sum into the base domain afterwards gives the same matrix as summing
+    there, because Z -> base is a ring homomorphism; act maps its integer
+    matrix the same way.
     """
     r = f.rank(n)
     acc = [[0] * r for _ in range(r)]
     for k in range(len(S) + 1):
         sign = -1 if (len(S) - k) % 2 else 1
         for T in combinations(S, k):
-            if T not in cache:
-                e = [[1 if (i == j and i in T) else 0 for j in range(n)] for i in range(n)]
-                cache[T] = f._act_int(e, n, n)
-            for acc_row, row in zip(acc, cache[T]):
+            for acc_row, row in zip(acc, image(T)):
                 for j, x in enumerate(row):
                     if x:
                         acc_row[j] += sign * x
@@ -279,27 +290,32 @@ def _cross_effect_int(f, n, S, cache):
 
 
 def _top_cross_effect(f, m):
-    """The full-set idempotent f(0..m-1) over the base domain."""
-    return Mat(f.base, _cross_effect_int(f, m, tuple(range(m)), {}))
+    """The full-set idempotent f(0..m-1) over the base domain.
+
+    Each F(e_T) is built, added into the accumulator and dropped: no other
+    subset reads it.  So the memory is O(r^2) for r = rank F(Z^m), about
+    three r x r int tables, and not the 2^m images at once (for
+    tensor_cube at m = 5, r = 125 and 2^m = 32).
+    """
+    return Mat(f.base, _cross_effect_int(
+        f, m, tuple(range(m)), lambda T: _projection_image(f, m, T)))
 
 
 def cross_effect_idempotents(f, n):
     """The family { S : f(S) } over all nonempty S subset of {0..n-1}.
 
     f(S) = sum over T subset of S of (-1)^{|S|-|T|} F(e_T), where e_T is the
-    coordinate projection of Z^n onto the coordinates in T.
+    coordinate projection of Z^n onto the coordinates in T.  The subsets S
+    share their images, so the 2^n integer matrices F(e_T) are built once
+    and kept for the whole family.
     """
-    cache = {}
+    images = {T: _projection_image(f, n, T)
+              for k in range(n + 1) for T in combinations(range(n), k)}
     return {
-        S: Mat(f.base, _cross_effect_int(f, n, S, cache))
+        S: Mat(f.base, _cross_effect_int(f, n, S, images.__getitem__))
         for m in range(1, n + 1)
         for S in combinations(range(n), m)
     }
-
-
-def cross_effect_ranks(f, upto=3):
-    """Ranks (r1, ..., r_upto) of the multi-diagonal cross-effects."""
-    return tuple(mat_rank(_top_cross_effect(f, m)) for m in range(1, upto + 1))
 
 
 def first_nonvanishing_above(f, degree):

@@ -768,12 +768,6 @@ class XWord:
             if n % 2:
                 raise ValueError("cyclic words have even length")
 
-    @classmethod
-    def parse(cls, text, cyclic=False):
-        import re
-        toks = re.findall(r"[RS]\d+|[~-]", text.replace(" ", ""))
-        return cls(toks[0::2], toks[1::2], cyclic=cyclic)
-
     def __repr__(self):
         body = self.letters[0]
         for r, x in zip(self.rels, self.letters[1:]):

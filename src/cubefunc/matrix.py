@@ -548,8 +548,8 @@ def smith_solve(u, s, b):
     Returns the y with s y == u b that is 0 in the rows of zero diagonal
     entries, or None when there is none, which is exactly when a column of
     b lies outside the column lattice of m; x = v y then solves m x = b.
-    This is the one solving kernel behind ``solve``, ``in_column_lattice``
-    and the membership tests of presented modules, which keep u and s.
+    This is the one solving kernel behind ``solve`` and the membership
+    tests of presented modules, which keep u and s.
     """
     d = s.dom
     zero = d.zero()
@@ -626,16 +626,6 @@ def column_hermite(m):
 def _from_columns(cols, n):
     """The n rows of the matrix with the given columns."""
     return [[c[i] for c in cols] for i in range(n)]
-
-
-def in_column_lattice(m, b):
-    """Whether every column of b lies in the column lattice (span) of m."""
-    u, s, _ = smith_normal_form(m)
-    return smith_solve(u, s, b) is not None
-
-
-def lattice_equal(m1, m2):
-    return in_column_lattice(m1, m2) and in_column_lattice(m2, m1)
 
 
 class LatticeSpan:

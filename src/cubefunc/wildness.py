@@ -141,40 +141,40 @@ def _induction_data():
     b_el = rep.eval(PBAR * HBAR)
     b11 = [rep.corner(m, 1, 1) for m in (one, a_el, b_el)]
 
-    def coords(basis, m):
-        cols = Mat.hstack_all(ZZ, [Mat.column(ZZ, _flat(x)) for x in basis])
-        sol = mat_solve(cols, Mat.column(ZZ, _flat(m)))
+    def coord_mats(basis, groups):
+        """The coordinates of each group of elements in a lattice basis, as
+        one matrix per group with a column per element.  All groups are the
+        columns of one right-hand side, so the basis is factored once; the
+        coordinates are unique because the basis is a lattice basis."""
+        flat = lambda ms: Mat.hstack_all(
+            ZZ, [Mat.column(ZZ, [x for row in m.a for x in row]) for m in ms])
+        sol = mat_solve(flat(basis), flat([m for g in groups for m in g]))
         if sol is None:
             raise RuntimeError("element escapes the Hom lattice")
-        return [sol.a[k][0] for k in range(len(basis))]
-
-    def _flat(m):
-        return [x for row in m.a for x in row]
-
-    def coord_mat(basis, mats):
-        cols = [coords(basis, m) for m in mats]
-        return Mat(ZZ, [[cols[j][i] for j in range(len(cols))] for i in range(len(basis))])
+        out, j = [], 0
+        for g in groups:
+            out.append(sol.submatrix(range(len(basis)), range(j, j + len(g))))
+            j += len(g)
+        return out
 
     gm = rep.gen_mats
-    h_m = rep.corner(gm["h"], 1, 2)
-    data = {
-        "k2": len(w2),
-        "k3": len(w3),
-        "h": coord_mat(w2, [h_m]),
-        # p . w lands back at level 1; record its {1, a, b} coordinates
-        "p": Mat(
-            ZZ,
-            [coords(b11, rep.corner(gm["p"], 2, 1) * w) for w in w2],
-        ).transpose(),
-        "h1": coord_mat(w3, [rep.corner(gm["h1"], 2, 3) * w for w in w2]),
-        "h2": coord_mat(w3, [rep.corner(gm["h2"], 2, 3) * w for w in w2]),
-        "p1": coord_mat(w2, [rep.corner(gm["p1"], 3, 2) * v for v in w3]),
-        "p2": coord_mat(w2, [rep.corner(gm["p2"], 3, 2) * v for v in w3]),
-        "ra2": coord_mat(w2, [w * b11[1] for w in w2]),
-        "rb2": coord_mat(w2, [w * b11[2] for w in w2]),
-        "ra3": coord_mat(w3, [v * b11[1] for v in w3]),
-        "rb3": coord_mat(w3, [v * b11[2] for v in w3]),
-    }
+    side = lambda g, s, t, ws: [rep.corner(gm[g], s, t) * w for w in ws]
+    data = {"k2": len(w2), "k3": len(w3)}
+    data.update(zip(("h", "p1", "p2", "ra2", "rb2"), coord_mats(w2, [
+        [rep.corner(gm["h"], 1, 2)],
+        side("p1", 3, 2, w3),
+        side("p2", 3, 2, w3),
+        [w * b11[1] for w in w2],
+        [w * b11[2] for w in w2],
+    ])))
+    data.update(zip(("h1", "h2", "ra3", "rb3"), coord_mats(w3, [
+        side("h1", 2, 3, w2),
+        side("h2", 2, 3, w2),
+        [v * b11[1] for v in w3],
+        [v * b11[2] for v in w3],
+    ])))
+    # p . w lands back at level 1; record its {1, a, b} coordinates
+    data.update(zip(("p",), coord_mats(b11, [side("p", 2, 1, w2)])))
     return data
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cubefunc.matrix import lattice_equal
+from lattice_oracle import lattice_equal
 
 
 def _assert_column_hermite(h, m):

@@ -11,13 +11,22 @@ over any GF(p), independent of their kernels.
 - check_locality re-verifies a gf2.Locality certificate over GF(p) with
   int64 products and a rank on Python integers, not with the kernel's
   elimination.  It serves the GF(2) deciders and the 3-local probe.
+- word parses a word of the strata alphabet from its text, for test data.
 """
+
+import re
 
 import numpy as np
 
 from cubefunc import gf2
 
 CHUNK_WORDS = 1 << 18
+
+
+def word(text, cyclic=False):
+    """The gf2.XWord written as text, such as "S7-R1~R15-S10"."""
+    toks = re.findall(r"[RS]\d+|[~-]", text.replace(" ", ""))
+    return gf2.XWord(toks[0::2], toks[1::2], cyclic=cyclic)
 
 
 def combinations(basis, lo, count):

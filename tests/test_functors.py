@@ -1,16 +1,18 @@
 import random
+import tracemalloc
 from itertools import product
 from math import comb
 
 import pytest
+from cross_effect_oracle import cross_effect_ranks, signed_sum_table
 
+from cubefunc import functors
 from cubefunc.domains import ZZ, GF2, Z_HALF, Zloc
 from cubefunc.functors import (
     BuiltinFunctor,
     FUNCTOR_IDS,
     builtin,
     cross_effect_idempotents,
-    cross_effect_ranks,
     extract_diagram,
     first_nonvanishing_above,
     split_idempotent,
@@ -61,6 +63,30 @@ def test_cross_effect_ranks(fid):
     assert cross_effect_ranks(builtin(fid)) == EXPECTED_RANKS[fid]
 
 
+@pytest.mark.parametrize("base", [ZZ, Z_HALF], ids=["Z", "Z_half"])
+@pytest.mark.parametrize("fid", FUNCTOR_IDS)
+def test_streamed_top_cross_effect_agrees_with_the_table_oracle(fid, base):
+    f = builtin(fid, base)
+    for m in range(1, 6):
+        got = functors._top_cross_effect(f, m)
+        assert got.dom == base
+        assert got == signed_sum_table(f, m, tuple(range(m))), m
+
+
+@pytest.mark.parametrize("base, bound_mb", [(ZZ, 0.6), (Z_HALF, 1.5)], ids=["Z", "Z_half"])
+def test_degree_check_memory_is_bounded(base, bound_mb):
+    """The F_4 and F_5 checks of tensor_cube (r = 64 and 125) stream their
+    Moebius sums; with a table of all 2^5 images the peak was 4.41 MiB."""
+    f = builtin("tensor_cube", base)
+    tracemalloc.start()
+    try:
+        assert first_nonvanishing_above(f, 3) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 2**20, peak / 2**20
+
+
 @pytest.mark.parametrize("fid", FUNCTOR_IDS)
 def test_idempotent_family(fid):
     f = builtin(fid)
@@ -69,6 +95,7 @@ def test_idempotent_family(fid):
         r = f.rank(n)
         total = Mat.zeros(ZZ, r, r)
         for S, e in fam.items():
+            assert e == signed_sum_table(f, n, S)
             assert e * e == e
             total = total + e
         assert total == Mat.identity(ZZ, r)

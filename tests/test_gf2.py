@@ -283,7 +283,7 @@ def test_first_combination_in_any_chunking(dims, E, chunk_words, seed):
 # the deciders on realized string and band data
 # ---------------------------------------------------------------------------
 
-W = XWord.parse
+W = gf2_oracle.word
 DATA = [
     StringDatum5(W("S7-R1~R15-S10")),
     StringDatum5(W("S5~S5-R5")),

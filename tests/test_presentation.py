@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
+from lattice_oracle import in_column_lattice
 
 import cubefunc.matrix
 import cubefunc.presentation
 from cubefunc.domains import GF, GF2, ZZ, Z_HALF, Zloc
-from cubefunc.matrix import LatticeSpan, Mat, in_column_lattice
+from cubefunc.matrix import LatticeSpan, Mat
 from cubefunc.presentation import (
     FpPresentation,
     ModuleMorphism,

@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from lattice_oracle import in_column_lattice, lattice_equal
 
 from cubefunc import faithful, rings, wildness
 from cubefunc.domains import Z_HALF, ZZ
@@ -13,7 +14,7 @@ from cubefunc.faithful import (
     shared_representation, word_lattice,
 )
 from cubefunc.functors import CubicDiagram, builtin, extract_diagram
-from cubefunc.matrix import LatticeSpan, Mat, in_column_lattice, lattice_equal
+from cubefunc.matrix import LatticeSpan, Mat
 from cubefunc.presentation import ModuleMorphism
 from cubefunc.rings import (
     GEN_TYPES,

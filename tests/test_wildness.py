@@ -353,7 +353,7 @@ def test_one_locality_search(monkeypatch):
     monkeypatch.setattr(gf2, "_locality", lambda b, d: seen.append(d) or kernel(b, d))
     j = np.eye(3, k=1, dtype=np.int64).tolist()
     assert indecomposable_mod2(SigmaModule(2, 3, [j, j])) is True
-    space = gf2.realize(gf2.StringDatum5(gf2.XWord.parse("S7-R1~R15-S10")))
+    space = gf2.realize(gf2.StringDatum5(gf2_oracle.word("S7-R1~R15-S10")))
     assert gf2.split_indecomposable(space)[0] is None
     zero = SigmaModule(2, 2, [[[0, 0], [0, 0]]] * 2)
     assert iso_test_mod2(zero, zero).isomorphic is True
