@@ -123,6 +123,11 @@ def phi_restrict(l):
 # ---------------------------------------------------------------------------
 
 
+def _as_columns(ms):
+    """The matrices ms, each flattened row by row into one column."""
+    return Mat.hstack_all(ZZ, [Mat.column(ZZ, [x for row in m.a for x in row]) for m in ms])
+
+
 @lru_cache(maxsize=None)
 def _induction_data():
     """Structure constants of the level-(1,2) and level-(1,3) Hom lattices.
@@ -146,9 +151,7 @@ def _induction_data():
         one matrix per group with a column per element.  All groups are the
         columns of one right-hand side, so the basis is factored once; the
         coordinates are unique because the basis is a lattice basis."""
-        flat = lambda ms: Mat.hstack_all(
-            ZZ, [Mat.column(ZZ, [x for row in m.a for x in row]) for m in ms])
-        sol = mat_solve(flat(basis), flat([m for g in groups for m in g]))
+        sol = mat_solve(_as_columns(basis), _as_columns([m for g in groups for m in g]))
         if sol is None:
             raise RuntimeError("element escapes the Hom lattice")
         out, j = [], 0
@@ -174,7 +177,7 @@ def _induction_data():
         [v * b11[2] for v in w3],
     ])))
     # p . w lands back at level 1; record its {1, a, b} coordinates
-    data.update(zip(("p",), coord_mats(b11, [side("p", 2, 1, w2)])))
+    data["p"] = coord_mats(b11, [side("p", 2, 1, w2)])[0]
     return data
 
 

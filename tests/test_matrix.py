@@ -151,6 +151,11 @@ def test_column_hermite_lattice():
     assert not in_column_lattice(m, Mat.column(ZZ, [1, 0]))
 
 
+# a Z[1/2] matrix whose column_hermite form changes when folded again
+_Z_HALF_FOLD_CASE = [[-6, Fraction(1, 2), Fraction(-3, 2)],
+                     [1, Fraction(3, 2), Fraction(1, 2)]]
+
+
 def test_column_hermite_random_lattice_equality():
     rng = random.Random(3)
     for _ in range(25):
@@ -159,14 +164,16 @@ def test_column_hermite_random_lattice_equality():
         assert lattice_equal(m, h)
         # hermite of hermite is identical (canonical)
         assert column_hermite(h) == h
+    # over Z[1/2] the lattice is kept too (the form itself is not canonical)
+    m = Mat(Z_HALF, _Z_HALF_FOLD_CASE)
+    assert lattice_equal(m, column_hermite(m))
 
 
-@pytest.mark.xfail(strict=True, reason="column_hermite over Z[1/2] is not a normal "
-                   "form: folding its output again can change it (ROADMAP item 7)")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="column_hermite over Z[1/2] is not a normal form: folding "
+                   "its output again can change it (ROADMAP item 7)")
 def test_column_hermite_over_z_half_is_a_normal_form():
-    m = Mat(Z_HALF, [[-6, Fraction(1, 2), Fraction(-3, 2)], [1, Fraction(3, 2), Fraction(1, 2)]])
-    h = column_hermite(m)
-    assert lattice_equal(m, h)
+    h = column_hermite(Mat(Z_HALF, _Z_HALF_FOLD_CASE))
     # today h is [[1, 0], [1, 1]] and its own form is the identity
     assert column_hermite(h) == h
 

@@ -1,7 +1,7 @@
 """Time the cold timed phase of a benchmark workload over many children.
 
     python3 tools/phase_floor.py --workload extract_zhalf [--seed 0] \
-        [--children 20] [--seconds 10] [--checkout DIR]
+        [--children 20] [--checkout DIR]
 
 Runs --children cold timed processes of a workload through the `_child` of
 perfbench/run.py, as perfbench/check_trace.py does, in the checkout DIR
@@ -13,10 +13,11 @@ for a shorter phase run.py stops with KeyError.  So this prints the
 fastest, median and slowest `run_wall_s` with the fastest one's margin above
 that floor, the children without `run_s`, the median `run_s` and
 `peak_rss_mb`, and the failed ops per process.  run.py starts timed
-processes until their `run_s` adds up to --seconds and sums `failed` over
-all of them; the count of processes it would start at the median `run_s`
-is printed too, because one more process adds its failed ops to the total
-without any more failures per process.
+processes until their `run_s` adds up to the checkout's BENCHMARK.json
+`run_seconds` and sums `failed` over all of them; the count of processes
+it would start at the median `run_s` is printed too, because one more
+process adds its failed ops to the total without any more failures per
+process.
 """
 
 import argparse
@@ -33,8 +34,6 @@ def main(argv=None):
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--children", type=int, default=20)
-    ap.add_argument("--seconds", type=float, default=10,
-                    help="run.py's --seconds, for the count of processes")
     ap.add_argument("--checkout", default=ROOT)
     args = ap.parse_args(argv)
     sys.path.insert(0, os.path.join(os.path.abspath(args.checkout), "perfbench"))
@@ -56,8 +55,9 @@ def main(argv=None):
     print(f"children without run_s (phase under the floor): {args.children - len(run_s)}")
     if run_s:
         med = statistics.median(run_s)
-        print(f"run_s: median {med:.4g} s; run.py --seconds {args.seconds:g} would start "
-              f"{math.ceil(args.seconds / med)} timed process(es) at that median")
+        seconds = run._spec()["run_seconds"]
+        print(f"run_s: median {med:.4g} s; run.py --seconds {seconds:g} would start "
+              f"{math.ceil(seconds / med)} timed process(es) at that median")
     print(f"peak_rss_mb: median {statistics.median(r['peak_rss_mb'] for r in results):.4g}")
     print(f"failed ops per process: {failed}")
     return 0
