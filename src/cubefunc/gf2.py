@@ -11,27 +11,32 @@ normal form of the (h, p) pair, the staircase form of h1, the word calculus
 over the bunch of semichains, and realize / decompose as mutually inverse
 constructions (strings, bands and the trivial diagram).
 
-Matrices are uint8 arrays of zeros and ones.  Hom spaces, of cubic spaces
-and of modules over free algebras alike, are nullspaces of one Kronecker
-system (_intertwiners).  Two facts about an indecomposable
-finite-dimensional object (Auslander-Reiten-Smalo, Representation Theory
-of Artin Algebras) make the deciders exact:
+Matrices are uint8 arrays of zeros and ones.  One type, Rep2, holds a
+representation of a quiver over GF(2): a space at each vertex and a matrix
+on each arrow.  A cubic space is a Rep2 on the cubic quiver (CubicSpace2),
+and the mod-2 action tuple of a wildness.SigmaModule is a Rep2 on one
+vertex with a loop per matrix.  One kernel, written over arrows, serves
+both: hom_basis solves Hom(x, y) as the nullspace of one Kronecker system,
+split_indecomposable and indecomposable_summands split by Fitting's lemma
+and return the inclusion of each summand, and match_summands pairs the
+summands of two representations (Krull-Schmidt).  Two facts about an
+indecomposable finite-dimensional representation (Auslander-Reiten-Smalo,
+Representation Theory of Artin Algebras) make the deciders exact:
 
 - its endomorphism algebra is local: every endomorphism is nilpotent or
-  invertible.  split_indecomposable and wildness.indecomposable_mod2 share
-  one kernel that decides this by linear algebra on a basis of End
-  (_locality): the ideal J generated by commutators is nilpotent, and
-  squaring fixes only span{1} on the commutative End/J.  A local End comes
-  with that certificate (Locality); otherwise an element that is neither
-  nilpotent nor invertible splits the object by Fitting's lemma.  The
-  steps after a packed screen of the basis are written once for every
-  GF(p), on structure constants (_local_algebra), and also decide the
-  3-local probe of strings_bands over GF(3);
+  invertible.  split_indecomposable decides this by linear algebra on a
+  basis of End (_locality): the ideal J generated by commutators is
+  nilpotent, and squaring fixes only span{1} on the commutative End/J.  A
+  local End comes with that certificate (Locality); otherwise an element
+  that is neither nilpotent nor invertible splits the representation by
+  Fitting's lemma.  The steps after a packed screen of the basis are
+  written once for every GF(p), on structure constants (local_algebra),
+  and also decide the 3-local probe of strings_bands over GF(3);
 - if x or y is indecomposable and x ~ y, the maps x -> y that are not
   isomorphisms form a proper subspace of Hom(x, y), so every basis of
   Hom(x, y) has an invertible element.  find_isomorphism tests the basis
   elements only, on bit-packed rows, and its None is a proof under that
-  hypothesis.
+  hypothesis; match_summands applies it to each pair of summands.
 
 Band polynomials come from polys.py.
 """
@@ -190,40 +195,83 @@ def reduce_mod(vecs, span, dim):
 
 
 # ---------------------------------------------------------------------------
-# cubic spaces
+# representations of a quiver; cubic spaces
 # ---------------------------------------------------------------------------
 
 
-class CubicSpace2:
-    """A char-2 cubic diagram: spaces F1, F2, F3 with maps
-    h: F1->F2, p: F2->F1, h_i: F2->F3, p_i: F3->F2."""
+class Rep2:
+    """A representation of a quiver over GF(2): the space GF(2)^dims[v] at
+    each vertex v and, for each arrow (s, t, m), the matrix m of a map from
+    vertex s to vertex t.  A cubic space is a representation of the cubic
+    quiver (CubicSpace2); an action tuple (a_1, .., a_n) is one of the
+    quiver with one vertex and n loops."""
+
+    def __init__(self, dims, arrows):
+        self.dims = tuple(dims)
+        self.arrows = tuple((s, t, np.asarray(m, dtype=np.uint8)) for s, t, m in arrows)
+        for k, (s, t, m) in enumerate(self.arrows):
+            if m.shape != (self.dims[t], self.dims[s]):
+                raise ValueError(f"arrow {k} must be {(self.dims[t], self.dims[s])}")
+
+    def _with_maps(self, dims, maps):
+        """The representation of the same quiver with these maps."""
+        return Rep2(dims, [(s, t, m) for (s, t, _), m in zip(self.arrows, maps)])
+
+    def direct_sum(self, other):
+        def blk(a, b):
+            out = zeros(a.shape[0] + b.shape[0], a.shape[1] + b.shape[1])
+            out[: a.shape[0], : a.shape[1]] = a
+            out[a.shape[0]:, a.shape[1]:] = b
+            return out
+
+        return self._with_maps([i + j for i, j in zip(self.dims, other.dims)],
+                               [blk(a, b) for (_, _, a), (_, _, b)
+                                in zip(self.arrows, other.arrows)])
+
+    def conjugate(self, *bases):
+        """The same representation in new bases (the columns of bases[v]
+        are the new basis at vertex v)."""
+        inv = [inverse(b) for b in bases]
+        return self._with_maps(self.dims, [mats(inv[t], m, bases[s])
+                                           for s, t, m in self.arrows])
+
+    def restrict(self, *bases):
+        """The subrepresentation spanned by the column bases, one per
+        vertex; it must be closed under every arrow."""
+        maps = []
+        for k, (s, t, m) in enumerate(self.arrows):
+            x = solve(bases[t], _mul(m, bases[s]))
+            if x is None:
+                raise ValueError(f"subspace is not closed under arrow {k}")
+            maps.append(x)
+        return self._with_maps([b.shape[1] for b in bases], maps)
+
+    def __eq__(self, other):
+        return (isinstance(other, Rep2) and self.dims == other.dims
+                and len(self.arrows) == len(other.arrows)
+                and all((s, t) == (u, v) and np.array_equal(m, n)
+                        for (s, t, m), (u, v, n) in zip(self.arrows, other.arrows)))
+
+
+class CubicSpace2(Rep2):
+    """A char-2 cubic diagram: the representation of the cubic quiver with
+    spaces F1, F2, F3 at vertices 0, 1, 2 and the arrows
+    h: F1->F2, p: F2->F1, h_i: F2->F3, p_i: F3->F2, in that order."""
+
+    QUIVER = ((0, 1), (1, 0), (1, 2), (1, 2), (2, 1), (2, 1))
 
     def __init__(self, h, p, h1, h2, p1, p2, check=True):
-        self.h = np.asarray(h, dtype=np.uint8)
-        self.p = np.asarray(p, dtype=np.uint8)
-        self.h1 = np.asarray(h1, dtype=np.uint8)
-        self.h2 = np.asarray(h2, dtype=np.uint8)
-        self.p1 = np.asarray(p1, dtype=np.uint8)
-        self.p2 = np.asarray(p2, dtype=np.uint8)
-        self.d1 = self.h.shape[1]
-        self.d2 = self.h.shape[0]
-        self.d3 = self.h1.shape[0]
-        shapes = {
-            "h": (self.d2, self.d1), "p": (self.d1, self.d2),
-            "h1": (self.d3, self.d2), "h2": (self.d3, self.d2),
-            "p1": (self.d2, self.d3), "p2": (self.d2, self.d3),
-        }
-        for name, want in shapes.items():
-            if getattr(self, name).shape != want:
-                raise ValueError(f"{name} must be {want}")
+        maps = [np.asarray(m, dtype=np.uint8) for m in (h, p, h1, h2, p1, p2)]
+        super().__init__((maps[0].shape[1], maps[0].shape[0], maps[2].shape[0]),
+                         [(s, t, m) for (s, t), m in zip(self.QUIVER, maps)])
+        self.h, self.p, self.h1, self.h2, self.p1, self.p2 = maps
         if check:
             bad = [name for name, ok in self.verify().items() if not ok]
             if bad:
                 raise ValueError("cubic relations fail: " + "; ".join(bad))
 
-    @property
-    def dims(self):
-        return (self.d1, self.d2, self.d3)
+    def _with_maps(self, dims, maps):
+        return CubicSpace2(*maps, check=False)
 
     def verify(self):
         """Exact relation checks; returns {relation name: bool}."""
@@ -251,55 +299,6 @@ class CubicSpace2:
             "(h1 h) p + h1 + h2 = h1p1h2p2h1 + h2p2h1p1h2": not (lhs7 ^ rhs7).any(),
             "h (p p1) + p1 + p2 = p1h2p2h1p1 + p2h1p1h2p2": not (lhs8 ^ rhs8).any(),
         }
-
-    def direct_sum(self, other):
-        def blk(a, b):
-            out = zeros(a.shape[0] + b.shape[0], a.shape[1] + b.shape[1])
-            out[: a.shape[0], : a.shape[1]] = a
-            out[a.shape[0]:, a.shape[1]:] = b
-            return out
-
-        return CubicSpace2(
-            blk(self.h, other.h), blk(self.p, other.p),
-            blk(self.h1, other.h1), blk(self.h2, other.h2),
-            blk(self.p1, other.p1), blk(self.p2, other.p2),
-            check=False,
-        )
-
-    def conjugate(self, b1, b2, b3):
-        """The same space in new bases (columns of b_i are the new basis)."""
-        i1, i2, i3 = inverse(b1), inverse(b2), inverse(b3)
-        return CubicSpace2(
-            mats(i2, self.h, b1), mats(i1, self.p, b2),
-            mats(i3, self.h1, b2), mats(i3, self.h2, b2),
-            mats(i2, self.p1, b3), mats(i2, self.p2, b3),
-            check=False,
-        )
-
-    def restrict(self, b1, b2, b3):
-        """The subspace spanned by the given column bases (must be a
-        subdiagram, i.e. closed under all six maps)."""
-        parts = {}
-        for name, mat, src, dst in (
-            ("h", self.h, b1, b2), ("p", self.p, b2, b1),
-            ("h1", self.h1, b2, b3), ("h2", self.h2, b2, b3),
-            ("p1", self.p1, b3, b2), ("p2", self.p2, b3, b2),
-        ):
-            x = solve(dst, _mul(mat, src))
-            if x is None:
-                raise ValueError(f"subspace is not closed under {name}")
-            parts[name] = x
-        return CubicSpace2(parts["h"], parts["p"], parts["h1"],
-                           parts["h2"], parts["p1"], parts["p2"], check=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CubicSpace2)
-            and all(
-                np.array_equal(getattr(self, n), getattr(other, n))
-                for n in ("h", "p", "h1", "h2", "p1", "p2")
-            )
-        )
 
 
 def zero_space():
@@ -337,11 +336,11 @@ def split_trivial(space):
     for idem in (e1, e2, f1, f2):
         if (_mul(idem, idem) ^ idem).any():
             raise ValueError("trivial-part projectors fail to be idempotent")
-    e0 = e1 ^ e2 ^ eye(space.d3)
-    f0 = f1 ^ f2 ^ eye(space.d2)
+    e0 = e1 ^ e2 ^ eye(space.dims[2])
+    f0 = f1 ^ f2 ^ eye(space.dims[1])
     b3 = column_space(e0)
     b2 = column_space(f0)
-    b1 = eye(space.d1)
+    b1 = eye(space.dims[0])
     reduced = space.restrict(b1, b2, b3)
     rem = (
         _mul(reduced.h1, reduced.p1)
@@ -1176,17 +1175,19 @@ def _kron(a, b):
     return (a & b).reshape(a.shape[0] * b.shape[1], a.shape[2] * b.shape[3])
 
 
-def _intertwiners(dims_x, dims_y, arrows):
-    """Basis of the families (f_v : x_v -> y_v) with y_a f_s = f_t x_a for
-    every arrow (s, t, x_a, y_a), as tuples of matrices.
+def hom_basis(x, y):
+    """Basis of the morphisms x -> y of two representations of one quiver:
+    the families (f_v : x_v -> y_v) with y_a f_s = f_t x_a for every arrow
+    a from s to t, as tuples of matrices, one per vertex.
 
     The basis is the nullspace of the stacked Kronecker system: with f
     flattened row by row, y_a f_s = f_t x_a reads
     (y_a kron I) vec f_s = (I kron x_a^T) vec f_t."""
+    dims_x, dims_y = x.dims, y.dims
     nvars = [dx * dy for dx, dy in zip(dims_x, dims_y)]
     off = np.cumsum([0] + nvars)
     rows = []
-    for s, t, xa, ya in arrows:
+    for (s, t, xa), (_, _, ya) in zip(x.arrows, y.arrows):
         block = zeros(ya.shape[0] * dims_x[s], off[-1])
         block[:, off[s]: off[s + 1]] = _kron(ya, eye(dims_x[s]))
         block[:, off[t]: off[t + 1]] ^= _kron(eye(dims_y[t]), xa.T)
@@ -1200,24 +1201,6 @@ def _intertwiners(dims_x, dims_y, arrows):
     ]
 
 
-def hom_basis(x, y):
-    """Basis of the space of morphisms x -> y, as triples (f1, f2, f3)."""
-    arrows = [
-        (0, 1, x.h, y.h), (1, 0, x.p, y.p),
-        (1, 2, x.h1, y.h1), (1, 2, x.h2, y.h2),
-        (2, 1, x.p1, y.p1), (2, 1, x.p2, y.p2),
-    ]
-    return _intertwiners(x.dims, y.dims, arrows)
-
-
-def module_hom_basis(amats, bmats, d):
-    """Basis of {U : U a_i = b_i U} for two tuples of d x d GF(2)
-    matrices: the homomorphisms between the modules over a free algebra
-    that the tuples define, as 1-tuples (U,)."""
-    arrows = [(0, 0, a, b) for a, b in zip(amats, bmats)]
-    return _intertwiners((d,), (d,), arrows)
-
-
 # ---------------------------------------------------------------------------
 # bit-packed batches of GF(2) matrices
 # ---------------------------------------------------------------------------
@@ -1226,13 +1209,6 @@ def module_hom_basis(amats, bmats, d):
 # [C, r, ceil(c / 64)]: column j of a row is bit j % 64 of its word j // 64.
 # Adding rows is xor of words, and each function below runs a few numpy
 # operations per column over the whole batch.
-
-
-def _bit_matrix(count, width):
-    """Rows are the binary digits of 0..count-1, least significant first."""
-    idx = np.arange(count, dtype=np.uint32)
-    return ((idx[:, None] >> np.arange(width, dtype=np.uint32)) & 1) \
-        .astype(np.uint8)
 
 
 def _pack(mats):
@@ -1522,7 +1498,7 @@ def _idempotent_search(mult, one, p):
             return e
 
 
-def _local_algebra(mult, one, p):
+def local_algebra(mult, one, p):
     """Decide whether the algebra A over GF(p) with structure constants
     (mult, one) is local, that is every element is nilpotent or
     invertible.  Returns (True, (ideal, index, fixed)), the rows of a
@@ -1569,7 +1545,7 @@ def _locality(basis, dims):
     that is neither.
 
     The basis elements are screened for one that is neither, on packed
-    rows; then _local_algebra decides on the structure constants, with a
+    rows; then local_algebra decides on the structure constants, with a
     nontrivial idempotent as f when A is not local."""
     if len(basis) == 1:                   # A = GF(2) 1, a field
         return True, Locality([], 1, list(basis))
@@ -1577,7 +1553,7 @@ def _locality(basis, dims):
     if hit is not None:
         return False, basis[hit]
     flat = _flat(basis, dims)
-    local, got = _local_algebra(*_structure(flat, dims), 2)
+    local, got = local_algebra(*_structure(flat, dims), 2)
     if not local:
         return False, _elements(got[None], flat, dims)[0]
     ideal, index, fixed = got
@@ -1586,7 +1562,7 @@ def _locality(basis, dims):
 
 
 # ---------------------------------------------------------------------------
-# isomorphism and splitting of cubic spaces
+# isomorphism and splitting of representations
 # ---------------------------------------------------------------------------
 
 
@@ -1601,8 +1577,8 @@ def find_isomorphism(x, y):
     indecomposable).  So the basis elements are tested for invertibility in
     one packed batch and the first invertible one is returned.  decompose
     meets the hypothesis: every part that reaches identify was certified
-    indecomposable by split_indecomposable.  Cubic spaces in general are
-    compared by their decompose reports."""
+    indecomposable by split_indecomposable.  match_summands decides any
+    pair."""
     if x.dims != y.dims:
         return None
     basis = hom_basis(x, y)
@@ -1611,52 +1587,65 @@ def find_isomorphism(x, y):
     return _invertible_element(basis, x.dims)
 
 
-def _power_stable(mats_, n):
-    """Component-wise power f^(2^r) with 2^r >= n."""
-    out = tuple(m.copy() for m in mats_)
-    for _ in range(_stable_exponent(n)):
-        out = tuple(_mul(m, m) for m in out)
-    return out
+def split_indecomposable(x):
+    """Either (None, certificate) where x is indecomposable, or the two
+    summands of a Fitting split of x, each as a pair (inc, part): part is
+    the summand and the columns of inc[v] are its basis at vertex v, so
+    x_a inc[s] = inc[t] part_a for every arrow a from s to t.
 
-
-def _try_split(space, f):
-    """Fitting decomposition along an endomorphism, or None."""
-    n = sum(space.dims)
-    g = _power_stable(f, n)
-    kers = [nullspace(m) for m in g]
-    ims = [column_space(m) for m in g]
-    kdim = sum(k.shape[1] for k in kers)
-    if kdim == 0 or kdim == n:
-        return None
-    a = space.restrict(*kers)
-    b = space.restrict(*ims)
-    return a, b
-
-
-def split_indecomposable(space):
-    """Either (None, certificate) where the space is indecomposable, or a
-    pair of proper subdiagram summands.
-
-    The rule: a space is indecomposable iff its endomorphism algebra is
-    local, that is every endomorphism is nilpotent or invertible; an
-    endomorphism that is neither splits the space by Fitting's lemma.
-    _locality decides this by linear algebra on a basis of End, and the
-    certificate is its Locality: the commutator ideal J of End, its
-    nilpotency index and the fixed space of squaring on End/J."""
-    if sum(space.dims) == 0:
+    The rule: x is indecomposable iff its endomorphism algebra is local,
+    that is every endomorphism is nilpotent or invertible; an endomorphism
+    f that is neither splits x by Fitting's lemma into the kernel and the
+    image of its stable power f^(2^r).  _locality decides this by linear
+    algebra on a basis of End, and the certificate is its Locality: the
+    commutator ideal J of End, its nilpotency index and the fixed space of
+    squaring on End/J."""
+    if sum(x.dims) == 0:
         raise ValueError("the zero space has no summands")
-    local, got = _locality(hom_basis(space, space), space.dims)
-    return (None, got) if local else _try_split(space, got)
+    local, g = _locality(hom_basis(x, x), x.dims)
+    if local:
+        return None, g
+    for _ in range(_stable_exponent(sum(x.dims))):
+        g = tuple(_mul(m, m) for m in g)
+    return tuple((inc, x.restrict(*inc)) for inc in (tuple(nullspace(m) for m in g),
+                                                     tuple(column_space(m) for m in g)))
 
 
-def indecomposable_summands(space):
-    """All indecomposable direct summands, by repeated Fitting splits."""
-    if sum(space.dims) == 0:
+def indecomposable_summands(x):
+    """All indecomposable direct summands of x, by repeated Fitting splits,
+    as pairs (inc, part) as in split_indecomposable; the inclusions inc[v]
+    side by side form an invertible matrix at every vertex v."""
+    if sum(x.dims) == 0:
         return []
-    got = split_indecomposable(space)
-    if got[0] is None:
-        return [space]
-    return indecomposable_summands(got[0]) + indecomposable_summands(got[1])
+    first, second = split_indecomposable(x)
+    if first is None:
+        return [(tuple(eye(n) for n in x.dims), x)]
+    return [(tuple(_mul(i, j) for i, j in zip(inc, sub)), part)
+            for inc, half in (first, second)
+            for sub, part in indecomposable_summands(half)]
+
+
+def match_summands(x, y):
+    """An isomorphism x -> y assembled from an isomorphism of each
+    indecomposable summand of x onto its own summand of y, or None when
+    some summand of x has no isomorphic partner left: then x and y are not
+    isomorphic (Krull-Schmidt).  The summands are indecomposable, so
+    find_isomorphism decides each pair."""
+    if x.dims != y.dims:
+        return None
+    xs, free = indecomposable_summands(x), indecomposable_summands(y)
+    pairs = []
+    for inc, part in xs:
+        for k, (inc_y, part_y) in enumerate(free):
+            phi = find_isomorphism(part, part_y)
+            if phi is not None:
+                break
+        else:
+            return None
+        del free[k]
+        pairs.append((inc, tuple(_mul(j, f) for j, f in zip(inc_y, phi))))
+    side = lambda v, n, k: np.hstack([zeros(n, 0)] + [pair[k][v] for pair in pairs])
+    return tuple(_mul(side(v, n, 1), inverse(side(v, n, 0))) for v, n in enumerate(x.dims))
 
 
 # ---------------------------------------------------------------------------
@@ -1931,7 +1920,7 @@ def decompose(space):
     mult, reduced = split_trivial(space)
     points = 0
     data = []
-    parts = indecomposable_summands(reduced)
+    parts = [part for _, part in indecomposable_summands(reduced)]
     for part in parts:
         if part.dims == (1, 0, 0):
             points += 1
@@ -1965,11 +1954,7 @@ def random_space(rng, max_dim=12, trivial=True):
             sp = sp.direct_sum(trivial_space())
         if 0 < sum(sp.dims) <= max_dim:
             break
-    return sp.conjugate(
-        random_invertible(rng, sp.d1),
-        random_invertible(rng, sp.d2),
-        random_invertible(rng, sp.d3),
-    )
+    return sp.conjugate(*(random_invertible(rng, n) for n in sp.dims))
 
 
 def random_string_datum(rng, max_units=3, max_m=3):

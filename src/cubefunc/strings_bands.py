@@ -15,10 +15,11 @@ projectives by relations written with the operator table theta(i, j).
 indecomposability_probe decides whether the truncation M/p^k of such a
 module splits, by linear algebra and without enumeration: M/p^k is
 indecomposable iff the GF(p)-algebra End(M/p^k) / (N + p End), N the null
-endomorphisms, is local, which gf2's locality kernel decides over GF(p)
-(gf2._local_algebra).  "indecomposable-at-level" comes with that proof as
-a certificate (gf2.Locality), "splits" with an idempotent endomorphism of
-M/p^k other than 0 and 1 as a witness.
+endomorphisms, is local, which gf2.local_algebra decides over GF(p): the
+same locality kernel that decides End of GF(2) representations.
+"indecomposable-at-level" comes with that proof as a certificate
+(gf2.Locality), "splits" with an idempotent endomorphism of M/p^k other
+than 0 and 1 as a witness.
 """
 
 from __future__ import annotations
@@ -727,7 +728,7 @@ def indecomposability_probe(module, level=3, prime=3):
       over GF(p) come from the same membership data.
     - N + p End is a nil ideal of End modulo N, so M/q is indecomposable
       iff A is local, and idempotents lift along End -> A.
-      gf2._local_algebra decides this by linear algebra over GF(p): the
+      gf2.local_algebra decides this by linear algebra over GF(p): the
       commutator ideal J of A, its nilpotency index and the fixed space of
       x -> x^p on the commutative A/J.
     - A local A gives the verdict "indecomposable-at-level" with that
@@ -758,7 +759,7 @@ def indecomposability_probe(module, level=3, prime=3):
     alg = _probe_algebra(module, prime, level)
     r = len(alg.basis)
     lift = lambda coords: _levels(coords @ alg.basis % q, alg.sizes, alg.offs)
-    local, got = gf2._local_algebra(alg.mult, alg.one, prime)
+    local, got = gf2.local_algebra(alg.mult, alg.one, prime)
     if local:
         ideal, index, fixed = got
         triples = lambda rows: [[m.tolist() for m in lift(x)] for x in rows]

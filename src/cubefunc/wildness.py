@@ -8,17 +8,19 @@ into full diagrams without collapsing the isomorphism problem.
 
 The deciders work on the mod-2 action tuples, which is exact: a module
 restricted along a -> 2x1, b -> 2x2 has a = 2A and b = 2B, so U a = b U
-over Z/4 says U A = B U mod 2.  Both compute a Hom space
-{U : U a_i = b_i U} over GF(2) as the nullspace of the stacked system
-I kron a_i^T + b_i kron I (gf2.module_hom_basis), and both rest on gf2's
-locality kernel (gf2._locality, shared with gf2.split_indecomposable),
-which decides by linear algebra whether an endomorphism algebra is local.
-Every answer is a proof; nothing is left undecided.
+over Z/4 says U A = B U mod 2.  An action tuple is a gf2.Rep2 on one vertex
+with a loop per matrix (SigmaModule.mod2_rep), so both deciders run on the
+representation kernel that gf2 shares with cubic spaces: gf2.hom_basis
+solves Hom = {U : U a_i = b_i U} as the nullspace of the stacked system
+I kron a_i^T + b_i kron I, gf2.split_indecomposable decides by linear
+algebra whether End is local, and gf2.match_summands matches the
+indecomposable summands of two tuples.  Every answer is a proof; nothing
+is left undecided.
 
 - iso_test_mod2 proves isomorphism with a witness U, invertible mod 2 with
   U a_i = b_i U: an invertible element of the Hom basis, or else one
   assembled from isomorphisms of the indecomposable summands of the two
-  tuples (Krull-Schmidt).  It proves non-isomorphism by
+  tuples (Krull-Schmidt, gf2.match_summands).  It proves non-isomorphism by
   dim Hom(A, B) != dim End(A) or by a summand of A with no isomorphic
   partner in B.  IsoVerdict.method is "hom space" (decided on the Hom
   space and the summands), "hom dimension" (the dimensions differ: not
@@ -65,9 +67,14 @@ class SigmaModule:
                 m = Mat(Z4, [[int(x) for x in row] for row in m.a])
             self.action.append(m)
 
-    def mod2_action(self):
-        return [np.array([[int(x) % 2 for x in row] for row in m.a], dtype=np.uint8)
-                .reshape(self.rank, self.rank) for m in self.action]
+    def mod2_rep(self):
+        """The action tuple mod 2, as a one-vertex gf2.Rep2 with a loop per
+        generator."""
+        from . import gf2
+
+        return gf2.Rep2((self.rank,), [
+            (0, 0, np.array([[int(x) % 2 for x in row] for row in m.a], dtype=np.uint8)
+             .reshape(self.rank, self.rank)) for m in self.action])
 
     def to_json(self):
         return {
@@ -243,8 +250,8 @@ def _gl2(d):
     order of itertools.product((0, 1), repeat=d * d)."""
     from . import gf2
 
-    mats = gf2._bit_matrix(1 << d * d, d * d)[:, ::-1].reshape(-1, d, d)
-    return mats[gf2._full_rank(gf2._pack(mats))]
+    mats = np.array(list(product((0, 1), repeat=d * d)), dtype=np.uint8).reshape(-1, d, d)
+    return mats[np.array([gf2.rank(m) == d for m in mats], dtype=bool)]
 
 
 def _batch_conjugacy(us, amats, bmats, mod):
@@ -260,48 +267,6 @@ def _batch_conjugacy(us, amats, bmats, mod):
     return alive
 
 
-def _summands(mats, d):
-    """The indecomposable summands of the GF(2) module of an action tuple,
-    as pairs (P, action) with a_i P = P action_i: the columns of P span
-    the summand.  Split by Fitting's lemma on gf2's locality kernel."""
-    from . import gf2
-
-    local, f = gf2._locality(gf2.module_hom_basis(mats, mats, d), (d,))
-    if local:
-        return [(gf2.eye(d), mats)]
-    (g,) = gf2._power_stable(f, d)
-    out = []
-    for cols in (gf2.nullspace(g), gf2.column_space(g)):
-        sub = [gf2.solve(cols, gf2._mul(a, cols)) for a in mats]
-        out += [(gf2._mul(cols, p), act) for p, act in _summands(sub, cols.shape[1])]
-    return out
-
-
-def _match_summands(xs, ys):
-    """U with U a_i = b_i U, built from an isomorphism of each summand of
-    A onto its own summand of B, or None when some summand of A has no
-    isomorphic partner left: then A and B are not isomorphic
-    (Krull-Schmidt).  Summands are indecomposable, so Hom(x, y) has an
-    invertible basis element iff x ~ y (the rule of gf2.find_isomorphism)."""
-    from . import gf2
-
-    free = list(ys)
-    src, dst = [], []
-    for p, act in xs:
-        k = p.shape[1]
-        for i, (q, bact) in enumerate(free):
-            if q.shape[1] == k:
-                phi = gf2._invertible_element(gf2.module_hom_basis(act, bact, k), (k,))
-                if phi is not None:
-                    break
-        else:
-            return None
-        del free[i]
-        src.append(p)
-        dst.append(gf2._mul(q, phi[0]))
-    return gf2._mul(np.hstack(dst), gf2.inverse(np.hstack(src)))
-
-
 def iso_test_mod2(l, lp):
     """Decide simultaneous conjugacy of the mod-2 reductions: is there an
     invertible U over GF(2) with U a_i = b_i U for every i?
@@ -310,28 +275,27 @@ def iso_test_mod2(l, lp):
     I kron a_i^T + b_i kron I.  If A and B are isomorphic, Hom(A, B) and
     End(A) have the same dimension, so different dimensions prove them
     non-isomorphic ("hom dimension").  Otherwise ("hom space"), an
-    invertible element of the Hom basis is a witness.  Failing that, both
-    tuples are split into indecomposables by gf2's locality kernel, and
-    by Krull-Schmidt A ~ B iff their summands match one to one up to
-    isomorphism: the witness is assembled from the summand isomorphisms,
-    and a summand without a partner proves non-isomorphism.  The module
-    docstring lists every method."""
+    invertible element of the Hom basis is a witness
+    (gf2.find_isomorphism).  Failing that, gf2.match_summands splits both
+    tuples into indecomposables, and by Krull-Schmidt A ~ B iff their
+    summands match one to one up to isomorphism: the witness is assembled
+    from the summand isomorphisms, and a summand without a partner proves
+    non-isomorphism.  The module docstring lists every method."""
     if l.n != lp.n or l.rank != lp.rank:
         return IsoVerdict(False, None, "shape mismatch")
     from . import gf2
 
-    d = l.rank
-    if d == 0:
+    if l.rank == 0:
         return IsoVerdict(True, [], "hom space")
-    amats, bmats = l.mod2_action(), lp.mod2_action()
-    hom = gf2.module_hom_basis(amats, bmats, d)
-    if len(hom) != len(gf2.module_hom_basis(amats, amats, d)):
+    x, y = l.mod2_rep(), lp.mod2_rep()
+    if len(gf2.hom_basis(x, y)) != len(gf2.hom_basis(x, x)):
         return IsoVerdict(False, None, "hom dimension")
-    u = gf2._invertible_element(hom, (d,))
-    u = u[0] if u is not None else _match_summands(_summands(amats, d), _summands(bmats, d))
+    u = gf2.find_isomorphism(x, y)
+    if u is None:
+        u = gf2.match_summands(x, y)
     if u is None:
         return IsoVerdict(False, None, "hom space")
-    return IsoVerdict(True, u.tolist(), "hom space")
+    return IsoVerdict(True, u[0].tolist(), "hom space")
 
 
 @lru_cache(maxsize=8)
@@ -377,15 +341,14 @@ def indecomposable_mod2(l):
     lemma).
 
     End is the nullspace of the stacked system I kron a_i^T + a_i kron I,
-    and gf2's locality kernel (gf2._locality, shared with
-    split_indecomposable) decides it by linear algebra, so both answers
-    are proofs: True by a gf2.Locality certificate (the commutator ideal J
-    of End is nilpotent and squaring fixes only span{1} on End/J), False
-    by an element that is neither nilpotent nor invertible.  The zero
+    and gf2.split_indecomposable, the kernel that splits cubic spaces,
+    decides it by linear algebra, so both answers are proofs: True by a
+    gf2.Locality certificate (the commutator ideal J of End is nilpotent
+    and squaring fixes only span{1} on End/J), False by a Fitting split
+    along an element that is neither nilpotent nor invertible.  The zero
     module, which has no summands, raises a ValueError."""
     if l.rank == 0:
         raise ValueError("the zero module has no summands")
     from . import gf2
 
-    mats = l.mod2_action()
-    return gf2._locality(gf2.module_hom_basis(mats, mats, l.rank), (l.rank,))[0]
+    return gf2.split_indecomposable(l.mod2_rep())[0] is None

@@ -5,13 +5,15 @@ over any GF(p), independent of their kernels.
   combinations of a basis of square morphisms on gf2's bit-packed batch
   kernel, in chunks of at most chunk_words words.  Combination i is the
   sum of the basis elements at the set bits of i (the order of
-  gf2._bit_matrix), so the first hit is the same in any chunking.  The
+  bit_matrix), so the first hit is the same in any chunking.  The
   deciders use linear algebra; the tests compare them with this search on
   small algebras.
 - check_locality re-verifies a gf2.Locality certificate over GF(p) with
   int64 products and a rank on Python integers, not with the kernel's
   elimination.  It serves the GF(2) deciders and the 3-local probe.
 - word parses a word of the strata alphabet from its text, for test data.
+- rank is the rank of a 0/1 matrix over GF(2) on Python integers, for
+  checks that do not use the kernel's elimination.
 """
 
 import re
@@ -29,9 +31,15 @@ def word(text, cyclic=False):
     return gf2.XWord(toks[0::2], toks[1::2], cyclic=cyclic)
 
 
+def bit_matrix(count, width):
+    """Rows are the binary digits of 0..count-1, least significant first."""
+    idx = np.arange(count, dtype=np.uint32)
+    return ((idx[:, None] >> np.arange(width, dtype=np.uint32)) & 1).astype(np.uint8)
+
+
 def combinations(basis, lo, count):
     """Combinations lo .. lo + count - 1 of a packed basis [E, r, W], in
-    the order of gf2._bit_matrix.  count is a power of two dividing lo: the
+    the order of bit_matrix.  count is a power of two dividing lo: the
     low bits are filled in by doubling, the high ones are common."""
     out = np.empty((count,) + basis.shape[1:], dtype=np.uint64)
     out[0] = 0
@@ -95,6 +103,11 @@ def _rank(vecs, p=2):
             inv = pow(x[piv], -1, p)
             basis.append((piv, [c * inv % p for c in x]))
     return len(basis)
+
+
+def rank(m):
+    """Rank over GF(2) of a 0/1 matrix: _rank of its rows."""
+    return _rank(np.asarray(m), 2)
 
 
 def _flatten(f):

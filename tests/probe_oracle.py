@@ -8,7 +8,7 @@ kernel.
   idempotent but 0 and 1.  It multiplies the basis triples mod q and tests
   membership with the probe's lattice data; it does not read the
   structure constants.  The probe decides by linear algebra
-  (gf2._local_algebra); the tests compare the two on small algebras.
+  (gf2.local_algebra); the tests compare the two on small algebras.
 - random_string_datum and random_band_datum draw seeded 3-local string
   and band data.
 """

@@ -228,7 +228,7 @@ def test_stable_power_matches_field_matmul(n, seed):
 @given(st.sampled_from(SIZES), st.integers(0, 6), _seeds)
 def test_combination_order_matches_bit_matrix(n, E, seed):
     basis = np.random.default_rng(seed).integers(0, 2, size=(E, n, n), dtype=np.uint8)
-    coeffs = gf2._bit_matrix(1 << E, E).astype(np.int64)
+    coeffs = gf2_oracle.bit_matrix(1 << E, E).astype(np.int64)
     want = (coeffs @ basis.reshape(E, n * n).astype(np.int64) % 2).reshape(1 << E, n, n)
     packed = gf2._pack(basis)
     for size in {1 << k for k in range(E + 1)}:
@@ -335,7 +335,7 @@ def test_realized_data_are_indecomposable(datum):
 @pytest.mark.parametrize("a, b", list(itertools.combinations(DATA[::2], 2)), ids=repr)
 def test_split_of_direct_sums(a, b):
     x = realize(a).direct_sum(realize(b))
-    first, second = split_indecomposable(x)
+    (_, first), (_, second) = split_indecomposable(x)
     for part in (first, second):
         assert sum(part.dims) > 0
         assert all(part.verify().values())
@@ -397,30 +397,119 @@ def test_zero_space_has_no_summands():
 
 
 # ---------------------------------------------------------------------------
+# the representation kernel on both quivers: summands and their matching,
+# checked with int64 products and the oracle's rank
+# ---------------------------------------------------------------------------
+
+
+def _prod(a, b):
+    return np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64) % 2
+
+
+def _assert_summands(x, summands):
+    """Each (inc, part) is a nonzero subrepresentation of x with
+    x_a inc[s] = inc[t] part_a on every arrow a from s to t, and the
+    inclusions side by side are invertible at every vertex, so x is the
+    direct sum of the parts."""
+    for inc, part in summands:
+        assert sum(part.dims) > 0
+        for (s, t, xa), (u, v, pa) in zip(x.arrows, part.arrows, strict=True):
+            assert (s, t) == (u, v)
+            assert np.array_equal(_prod(xa, inc[s]), _prod(inc[t], pa))
+    for v, n in enumerate(x.dims):
+        side = np.hstack([np.zeros((n, 0), dtype=np.uint8)] + [inc[v] for inc, _ in summands])
+        assert side.shape == (n, n) and gf2_oracle.rank(side) == n
+
+
+def _assert_iso(f, x, y):
+    """f is invertible at every vertex and y_a f_s = f_t x_a on every arrow."""
+    for m, n in zip(f, x.dims, strict=True):
+        assert m.shape == (n, n) and gf2_oracle.rank(m) == n
+    for (s, t, xa), (_, _, ya) in zip(x.arrows, y.arrows, strict=True):
+        assert np.array_equal(_prod(ya, f[s]), _prod(f[t], xa))
+
+
+@PROPERTY
+@given(st.sampled_from(("space", "tuple")), _seeds)
+def test_summands_are_included_subrepresentations(kind, seed):
+    rng = np.random.default_rng(seed)
+    x = gf2.random_space(rng, max_dim=8) if kind == "space" else _random_tuple(rng)
+    summands = gf2.indecomposable_summands(x)
+    _assert_summands(x, summands)
+    for _, part in summands:
+        basis = hom_basis(part, part)
+        if len(basis) <= 12:
+            assert gf2_oracle.is_local(basis, part.dims)
+    split = split_indecomposable(x)
+    if split[0] is not None:
+        _assert_summands(x, split)
+    assert (split[0] is None) == (len(summands) == 1)
+
+
+@pytest.mark.parametrize("a, b", list(itertools.combinations(DATA[::2], 2)), ids=repr)
+def test_match_summands_of_swapped_sums(a, b):
+    x = realize(a).direct_sum(realize(b))
+    rng = np.random.default_rng(len(repr((a, b))))
+    y = realize(b).direct_sum(realize(a))
+    y = y.conjugate(*(random_invertible(rng, n) for n in y.dims))
+    assert isinstance(y, CubicSpace2) and all(y.verify().values())
+    f = gf2.match_summands(x, y)
+    assert f is not None
+    _assert_iso(f, x, y)
+
+
+@PROPERTY
+@given(_seeds)
+def test_match_summands_of_swapped_tuple_sums(seed):
+    rng = np.random.default_rng(seed)
+    a = _random_tuple(rng)
+    b = _random_tuple(rng)
+    while len(b.arrows) != len(a.arrows):
+        b = _random_tuple(rng)
+    x = a.direct_sum(b)
+    y = b.direct_sum(a).conjugate(random_invertible(rng, x.dims[0]))
+    f = gf2.match_summands(x, y)
+    assert f is not None
+    _assert_iso(f, x, y)
+
+
+def test_match_summands_finds_no_partner():
+    x, y = _non_isomorphic_pair()
+    z = realize(DATA[0])
+    assert gf2.match_summands(x.direct_sum(z), z.direct_sum(y)) is None
+
+
+# ---------------------------------------------------------------------------
 # the locality kernel against the exhaustive oracle
 # ---------------------------------------------------------------------------
 
 LOCALITY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
+def _random_tuple(rng):
+    """A tuple of one or two matrices of rank at most 4, as a one-vertex
+    gf2.Rep2 with a loop per matrix; half of them are block sums."""
+    d = int(rng.integers(1, 5))
+    mats = _nilpotent_like(rng, d, int(rng.integers(1, 3)))
+    k = int(rng.integers(0, d + 1))
+    if rng.integers(0, 2):               # a block sum, X + X when k = d - k
+        mats[:, :k, k:] = 0
+        mats[:, k:, :k] = 0
+        if 2 * k == d:
+            mats[:, k:, k:] = mats[:, :k, :k]
+    return gf2.Rep2((d,), [(0, 0, m) for m in mats])
+
+
 def _end_algebra(kind, seed):
     """(basis, dims) of an endomorphism algebra: of a realized string or
     band datum, of a direct sum of two, of a random_space output or of a
-    random module tuple of rank at most 4 (gf2.module_hom_basis)."""
+    random module tuple of rank at most 4 (_random_tuple)."""
     rng = np.random.default_rng(seed)
     datum = lambda: (gf2.random_band_datum(rng, max_pairs=1) if rng.integers(0, 2)
                      else gf2.random_string_datum(rng, max_units=2, max_m=2))
     if kind == "module":
-        d = int(rng.integers(1, 5))
-        mats = _nilpotent_like(rng, d, int(rng.integers(1, 3)))
-        k = int(rng.integers(0, d + 1))
-        if rng.integers(0, 2):           # a block sum, X + X when k = d - k
-            mats[:, :k, k:] = 0
-            mats[:, k:, :k] = 0
-            if 2 * k == d:
-                mats[:, k:, k:] = mats[:, :k, :k]
-        return gf2.module_hom_basis(list(mats), list(mats), d), (d,)
-    if kind == "space":
+        x = _random_tuple(rng)
+    elif kind == "space":
         x = gf2.random_space(rng, max_dim=6)
     elif kind == "sum":
         x = realize(datum()).direct_sum(realize(datum()))
@@ -483,7 +572,7 @@ def test_locality_lifts_a_fixed_vector_outside_span_one():
     one = np.eye(3, dtype=np.uint8)
     basis = [(one,), (c ^ np.diag([0, 0, 1]).astype(np.uint8),),
              (_mul(c, c) ^ np.diag([0, 0, 1]).astype(np.uint8),)]
-    assert len(gf2.module_hom_basis([c], [c], 3)) == len(basis)   # all of End
+    assert len(hom_basis(*[gf2.Rep2((3,), [(0, 0, c)])] * 2)) == len(basis)   # all of End
     assert not gf2._mixed(gf2._pack_basis(basis, (3,))).any()
     local, f = gf2._locality(basis, (3,))
     assert local is False and _in_span(basis, f)
@@ -529,7 +618,7 @@ GFP_ALGEBRAS = [
                          ids=[a[0] for a in GFP_ALGEBRAS])
 def test_local_algebra_over_gf_p(name, p, algebra, local):
     mult, one = algebra
-    got_local, got = gf2._local_algebra(mult, one, p)
+    got_local, got = gf2.local_algebra(mult, one, p)
     assert got_local is local
     times = lambda x, y: np.einsum("i,j,ijk->k", x, y, mult) % p
     if not local:                            # a nontrivial idempotent

@@ -130,7 +130,7 @@ class TestIsoTest:
         conj = []
         uinv = np.array([[1, 1, 0], [0, 1, 0], [1, 1, 1]], dtype=np.uint8)
         # build an explicit conjugate pair over GF(2) lifted back to Z/4
-        mats2 = l.mod2_action()
+        mats2 = [m for _, _, m in l.mod2_rep().arrows]
         assert np.array_equal((u @ uinv) % 2, np.eye(3, dtype=np.uint8))
         for m in mats2:
             conj.append(((u @ m @ uinv) % 2).tolist())
@@ -329,7 +329,7 @@ def test_iso_past_the_old_enumeration_limit(first):
     a = [first.tolist(), [[0] * 5] * 5]
     b = [m.tolist() for m in _conjugate_mod4(random.Random(7), a)]
     la, lb = SigmaModule(2, 5, a), SigmaModule(2, 5, b)
-    assert len(gf2.module_hom_basis(la.mod2_action(), lb.mod2_action(), 5)) > 16
+    assert len(gf2.hom_basis(la.mod2_rep(), lb.mod2_rep())) > 16
     v = iso_test_mod2(la, lb)
     assert v.isomorphic is True and v.method == "hom space"
     _assert_witness(v, a, b)
@@ -341,7 +341,7 @@ def test_rank5_decider_on_the_full_matrix_algebra(pair):
     # idempotent E_11, so the answer is a proof
     first = np.eye(5, dtype=np.int64) if pair != "zero" else np.zeros((5, 5), dtype=np.int64)
     lm = SigmaModule(2, 5, [first.tolist(), [[0] * 5] * 5])
-    assert len(gf2.module_hom_basis(*[lm.mod2_action()] * 2, 5)) == 25
+    assert len(gf2.hom_basis(*[lm.mod2_rep()] * 2)) == 25
     assert indecomposable_mod2(lm) is False
 
 
