@@ -11,15 +11,21 @@ normal form of the (h, p) pair, the staircase form of h1, the word calculus
 over the bunch of semichains, and realize / decompose as mutually inverse
 constructions (strings, bands and the trivial diagram).
 
-Matrices are uint8 arrays of zeros and ones.  One type, Rep2, holds a
-representation of a quiver over GF(2): a space at each vertex and a matrix
-on each arrow.  A cubic space is a Rep2 on the cubic quiver (CubicSpace2),
-and the mod-2 action tuple of a wildness.SigmaModule is a Rep2 on one
-vertex with a loop per matrix.  One kernel, written over arrows, serves
-both: hom_basis solves Hom(x, y) as the nullspace of one Kronecker system,
-split_indecomposable and indecomposable_summands split by Fitting's lemma
-and return the inclusion of each summand, and match_summands pairs the
-summands of two representations (Krull-Schmidt).  Two facts about an
+Matrices are uint8 arrays of zeros and ones.  Every row reduction runs on
+one kernel, _eliminate(a, p), the reduced row echelon form over GF(p):
+uint8 with XOR row updates at p = 2, int64 with modular row updates at odd
+p.  rank, nullspace, solve and pivot_columns take p (default 2), and the
+3-local probe of strings_bands reaches the kernel through them over GF(3).
+
+One type, Rep2, holds a representation of a quiver over GF(2): a space at
+each vertex and a matrix on each arrow.  A cubic space is a Rep2 on the
+cubic quiver (CubicSpace2), and the mod-2 action tuple of a
+wildness.SigmaModule is a Rep2 on one vertex with a loop per matrix.  One
+kernel, written over arrows, serves both: hom_basis solves Hom(x, y) as
+the nullspace of one Kronecker system, split_indecomposable and
+indecomposable_summands split by Fitting's lemma and return the inclusion
+of each summand, and match_summands pairs the summands of two
+representations (Krull-Schmidt).  Two facts about an
 indecomposable finite-dimensional representation (Auslander-Reiten-Smalo,
 Representation Theory of Artin Algebras) make the deciders exact:
 
@@ -45,7 +51,6 @@ from collections import namedtuple
 
 import numpy as np
 
-from .matrix import _snf_mod
 from .polys import (
     companion_matrix, poly_deg, poly_pow, poly_trim, primary_polys,
     primary_root, reciprocal,
@@ -53,7 +58,7 @@ from .polys import (
 
 
 # ---------------------------------------------------------------------------
-# dense GF(2) linear algebra on uint8 arrays
+# dense linear algebra over GF(p): uint8 arrays at p = 2, int64 at odd p
 # ---------------------------------------------------------------------------
 
 
@@ -79,9 +84,16 @@ def mats(*factors):
     return out
 
 
-def _eliminate(a):
-    """Row echelon form (fully reduced).  Returns (R, pivot_columns)."""
-    r = np.array(a, dtype=np.uint8, copy=True)
+def _eliminate(a, p=2):
+    """Reduced row echelon form over GF(p).  Returns (R, pivot_columns).
+
+    At p = 2, R is uint8 and a row update is an XOR; at odd p, R is int64,
+    the pivot row is scaled to a leading 1 and the other rows are updated
+    in one modular step."""
+    if p == 2:
+        r = np.array(a, dtype=np.uint8, copy=True)
+    else:
+        r = np.asarray(a, dtype=np.int64) % p
     rows, cols = r.shape
     piv = []
     if rows == 0:
@@ -96,11 +108,16 @@ def _eliminate(a):
                 continue
         if sel != lead:
             r[[lead, sel]] = r[[sel, lead]]
+        if p != 2:
+            r[lead] = r[lead] * pow(int(r[lead, c]), -1, p) % p
         col = r[:, c].copy()
         col[lead] = 0
         nz = np.nonzero(col)[0]
         if nz.size:
-            r[nz] ^= r[lead][None, :]
+            if p == 2:
+                r[nz] ^= r[lead][None, :]
+            else:
+                r[nz] = (r[nz] - np.outer(col[nz], r[lead])) % p
         piv.append(c)
         lead += 1
         if lead == rows:
@@ -108,38 +125,42 @@ def _eliminate(a):
     return r, piv
 
 
-def rank(a):
+def pivot_columns(a, p=2):
+    """The pivot columns of a over GF(p): each column of a that is not in
+    the span of the columns before it."""
+    return _eliminate(a, p)[1]
+
+
+def rank(a, p=2):
     if min(a.shape) == 0:
         return 0
-    return len(_eliminate(a)[1])
+    return len(pivot_columns(a, p))
 
 
-def nullspace(a):
-    """Columns form a basis of {x : a x = 0}."""
-    cols = a.shape[1]
-    if cols == 0:
-        return zeros(0, 0)
-    r, piv = _eliminate(a)
-    is_free = np.ones(cols, dtype=bool)
+def nullspace(a, p=2):
+    """Columns form a basis of {x : a x = 0} over GF(p): one column per
+    free column f of the reduced form R, with 1 at f and -R[:, f] at the
+    pivots."""
+    r, piv = _eliminate(a, p)
+    is_free = np.ones(a.shape[1], dtype=bool)
     is_free[piv] = False
     free = np.flatnonzero(is_free)
-    out = zeros(cols, free.size)
+    out = np.zeros((a.shape[1], free.size), dtype=r.dtype)
     out[free, np.arange(free.size)] = 1
-    out[piv] = r[: len(piv), free]
+    out[piv] = -r[: len(piv), free] % p
     return out
 
 
-def solve(a, b):
-    """Any X with a X = b, or None."""
+def solve(a, b, p=2):
+    """Any X with a X = b over GF(p), or None."""
     cols = a.shape[1]
-    b = np.asarray(b, dtype=np.uint8)
+    b = np.asarray(b)
     if b.ndim == 1:
         b = b[:, None]
-    aug = np.concatenate([a, b], axis=1)
-    r, piv = _eliminate(aug)
+    r, piv = _eliminate(np.concatenate([a, b], axis=1), p)
     if piv and piv[-1] >= cols:
         return None
-    x = zeros(cols, b.shape[1])
+    x = np.zeros((cols, b.shape[1]), dtype=r.dtype)
     x[piv] = r[: len(piv), cols:]
     return x
 
@@ -157,8 +178,7 @@ def inverse(a):
 
 def column_space(a):
     """A basis of the column span (a selection of columns of a)."""
-    _, piv = _eliminate(a)
-    return a[:, piv]
+    return a[:, pivot_columns(a)]
 
 
 def intersect_columns(a, b):
@@ -171,8 +191,7 @@ def intersect_columns(a, b):
 
 def extend_basis(inner, ambient):
     """Columns of `ambient` that extend the independent set `inner`."""
-    both = np.concatenate([inner, ambient], axis=1)
-    _, piv = _eliminate(both)
+    piv = pivot_columns(np.concatenate([inner, ambient], axis=1))
     extra = [c - inner.shape[1] for c in piv if c >= inner.shape[1]]
     return ambient[:, extra]
 
@@ -1326,8 +1345,8 @@ def _invertible_element(basis, dims):
 # An algebra A over GF(p) is given by its structure constants on a basis
 # b_1..b_E: its elements are row vectors of coordinates, mult[i, j] holds
 # the coordinates of b_i b_j and one those of 1.  Every question below is
-# linear algebra on E x E matrices over GF(p), and each row reduction runs
-# on _eliminate for p = 2 and on matrix._snf_mod for odd p.  See Ronyai,
+# linear algebra on E x E matrices over GF(p), and every row reduction runs
+# on the one kernel _eliminate(a, p), for p = 2 and for odd p.  See Ronyai,
 # "Computing the structure of finite algebras", J. Symbolic Comput. 9
 # (1990), for the method.  Over GF(2), A is the span of a basis of square
 # morphisms (tuples of matrices, one per component) containing the
@@ -1358,35 +1377,24 @@ def _elements(coords, flat, dims):
 
 
 def _row_basis(rows, p):
-    """A basis of the row span over GF(p).  For odd p the Smith form
-    U rows V = diag(1, .., 1, 0, ..) has U rows = diag V^-1, so the first
-    rank rows of U rows are a basis."""
-    if p == 2:
-        r, piv = _eliminate(rows)
-        return r[: len(piv)]
-    u, exps, _ = _snf_mod(rows, p, 1)
-    return (u @ rows % p)[: exps.count(0)]
-
-
-def _nullspace(a, p):
-    """Columns form a basis of {x : a x = 0} over GF(p): for odd p, the
-    columns of V past the rank, as a V = U^-1 diag(1, .., 1, 0, ..)."""
-    if p == 2:
-        return nullspace(a)
-    _, exps, v = _snf_mod(a, p, 1)
-    return v[:, exps.count(0):]
+    """A basis of the row span over GF(p): the nonzero rows of the reduced
+    form."""
+    r, piv = _eliminate(rows, p)
+    return r[: len(piv)]
 
 
 def _quotient(rows, dim, p):
-    """(quot, section) for GF(p)^dim modulo the span of independent rows:
-    quot has kernel exactly the span, and quot section = 1.  For odd p,
-    U rows V = [1 0], so the span is that of the first rows of V^-1."""
-    if p == 2:
-        return quotient_map(rows.T, dim)
-    _, exps, v = _snf_mod(rows, p, 1)
-    u2, _, v2 = _snf_mod(v, p, 1)                  # u2 v v2 = 1
-    j = exps.count(0)
-    return v[:, j:].T, (v2 @ u2 % p)[j:].T
+    """(quot, section) for GF(p)^dim modulo the span of some rows: quot has
+    kernel exactly the span, and quot section = 1.  Both are read off the
+    reduced form R of the rows: the section is the unit vectors at the free
+    columns, and quot is 1 there and -R[:, free]^T at the pivots."""
+    r, piv = _eliminate(rows, p)
+    is_free = np.ones(dim, dtype=bool)
+    is_free[piv] = False
+    section = np.eye(dim, dtype=r.dtype)[:, is_free]
+    quot = section.T.copy()
+    quot[:, piv] = -r[: len(piv), is_free].T % p
+    return quot, section
 
 
 def _structure(flat, dims):
@@ -1396,7 +1404,7 @@ def _structure(flat, dims):
     basis rows are independent, so only those entries of each product are
     computed."""
     E = len(flat)
-    piv = np.array(_eliminate(flat)[1], dtype=np.int64)
+    piv = np.array(pivot_columns(flat), dtype=np.int64)
     at_piv = np.zeros((E, E, E), dtype=np.int64)
     one = np.zeros(E, dtype=np.int64)
     off = 0
@@ -1480,9 +1488,9 @@ def _fitting_idempotent(a, mult, one, p):
     image = _row_basis(power, p)
     if len(image) in (0, E):
         return None
-    kernel = _nullspace(power.T, p).T
+    kernel = nullspace(power.T, p).T
     # c image + d kernel + t one = 0 has one solution up to scale, t != 0
-    sol = _nullspace(np.vstack([image, kernel, one[None]]).T, p)[:, 0].astype(np.int64)
+    sol = nullspace(np.vstack([image, kernel, one[None]]).T, p)[:, 0].astype(np.int64)
     return -pow(int(sol[-1]), -1, p) * sol[: len(image)] @ image.astype(np.int64) % p
 
 
@@ -1523,7 +1531,7 @@ def local_algebra(mult, one, p):
         return False, _idempotent_search(mult, one, p)
     quot, section = _quotient(ideal, E, p)
     frob = _dot(_dot(quot, _frobenius(mult, p).T, p), section, p)
-    fixed = _nullspace((frob + (p - 1) * np.eye(len(frob), dtype=np.int64)) % p, p)
+    fixed = nullspace((frob + (p - 1) * np.eye(len(frob), dtype=np.int64)) % p, p)
     lifts = _dot(section, fixed, p).T
     if len(lifts) == 1:
         return True, (ideal, index, lifts)

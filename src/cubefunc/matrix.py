@@ -6,13 +6,12 @@ Each elimination job has one kernel per kind of ring:
 - over Z, Z_(p) and Z[1/S] (denominators cleared), Smith forms run on
   ``_snf_euclidean`` and column Hermite forms on the ``LatticeSpan`` fold
   over Z (``LatticeSpan._fold_int``);
-- over a field, Smith forms and column echelon forms run on ``_rref``;
-- over the chain ring Z/p^k, on int64 arrays, Smith forms run on
-  ``_snf_mod``, which the 3-local probe and, at k = 1, gf2's locality
-  kernel over GF(p) share.
+- over a field, Smith forms and column echelon forms run on ``_rref``.
 
-Apart from ``_snf_mod``, everything is list-of-lists with canonical domain
-elements; no floats ever.
+The numpy kernels live with their callers: GF(p) row reduction in gf2
+(``_eliminate``), Smith forms over Z/p^k in strings_bands (``_snf_mod``).
+Here everything is list-of-lists with canonical domain elements; no floats
+ever.
 ``Mat(dom, entries)`` canonicalizes what it is given.  Arithmetic and
 slicing results are built from entries that are canonical already and are
 trusted, not re-canonicalized: the domain's element operations return
@@ -27,8 +26,6 @@ import operator
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
-
-import numpy as np
 
 from .domains import Domain, UnsupportedDomainError, ZZ
 
@@ -821,48 +818,6 @@ class RationalSpan:
         self.rows.insert(k, v)
         self.pivots.insert(k, piv)
         return True
-
-
-def _snf_mod(a, p, k):
-    """Smith form over the chain ring Z/p^k: (U, exps, V) with
-    U a V == diag(p^e for e in exps) mod p^k and U, V invertible.
-
-    a is an int array of shape (m, n); exps has min(m, n) entries,
-    nondecreasing, with k standing for a zero diagonal entry.  Z/p^k is
-    local, so an entry of least p-adic valuation divides the whole trailing
-    block: pivot on it, scale its row by the inverse of its unit part, and
-    clear its column and then its row, each in one vectorized step.  Every
-    entry stays below q = p^k, so int64 is exact while q^2 < 2^63.
-    """
-    q = p ** k
-    a = np.array(a, dtype=np.int64) % q
-    m, n = a.shape
-    U, V = np.eye(m, dtype=np.int64), np.eye(n, dtype=np.int64)
-    exps = []
-    for t in range(min(m, n)):
-        block = a[t:, t:]
-        for e in range(k):
-            hit = np.flatnonzero(block % p ** (e + 1))
-            if hit.size:
-                break
-        else:
-            exps += [k] * (min(m, n) - t)
-            break
-        i, j = divmod(int(hit[0]), n - t)
-        i, j = i + t, j + t
-        a[[t, i]], U[[t, i]] = a[[i, t]], U[[i, t]]
-        a[:, [t, j]], V[:, [t, j]] = a[:, [j, t]], V[:, [j, t]]
-        pe = p ** e
-        unit = pow(int(a[t, t]) // pe, -1, q)
-        a[t], U[t] = a[t] * unit % q, U[t] * unit % q
-        f = a[t + 1:, t] // pe
-        a[t + 1:] = (a[t + 1:] - np.outer(f, a[t])) % q
-        U[t + 1:] = (U[t + 1:] - np.outer(f, U[t])) % q
-        g = a[t, t + 1:] // pe
-        a[t, t + 1:] = 0
-        V[:, t + 1:] = (V[:, t + 1:] - np.outer(V[:, t], g)) % q
-        exps.append(e)
-    return U, exps, V
 
 
 def det(m):

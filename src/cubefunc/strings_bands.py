@@ -30,7 +30,7 @@ import numpy as np
 
 from .domains import Z_HALF, Zloc, _is_prime
 from . import gf2
-from .matrix import LatticeSpan, Mat, _snf_mod
+from .matrix import LatticeSpan, Mat
 from .polys import companion_matrix, primary_root, reciprocal
 from .presentation import FpPresentation, ModuleMorphism, compose
 
@@ -584,6 +584,48 @@ def _null_columns(rels, sizes, offs):
     return np.hstack(blocks)
 
 
+def _snf_mod(a, p, k):
+    """Smith form over the chain ring Z/p^k: (U, exps, V) with
+    U a V == diag(p^e for e in exps) mod p^k and U, V invertible.
+
+    a is an int array of shape (m, n); exps has min(m, n) entries,
+    nondecreasing, with k standing for a zero diagonal entry.  Z/p^k is
+    local, so an entry of least p-adic valuation divides the whole trailing
+    block: pivot on it, scale its row by the inverse of its unit part, and
+    clear its column and then its row, each in one vectorized step.  Every
+    entry stays below q = p^k, so int64 is exact while q^2 < 2^63.
+    """
+    q = p ** k
+    a = np.array(a, dtype=np.int64) % q
+    m, n = a.shape
+    U, V = np.eye(m, dtype=np.int64), np.eye(n, dtype=np.int64)
+    exps = []
+    for t in range(min(m, n)):
+        block = a[t:, t:]
+        for e in range(k):
+            hit = np.flatnonzero(block % p ** (e + 1))
+            if hit.size:
+                break
+        else:
+            exps += [k] * (min(m, n) - t)
+            break
+        i, j = divmod(int(hit[0]), n - t)
+        i, j = i + t, j + t
+        a[[t, i]], U[[t, i]] = a[[i, t]], U[[i, t]]
+        a[:, [t, j]], V[:, [t, j]] = a[:, [j, t]], V[:, [j, t]]
+        pe = p ** e
+        unit = pow(int(a[t, t]) // pe, -1, q)
+        a[t], U[t] = a[t] * unit % q, U[t] * unit % q
+        f = a[t + 1:, t] // pe
+        a[t + 1:] = (a[t + 1:] - np.outer(f, a[t])) % q
+        U[t + 1:] = (U[t + 1:] - np.outer(f, U[t])) % q
+        g = a[t, t + 1:] // pe
+        a[t, t + 1:] = 0
+        V[:, t + 1:] = (V[:, t + 1:] - np.outer(V[:, t], g)) % q
+        exps.append(e)
+    return U, exps, V
+
+
 def _endo_basis_mod(module, p, k):
     """Generators mod q = p^k of the endomorphism triples of M/q, as the
     rows of an int array, with the level sizes, offsets and relation
@@ -652,22 +694,6 @@ def _coordinates(vecs, span, p):
     return (vecs @ U1[hi].T % d1[hi]) // (d1[hi] // p)
 
 
-def _gfp_basis(gens, span, p):
-    """The generators that extend a GF(p)-basis of L / L1, in order, where
-    L1 = {x : (U1 x) % d1 == 0}, span = (U1, d1), contains p * gens: a
-    generator is kept iff it raises the GF(p) rank of its _coordinates."""
-    kept, echelon = [], []
-    for g, y in zip(gens, _coordinates(gens, span, p)):
-        for piv, row in echelon:
-            if y[piv]:
-                y = (y - y[piv] * row) % p
-        nz = np.flatnonzero(y)
-        if nz.size:
-            echelon.append((nz[0], y * pow(int(y[nz[0]]), -1, p) % p))
-            kept.append(g)
-    return kept
-
-
 ProbeAlgebra = namedtuple("ProbeAlgebra", "basis sizes offs null span mult one")
 ProbeAlgebra.__doc__ = """End(M/q), q = p^k, and its quotient algebra
 A = End / (N + p End) over GF(p), as the probe computes them.
@@ -689,26 +715,29 @@ def _levels(vec, sizes, offs):
 def _probe_algebra(module, p, k):
     """The ProbeAlgebra of M/p^k.  Raises ValueError when M/q = 0.
 
-    The structure constants come from the _coordinates of the basis, C,
-    of its products and of 1: with U C V = [1 0] over GF(p) (_snf_mod),
-    an element with coordinates y = m C has m = y V[:, :r] U."""
+    The basis is the generators at the pivot columns of their
+    _coordinates over GF(p) (gf2.pivot_columns): each generator that is
+    not in the span of those before it.  The structure constants solve
+    m C = y over GF(p) (gf2.solve), for C the coordinates of the basis and
+    y those of each product and of 1."""
     q = p ** k
     gens, sizes, offs, rels = _endo_basis_mod(module, p, k)
     null = _null_columns(rels, sizes, offs)
     span = _span_residue(np.hstack([null, p * gens.T % q]), p, k)
-    kept = _gfp_basis(gens, span, p)
+    coords = _coordinates(gens, span, p)
+    kept = gf2.pivot_columns(coords.T, p)
     if not kept:
         raise ValueError("the zero module has no summands")
-    basis, r = np.array(kept, dtype=np.int64), len(kept)
+    basis, r = gens[kept], len(kept)
     prods = np.hstack([
         np.einsum("iab,jbc->ijac", m, m).reshape(r * r, -1) % q
         for m in (basis[:, o:o + n * n].reshape(r, n, n) for n, o in zip(sizes, offs))
     ])
     idvec = np.concatenate([np.eye(n, dtype=np.int64).reshape(-1) for n in sizes])
-    u, _, v = _snf_mod(_coordinates(basis, span, p), p, 1)
-    solve = lambda vecs: _coordinates(vecs, span, p) @ v[:, :r] % p @ u % p
+    y = _coordinates(np.vstack([prods, idvec]), span, p)
+    consts = gf2.solve(coords[kept].T, y.T, p).T
     return ProbeAlgebra(basis, sizes, offs, _span_residue(null, p, k), span,
-                        solve(prods).reshape(r, r, r), solve(idvec))
+                        consts[:-1].reshape(r, r, r), consts[-1])
 
 
 def indecomposability_probe(module, level=3, prime=3):
@@ -719,13 +748,13 @@ def indecomposability_probe(module, level=3, prime=3):
 
     - End(M/q) is the kernel mod q of the linear system of endomorphism
       triples (see _endo_basis_mod), read off the Smith form over the
-      chain ring Z/q (matrix._snf_mod).
+      chain ring Z/q (_snf_mod).
     - The null endomorphisms N (columns in relations + q) and N + p End
       are lattices containing q Z^total; their Smith forms mod q give
       membership tests (_span_residue).
     - A GF(p)-basis of A = End/(N + p End) is kept from the generators
-      (_gfp_basis); its size is endo_rank.  The structure constants of A
-      over GF(p) come from the same membership data.
+      (gf2.pivot_columns); its size is endo_rank.  The structure
+      constants of A over GF(p) come from the same membership data.
     - N + p End is a nil ideal of End modulo N, so M/q is indecomposable
       iff A is local, and idempotents lift along End -> A.
       gf2.local_algebra decides this by linear algebra over GF(p): the

@@ -250,7 +250,8 @@ def _gl2(d):
     order of itertools.product((0, 1), repeat=d * d)."""
     from . import gf2
 
-    mats = np.array(list(product((0, 1), repeat=d * d)), dtype=np.uint8).reshape(-1, d, d)
+    mats = np.array(list(product((0, 1), repeat=d * d)), dtype=np.uint8)
+    mats = mats.reshape(2 ** (d * d), d, d)
     return mats[np.array([gf2.rank(m) == d for m in mats], dtype=bool)]
 
 
@@ -304,8 +305,9 @@ def _gl4(d):
     base = _gl2(d)
     lifts = []
     shifts = np.array(list(product((0, 2), repeat=d * d)), dtype=np.uint8)
+    shifts = shifts.reshape(2 ** (d * d), d, d)
     for m in base:
-        lifts.append((m[None, :, :] + shifts.reshape(-1, d, d)) % 4)
+        lifts.append((m[None, :, :] + shifts) % 4)
     return np.concatenate(lifts)
 
 
@@ -322,12 +324,10 @@ def brute_force_a11_iso(m, mp):
         return IsoVerdict(False, None, "rank mismatch")
     if ra > 3:
         raise ValueError("exhaustive search is limited to rank <= 3")
-    amats = [np.array([[x % 4 for x in row] for row in op.a], dtype=np.uint8)
-             for op in (m.a, m.b)]
-    bmats = [np.array([[x % 4 for x in row] for row in op.a], dtype=np.uint8)
-             for op in (mp.a, mp.b)]
+    mod4 = lambda op: np.array([[x % 4 for x in row] for row in op.a],
+                               dtype=np.uint8).reshape(ra, ra)
     us = _gl4(ra)
-    hits = _batch_conjugacy(us, amats, bmats, 4)
+    hits = _batch_conjugacy(us, [mod4(m.a), mod4(m.b)], [mod4(mp.a), mod4(mp.b)], 4)
     if hits.size:
         return IsoVerdict(True, us[hits[0]].tolist(), "exhaustive mod 4")
     return IsoVerdict(False, None, "exhaustive mod 4")

@@ -42,72 +42,94 @@ DENSE = settings(max_examples=100, deadline=None, derandomize=True, database=Non
 _dims = st.integers(0, 12)
 
 
-def _dense(r, c, seed):
-    """A random r x c 0/1 matrix: dense, sparse or of low rank."""
+_primes = st.sampled_from((2, 3, 5))
+
+
+def _mul_mod(a, b, p):
+    """The matrix product over GF(p), on int64."""
+    return a.astype(np.int64) @ b.astype(np.int64) % p
+
+
+def _dense(r, c, seed, p=2):
+    """A random r x c matrix over GF(p): dense, sparse or of low rank."""
     rng = np.random.default_rng(seed)
     kind = seed % 3
     if kind == 2 and min(r, c):
         k = int(rng.integers(0, min(r, c) + 1))
         # seeds = 0 mod 3: the two factors are dense
-        return _mul(_dense(r, k, seed + 1), _dense(k, c, seed + 4))
-    m = rng.integers(0, 2, size=(r, c), dtype=np.uint8)
+        return _mul_mod(_dense(r, k, seed + 1, p), _dense(k, c, seed + 4, p), p).astype(np.uint8)
+    m = rng.integers(0, p, size=(r, c), dtype=np.uint8)
     if kind == 1:
         m[rng.random((r, c)) < 0.7] = 0
     return m
 
 
-def _rref_reference(a):
-    """Reduced row echelon form and pivot columns, row by row in Python."""
+def _rref_reference(a, p=2):
+    """Reduced row echelon form over GF(p) and pivot columns, row by row in
+    Python."""
     rows, cols = a.shape
-    m = [[int(x) for x in row] for row in a]
+    m = [[int(x) % p for x in row] for row in a]
     piv, lead = [], 0
     for c in range(cols):
         sel = next((i for i in range(lead, rows) if m[i][c]), None)
         if sel is None:
             continue
         m[lead], m[sel] = m[sel], m[lead]
+        unit = pow(m[lead][c], -1, p)
+        m[lead] = [x * unit % p for x in m[lead]]
         for i in range(rows):
             if i != lead and m[i][c]:
-                m[i] = [x ^ y for x, y in zip(m[i], m[lead])]
+                m[i] = [(x - m[i][c] * y) % p for x, y in zip(m[i], m[lead])]
         piv.append(c)
         lead += 1
-    return np.array(m, dtype=np.uint8).reshape(rows, cols), piv
+    return np.array(m, dtype=np.int64).reshape(rows, cols), piv
 
 
 @DENSE
-@given(_dims, _dims, _seeds)
-def test_eliminate_matches_reference_rref(r, c, seed):
-    a = _dense(r, c, seed)
-    got, piv = gf2._eliminate(a)
-    want, want_piv = _rref_reference(a)
+@given(_dims, _dims, _seeds, _primes)
+def test_eliminate_matches_reference_rref(r, c, seed, p):
+    a = _dense(r, c, seed, p)
+    got, piv = gf2._eliminate(a, p)
+    want, want_piv = _rref_reference(a, p)
+    assert got.dtype == (np.uint8 if p == 2 else np.int64)
     assert piv == want_piv
     assert np.array_equal(got, want)
-    assert rank(a) == len(want_piv)
+    assert rank(a, p) == len(want_piv)
 
 
 @DENSE
-@given(_dims, _dims, _seeds)
-def test_nullspace_is_a_basis_of_the_kernel(r, c, seed):
-    a = _dense(r, c, seed)
-    n = nullspace(a)
-    k = c - len(_rref_reference(a)[1])
+@given(_dims, _dims, _seeds, _primes)
+def test_nullspace_is_a_basis_of_the_kernel(r, c, seed, p):
+    a = _dense(r, c, seed, p)
+    n = nullspace(a, p)
+    k = c - len(_rref_reference(a, p)[1])
     assert n.shape == (c, k)
-    assert len(_rref_reference(n.T)[1]) == k
-    assert not _mul(a, n).any()
+    assert len(_rref_reference(n.T, p)[1]) == k
+    assert not _mul_mod(a, n, p).any()
 
 
 @DENSE
-@given(_dims, _dims, st.integers(0, 3), st.booleans(), _seeds)
-def test_solve_finds_a_solution_exactly_when_one_exists(r, c, k, consistent, seed):
-    a = _dense(r, c, seed)
-    b = _mul(a, _dense(c, k, seed + 1)) if consistent else _dense(r, k, seed + 1)
-    rank_a = len(_rref_reference(a)[1])
-    solvable = len(_rref_reference(np.concatenate([a, b], axis=1))[1]) == rank_a
-    x = solve(a, b)
+@given(_dims, _dims, st.integers(0, 3), st.booleans(), _seeds, _primes)
+def test_solve_finds_a_solution_exactly_when_one_exists(r, c, k, consistent, seed, p):
+    a = _dense(r, c, seed, p)
+    b = _mul_mod(a, _dense(c, k, seed + 1, p), p) if consistent else _dense(r, k, seed + 1, p)
+    rank_a = len(_rref_reference(a, p)[1])
+    solvable = len(_rref_reference(np.concatenate([a, b], axis=1), p)[1]) == rank_a
+    x = solve(a, b, p)
     assert (x is not None) == solvable
     if x is not None:
         assert x.shape == (c, k)
-        assert np.array_equal(_mul(a, x), b)
+        assert np.array_equal(_mul_mod(a, x, p), b)
+
+
+@DENSE
+@given(_dims, _dims, _seeds, st.sampled_from((2, 3)))
+def test_quotient_has_kernel_the_row_span_and_a_section(r, dim, seed, p):
+    rows = _dense(r, dim, seed, p)
+    quot, section = gf2._quotient(rows, dim, p)
+    assert quot.shape == (dim - len(_rref_reference(rows, p)[1]), dim)
+    assert not _mul_mod(quot, rows.T, p).any()
+    assert np.array_equal(_mul_mod(quot, section, p), np.eye(len(quot), dtype=np.int64))
 
 
 @DENSE

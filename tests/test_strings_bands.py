@@ -22,8 +22,7 @@ from cubefunc.strings_bands import (
     irreducible_torsion_free,
     projective_diagram,
 )
-from cubefunc.strings_bands import _coordinates, _levels, _probe_algebra
-from cubefunc.matrix import _snf_mod
+from cubefunc.strings_bands import _coordinates, _levels, _probe_algebra, _snf_mod
 
 
 def inv(m):
@@ -513,8 +512,8 @@ def test_probe_modules_agree_with_the_enumeration_oracle(name):
 
 @pytest.mark.parametrize("prime", [2, 5])
 def test_probe_agrees_with_the_enumeration_oracle_at_other_primes(prime):
-    # over Z, where 2 is no unit; the kernel runs on _eliminate at p = 2.
-    # Only the free part of a module survives mod 2 or 5
+    # over Z, where 2 is no unit; the GF(p) kernel _eliminate(a, p) takes
+    # both primes alike.  Only the free part of a module survives mod 2 or 5
     compared = 0
     for seed in range(24):
         m = _random_probe_module(("string", "sum")[seed % 2], seed, ZZ)

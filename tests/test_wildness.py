@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gf2_oracle
-from cubefunc import gf2
+from cubefunc import gf2, wildness
 from cubefunc.gf2 import inverse, rank
 from cubefunc.rings import verify_relations
 from cubefunc.wildness import (
@@ -164,6 +164,16 @@ def test_zero_module():
     assert iso_test_mod2(zero, zero) == IsoVerdict(True, [], "hom space")
     with pytest.raises(ValueError, match="the zero module has no summands"):
         indecomposable_mod2(zero)
+
+
+def test_exhaustive_oracle_at_rank_zero():
+    # GL_0 holds one matrix, the empty one, over GF(2) and over Z/4
+    assert wildness._gl2(0).shape == (1, 0, 0)
+    assert wildness._gl4(0).shape == (1, 0, 0)
+    zero = SigmaModule(2, 0, [[], []])
+    brute = brute_force_a11_iso(phi_restrict(zero), phi_restrict(zero))
+    assert brute == IsoVerdict(True, [], "exhaustive mod 4")
+    assert brute.isomorphic == iso_test_mod2(zero, zero).isomorphic
 
 
 def test_hom_dimension_proves_non_isomorphism():

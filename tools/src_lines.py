@@ -11,6 +11,13 @@ name (from .owner import _name) or an attribute of a module bound by a
 relative import (from . import owner; owner._name).  Each such read is a
 piece of one module's job done in, or through the internals of, another.
 
+Last prints each module-level name defined under src/ (a function, a class
+or an assigned name) that nothing under src/, perfbench/ or tools/ reads,
+as "module.name", and their number.  A read is a name in its own module,
+an import of it (from .owner import name, from cubefunc.owner import name)
+or an attribute of a module bound by an import (owner.name).  Names that
+only tests read are listed: they belong in tests/, or nowhere.
+
     python3 tools/src_lines.py
 """
 
@@ -20,7 +27,10 @@ import sys
 import token
 import tokenize
 
-ROOT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.join(REPO, "src")
+READERS = ("src", "perfbench", "tools")
+PACKAGE = "cubefunc"
 LAYOUT = {token.COMMENT, token.NL, token.NEWLINE, token.INDENT, token.DEDENT,
           token.ENCODING, token.ENDMARKER}
 
@@ -68,6 +78,72 @@ def private_reads(path):
     return reads
 
 
+def _parse(path):
+    with open(path, "rb") as fh:
+        return ast.parse(fh.read(), path)
+
+
+def defined_names(tree):
+    """The names a module defines at its top level, dunders aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return {n for n in names if not n.startswith("__")}
+
+
+def reads(tree, module, modules):
+    """The set of (owner, name) that a file reads from the package modules;
+    module is the file's own module name, or None outside the package."""
+    bound, out = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            owner = node.module or ""
+            if node.level == 0 and owner.startswith(PACKAGE):
+                owner = owner[len(PACKAGE) + 1:]
+            elif node.level != 1:
+                continue
+            for alias in node.names:
+                if not owner and alias.name in modules:
+                    bound[alias.asname or alias.name] = alias.name
+                elif owner in modules:
+                    out.add((owner, alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                owner = alias.name[len(PACKAGE) + 1:]
+                if alias.asname and alias.name.startswith(PACKAGE + ".") and owner in modules:
+                    bound[alias.asname] = owner
+        elif isinstance(node, ast.Name) and module and not isinstance(node.ctx, ast.Store):
+            out.add((module, node.id))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in bound:
+            out.add((bound[node.value.id], node.attr))
+    return out
+
+
+def unread_names():
+    """Sorted "module.name" of every module-level name under src/ that no
+    file under src/, perfbench/ or tools/ reads."""
+    package = os.path.join(ROOT, PACKAGE)
+    trees = {name[:-3]: _parse(os.path.join(package, name))
+             for name in sorted(os.listdir(package)) if name.endswith(".py")}
+    seen = set()
+    for reader in READERS:
+        for base, _, files in sorted(os.walk(os.path.join(REPO, reader))):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    path = os.path.join(base, name)
+                    own = name[:-3] if os.path.dirname(path) == package else None
+                    seen |= reads(_parse(path), own, trees)
+    return [f"{mod}.{name}" for mod, tree in trees.items()
+            for name in sorted(defined_names(tree)) if (mod, name) not in seen]
+
+
 def main():
     rows, reads = [], []
     for base, _, files in sorted(os.walk(ROOT)):
@@ -87,6 +163,12 @@ def main():
     for line in reads:
         print(f"  {line}")
     print(f"total {len(reads)}")
+    print()
+    print("module-level names under src/ that nothing under src/, perfbench/ or tools/ reads")
+    unread = unread_names()
+    for line in unread:
+        print(f"  {line}")
+    print(f"total {len(unread)}")
     return 0
 
 
