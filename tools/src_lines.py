@@ -57,27 +57,6 @@ def count(path):
     return physical, len(code)
 
 
-def private_reads(path):
-    """The set of (owner, name) private names the module reads from its
-    sibling modules."""
-    with open(path, "rb") as fh:
-        tree = ast.parse(fh.read(), path)
-    siblings, reads = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            for alias in node.names:
-                if node.module is None:
-                    siblings.add(alias.asname or alias.name)
-                elif alias.name.startswith("_"):
-                    reads.add((node.module, alias.name))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                and node.value.id in siblings and node.attr.startswith("_") \
-                and not node.attr.startswith("__"):
-            reads.add((node.value.id, node.attr))
-    return reads
-
-
 def _parse(path):
     with open(path, "rb") as fh:
         return ast.parse(fh.read(), path)
@@ -126,33 +105,30 @@ def reads(tree, module, modules):
     return out
 
 
-def unread_names():
+def unread_names(modules):
     """Sorted "module.name" of every module-level name under src/ that no
     file under src/, perfbench/ or tools/ reads."""
     package = os.path.join(ROOT, PACKAGE)
-    trees = {name[:-3]: _parse(os.path.join(package, name))
-             for name in sorted(os.listdir(package)) if name.endswith(".py")}
     seen = set()
     for reader in READERS:
         for base, _, files in sorted(os.walk(os.path.join(REPO, reader))):
             for name in sorted(files):
                 if name.endswith(".py"):
-                    path = os.path.join(base, name)
-                    own = name[:-3] if os.path.dirname(path) == package else None
-                    seen |= reads(_parse(path), own, trees)
-    return [f"{mod}.{name}" for mod, tree in trees.items()
+                    own = name[:-3] if base == package else None
+                    seen |= reads(_parse(os.path.join(base, name)), own, modules)
+    return [f"{mod}.{name}" for mod, tree in modules.items()
             for name in sorted(defined_names(tree)) if (mod, name) not in seen]
 
 
 def main():
-    rows, reads = [], []
-    for base, _, files in sorted(os.walk(ROOT)):
-        for name in sorted(files):
-            if name.endswith(".py"):
-                path = os.path.join(base, name)
-                rows.append((os.path.relpath(path, ROOT), *count(path)))
-                reads += [f"{name[:-3]} -> {owner}.{attr}"
-                          for owner, attr in sorted(private_reads(path))]
+    package = os.path.join(ROOT, PACKAGE)
+    modules = {name[:-3]: _parse(os.path.join(package, name))
+               for name in sorted(os.listdir(package)) if name.endswith(".py")}
+    rows = [(os.path.join(PACKAGE, f"{mod}.py"), *count(os.path.join(package, f"{mod}.py")))
+            for mod in modules]
+    private = [f"{mod} -> {owner}.{attr}" for mod, tree in modules.items()
+               for owner, attr in sorted(reads(tree, None, modules))
+               if attr.startswith("_") and not attr.startswith("__")]
     width = max(len(r[0]) for r in rows + [("total",)])
     print(f"{'module':<{width}}  physical  code")
     for name, physical, code in rows:
@@ -160,12 +136,12 @@ def main():
     print(f"{'total':<{width}}  {sum(r[1] for r in rows):>8}  {sum(r[2] for r in rows):>4}")
     print()
     print("private names read across modules")
-    for line in reads:
+    for line in private:
         print(f"  {line}")
-    print(f"total {len(reads)}")
+    print(f"total {len(private)}")
     print()
     print("module-level names under src/ that nothing under src/, perfbench/ or tools/ reads")
-    unread = unread_names()
+    unread = unread_names(modules)
     for line in unread:
         print(f"  {line}")
     print(f"total {len(unread)}")
