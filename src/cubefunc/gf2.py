@@ -131,10 +131,10 @@ def pivot_columns(a, p=2):
     return _eliminate(a, p)[1]
 
 
-def rank(a, p=2):
+def rank(a):
     if min(a.shape) == 0:
         return 0
-    return len(pivot_columns(a, p))
+    return len(pivot_columns(a))
 
 
 def nullspace(a, p=2):

@@ -6,7 +6,7 @@ import itertools
 import gf2_oracle
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, note, settings, strategies as st
 
 from cubefunc import gf2
 from cubefunc.gf2 import (
@@ -42,7 +42,9 @@ DENSE = settings(max_examples=100, deadline=None, derandomize=True, database=Non
 _dims = st.integers(0, 12)
 
 
-_primes = st.sampled_from((2, 3, 5))
+# every example of the dense tests runs at each prime, so GF(2) keeps the
+# full DENSE budget of examples
+PRIMES = (2, 3, 5)
 
 
 def _mul_mod(a, b, p):
@@ -86,40 +88,46 @@ def _rref_reference(a, p=2):
 
 
 @DENSE
-@given(_dims, _dims, _seeds, _primes)
-def test_eliminate_matches_reference_rref(r, c, seed, p):
-    a = _dense(r, c, seed, p)
-    got, piv = gf2._eliminate(a, p)
-    want, want_piv = _rref_reference(a, p)
-    assert got.dtype == (np.uint8 if p == 2 else np.int64)
-    assert piv == want_piv
-    assert np.array_equal(got, want)
-    assert rank(a, p) == len(want_piv)
+@given(_dims, _dims, _seeds)
+def test_eliminate_matches_reference_rref(r, c, seed):
+    for p in PRIMES:
+        note(f"p = {p}")
+        a = _dense(r, c, seed, p)
+        got, piv = gf2._eliminate(a, p)
+        want, want_piv = _rref_reference(a, p)
+        assert got.dtype == (np.uint8 if p == 2 else np.int64)
+        assert piv == want_piv
+        assert np.array_equal(got, want)
+        assert len(gf2.pivot_columns(a, p)) == len(want_piv)
 
 
 @DENSE
-@given(_dims, _dims, _seeds, _primes)
-def test_nullspace_is_a_basis_of_the_kernel(r, c, seed, p):
-    a = _dense(r, c, seed, p)
-    n = nullspace(a, p)
-    k = c - len(_rref_reference(a, p)[1])
-    assert n.shape == (c, k)
-    assert len(_rref_reference(n.T, p)[1]) == k
-    assert not _mul_mod(a, n, p).any()
+@given(_dims, _dims, _seeds)
+def test_nullspace_is_a_basis_of_the_kernel(r, c, seed):
+    for p in PRIMES:
+        note(f"p = {p}")
+        a = _dense(r, c, seed, p)
+        n = nullspace(a, p)
+        k = c - len(_rref_reference(a, p)[1])
+        assert n.shape == (c, k)
+        assert len(_rref_reference(n.T, p)[1]) == k
+        assert not _mul_mod(a, n, p).any()
 
 
 @DENSE
-@given(_dims, _dims, st.integers(0, 3), st.booleans(), _seeds, _primes)
-def test_solve_finds_a_solution_exactly_when_one_exists(r, c, k, consistent, seed, p):
-    a = _dense(r, c, seed, p)
-    b = _mul_mod(a, _dense(c, k, seed + 1, p), p) if consistent else _dense(r, k, seed + 1, p)
-    rank_a = len(_rref_reference(a, p)[1])
-    solvable = len(_rref_reference(np.concatenate([a, b], axis=1), p)[1]) == rank_a
-    x = solve(a, b, p)
-    assert (x is not None) == solvable
-    if x is not None:
-        assert x.shape == (c, k)
-        assert np.array_equal(_mul_mod(a, x, p), b)
+@given(_dims, _dims, st.integers(0, 3), st.booleans(), _seeds)
+def test_solve_finds_a_solution_exactly_when_one_exists(r, c, k, consistent, seed):
+    for p in PRIMES:
+        note(f"p = {p}")
+        a = _dense(r, c, seed, p)
+        b = _mul_mod(a, _dense(c, k, seed + 1, p), p) if consistent else _dense(r, k, seed + 1, p)
+        rank_a = len(_rref_reference(a, p)[1])
+        solvable = len(_rref_reference(np.concatenate([a, b], axis=1), p)[1]) == rank_a
+        x = solve(a, b, p)
+        assert (x is not None) == solvable
+        if x is not None:
+            assert x.shape == (c, k)
+            assert np.array_equal(_mul_mod(a, x, p), b)
 
 
 @DENSE

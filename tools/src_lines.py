@@ -91,11 +91,6 @@ def reads(tree, module, modules):
                     bound[alias.asname or alias.name] = alias.name
                 elif owner in modules:
                     out.add((owner, alias.name))
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                owner = alias.name[len(PACKAGE) + 1:]
-                if alias.asname and alias.name.startswith(PACKAGE + ".") and owner in modules:
-                    bound[alias.asname] = owner
         elif isinstance(node, ast.Name) and module and not isinstance(node.ctx, ast.Store):
             out.add((module, node.id))
     for node in ast.walk(tree):
