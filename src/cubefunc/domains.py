@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n < 4:
@@ -61,10 +61,10 @@ class Domain:
         self.inverted = tuple(sorted(inverted)) if inverted else None
         self.m = m
         if kind == "loc":
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise ValueError(f"localization prime must be prime, got {p}")
         elif kind == "inv":
-            if not self.inverted or not all(_is_prime(x) for x in self.inverted):
+            if not self.inverted or not all(is_prime(x) for x in self.inverted):
                 raise ValueError(f"inverted set must be primes, got {inverted}")
         elif kind == "mod":
             if m < 2:
@@ -96,7 +96,7 @@ class Domain:
 
     @property
     def is_field(self):
-        return self.kind == "mod" and _is_prime(self.m)
+        return self.kind == "mod" and is_prime(self.m)
 
     @property
     def is_pid(self):
@@ -274,7 +274,7 @@ def Zmod(m):
 
 def GF(p):
     """The prime field GF(p), which is Z/p."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"GF order must be prime, got {p}")
     return Zmod(p)
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .functors import FUNCTOR_IDS, builtin, extract_diagram
 from .matrix import LatticeSpan, Mat, RationalSpan
-from .rings import GEN_TYPES, _evaluate, _gen_matrices
+from .rings import GEN_TYPES
 
 LEVELS = (1, 2, 3)
 
@@ -49,7 +49,7 @@ class Representation:
         self.dims = dims
         self.total = sum(dims)
         self.offset = {1: 0, 2: dims[0], 3: dims[0] + dims[1]}
-        self.gen_blocks = _gen_matrices(self.diagram)
+        self.gen_blocks = self.diagram.letters()
         self.gen_mats = {
             name: self.pad(*GEN_TYPES[name], m) for name, m in self.gen_blocks.items()
         }
@@ -68,7 +68,7 @@ class Representation:
         """The 33x33 matrix of a formal expression (padded to full size)."""
         if expr.src is None:
             return Mat.zeros(self.dom, self.total, self.total)
-        return self.pad(expr.src, expr.dst, _evaluate(expr, self.gen_blocks))
+        return self.pad(expr.src, expr.dst, self.diagram.evaluate(expr))
 
     def corner(self, big, lvl_src, lvl_dst):
         ro, co = self.offset[lvl_dst], self.offset[lvl_src]
@@ -92,14 +92,14 @@ class GradedLattice:
 
     def insert(self, src, dst, block):
         """Add a (src, dst) level block; returns True if the lattice grew."""
-        grew = self.blocks[src, dst].insert(_vec(block))
+        grew = self.blocks[src, dst].insert(block.flat())
         if grew:
             self.grown.append((src, dst, block))
         return grew
 
     def has(self, src, dst, block):
         """Whether the lattice holds the (src, dst) level block."""
-        return self.blocks[src, dst].contains(_vec(block))
+        return self.blocks[src, dst].contains(block.flat())
 
     @property
     def rank(self):
@@ -110,10 +110,6 @@ class GradedLattice:
 def shared_representation(dom):
     """A memoized Representation; the verification suites all share it."""
     return Representation(dom)
-
-
-def _vec(m):
-    return [x for row in m.a for x in row]
 
 
 def _unvec(dom, vec, cols):

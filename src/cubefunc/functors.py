@@ -22,7 +22,7 @@ from math import comb
 
 from .domains import ZZ
 from .matrix import Mat, column_hermite, solve as mat_solve
-from .presentation import FpPresentation, ModuleMorphism, compose
+from .presentation import FpPresentation, QuiverRep
 
 
 FUNCTOR_IDS = (
@@ -345,116 +345,28 @@ def split_idempotent(e):
 # ---------------------------------------------------------------------------
 
 
-class CubicDiagram:
-    """Three modules with the six structure maps h, p, h1, h2, p1, p2."""
+class CubicDiagram(QuiverRep):
+    """Three modules F1, F2, F3 with the six structure maps
+    h: F1 -> F2, p: F2 -> F1, h_i: F2 -> F3 and p_i: F3 -> F2.
 
-    __slots__ = ("F1", "F2", "F3", "h", "p", "h1", "h2", "p1", "p2")
+    Its identities depend on the characteristic of the base, so a checked
+    constructor checks only the arrows; rings.verify_relations checks the
+    identities (rings.cubic_relations)."""
 
-    def __init__(self, F1, F2, F3, h, p, h1, h2, p1, p2):
-        self.F1, self.F2, self.F3 = F1, F2, F3
-        self.h, self.p = h, p
-        self.h1, self.h2 = h1, h2
-        self.p1, self.p2 = p1, p2
-        _expect(h, F1, F2, "h")
-        _expect(p, F2, F1, "p")
-        _expect(h1, F2, F3, "h1")
-        _expect(h2, F2, F3, "h2")
-        _expect(p1, F3, F2, "p1")
-        _expect(p2, F3, F2, "p2")
-
-    @property
-    def dom(self):
-        return self.F1.dom
-
-    @staticmethod
-    def from_matrices(dom, h, p, h1, h2, p1, p2, rels=(None, None, None)):
-        f1 = FpPresentation(dom, p.rows if p.rows else h.cols, rels[0])
-        f2 = FpPresentation(dom, h.rows, rels[1])
-        f3 = FpPresentation(dom, h1.rows, rels[2])
-        mk = lambda s, t, m: ModuleMorphism(s, t, m, check=rels != (None, None, None))
-        return CubicDiagram(
-            f1,
-            f2,
-            f3,
-            mk(f1, f2, h),
-            mk(f2, f1, p),
-            mk(f2, f3, h1),
-            mk(f2, f3, h2),
-            mk(f3, f2, p1),
-            mk(f3, f2, p2),
-        )
-
-    def maps(self):
-        return {
-            "h": self.h,
-            "p": self.p,
-            "h1": self.h1,
-            "h2": self.h2,
-            "p1": self.p1,
-            "p2": self.p2,
-        }
-
-    def direct_sum(self, other):
-        from .presentation import direct_sum as pres_sum
-
-        if self.dom != other.dom:
-            raise ValueError("domain mismatch")
-        d = self.dom
-        out = {}
-        for name, (a, b) in {
-            "F1": (self.F1, other.F1),
-            "F2": (self.F2, other.F2),
-            "F3": (self.F3, other.F3),
-        }.items():
-            out[name] = pres_sum([a, b])[0]
-        def blk(name, src, dst):
-            m = Mat.direct_sum(
-                d, [getattr(self, name).matrix, getattr(other, name).matrix]
-            )
-            return ModuleMorphism(out[src], out[dst], m, check=False)
-
-        return CubicDiagram(
-            out["F1"],
-            out["F2"],
-            out["F3"],
-            blk("h", "F1", "F2"),
-            blk("p", "F2", "F1"),
-            blk("h1", "F2", "F3"),
-            blk("h2", "F2", "F3"),
-            blk("p1", "F3", "F2"),
-            blk("p2", "F3", "F2"),
-        )
+    VERTICES = ("F1", "F2", "F3")
+    ARROWS = (("h", 0, 1), ("p", 1, 0), ("h1", 1, 2), ("h2", 1, 2), ("p1", 2, 1), ("p2", 2, 1))
 
     def to_json(self):
         d = {"schema": "cubefunc/diagram/1"}
-        d["F1"] = self.F1.relations.to_json()
-        d["F2"] = self.F2.relations.to_json()
-        d["F3"] = self.F3.relations.to_json()
-        for name, mor in self.maps().items():
-            d[name] = mor.matrix.to_json()
+        d.update((v, m.relations.to_json()) for v, m in zip(self.VERTICES, self.modules()))
+        d.update((name, f.matrix.to_json()) for name, f in self.maps().items())
         return d
 
     @staticmethod
     def from_json(d):
-        rels = tuple(Mat.from_json(d[k]) for k in ("F1", "F2", "F3"))
-        mats = {k: Mat.from_json(d[k]) for k in ("h", "p", "h1", "h2", "p1", "p2")}
-        dom = rels[0].dom
-        return CubicDiagram.from_matrices(
-            dom,
-            mats["h"],
-            mats["p"],
-            mats["h1"],
-            mats["h2"],
-            mats["p1"],
-            mats["p2"],
-            rels=rels,
-        )
-
-
-def _expect(mor, src, dst, name):
-    if mor.source is not src or mor.target is not dst:
-        if mor.source.gens != src.gens or mor.target.gens != dst.gens:
-            raise ValueError(f"structure map {name} has wrong shape")
+        rels = [Mat.from_json(d[v]) for v in CubicDiagram.VERTICES]
+        return CubicDiagram(*(FpPresentation(r.dom, r.rows, r) for r in rels),
+                            **{name: Mat.from_json(d[name]) for name, _, _ in CubicDiagram.ARROWS})
 
 
 def _dup_matrix(m, k):
@@ -506,24 +418,10 @@ def extract_diagram(f):
     if bad is not None:
         raise ValueError(f"functor has a nonvanishing cross-effect in degree {bad}")
     splits, hmaps, pmaps = structure_maps(f, upto=3)
-    r1 = splits[1][0].cols
-    r2 = splits[2][0].cols
-    r3 = splits[3][0].cols
-    d = f.base
-    F1 = FpPresentation.free(d, r1)
-    F2 = FpPresentation.free(d, r2)
-    F3 = FpPresentation.free(d, r3)
-    mk = lambda s, t, m: ModuleMorphism(s, t, m, check=False)
     return CubicDiagram(
-        F1,
-        F2,
-        F3,
-        mk(F1, F2, hmaps[(1, 1)]),
-        mk(F2, F1, pmaps[(1, 1)]),
-        mk(F2, F3, hmaps[(2, 1)]),
-        mk(F2, F3, hmaps[(2, 2)]),
-        mk(F3, F2, pmaps[(2, 1)]),
-        mk(F3, F2, pmaps[(2, 2)]),
+        *(FpPresentation.free(f.base, splits[m][0].cols) for m in (1, 2, 3)),
+        hmaps[(1, 1)], pmaps[(1, 1)], hmaps[(2, 1)], hmaps[(2, 2)], pmaps[(2, 1)], pmaps[(2, 2)],
+        check=False,
     )
 
 

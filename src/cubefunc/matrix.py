@@ -234,6 +234,10 @@ class Mat:
     def columns(self):
         return [self.col(j) for j in range(self.cols)]
 
+    def flat(self):
+        """The entries row by row, as one list."""
+        return [x for row in self.a for x in row]
+
     @staticmethod
     def hstack_all(dom, mats, rows=None):
         mats = [m for m in mats]

@@ -1,10 +1,20 @@
-"""Finitely presented modules and their morphisms.
+"""Finitely presented modules, their morphisms, and quiver representations
+in them.
 
 A module is given by a generator count and a relation matrix whose columns
 are relators.  Morphisms are matrices on generators, checked to carry the
 source relators into the target relation lattice.  Every membership
 test in a module, for its elements and for the maps into it, runs on one
 Smith factorization of its relation matrix, computed on first use.
+
+QuiverRep holds a representation of a quiver in presented modules: a module
+at each vertex and a morphism along each arrow.  Every diagram of the paper
+is one, on its own quiver: the cubic diagrams (functors.CubicDiagram), the
+modules over the quadruple ring and the xi/eta diagrams of the weakly
+alternative class (strings_bands.BModuleDiagram, WDiagram), and the
+A(1,1)-modules (wildness.A11Module).  A subclass names its quiver and the
+identities its diagrams satisfy; relation checks, direct sums and
+truncations are the base class's.
 """
 
 from __future__ import annotations
@@ -211,3 +221,109 @@ def direct_sum(summands):
         projections.append(ModuleMorphism(pres, p, prj, check=False))
         offset += p.gens
     return pres, injections, projections
+
+
+class QuiverRep:
+    """A representation of a quiver in presented modules over one domain.
+
+    A subclass names its quiver: VERTICES, the vertex names, and ARROWS,
+    (name, source, target) triples with 0-based vertex indices.  The
+    constructor takes the module of each vertex and then the map along each
+    arrow, a Mat or a ModuleMorphism, in that order, by position or by
+    name; each becomes an attribute of that name.  With check=True every
+    arrow is checked to respect the module relations, and the identities in
+    RELATIONS are verified; a failure raises ValueError.
+
+    An identity is a (name, defect) pair, defect a rings.Expr whose letters
+    are the arrow names and id1, id2, .. for the identity of vertex 0, 1,
+    ..; it holds when the defect is 0 as a map of presented modules."""
+
+    VERTICES = ()
+    ARROWS = ()
+    RELATIONS = ()
+
+    def __init__(self, *parts, check=True, **named):
+        names = self.VERTICES + tuple(name for name, _, _ in self.ARROWS)
+        given = dict(zip(names, parts), **named)
+        if len(parts) + len(named) != len(names) or set(given) != set(names):
+            raise TypeError(f"{type(self).__name__} takes {', '.join(names)}, each once")
+        mods = tuple(given[v] for v in self.VERTICES)
+        self._modules = mods
+        for v, m in zip(self.VERTICES, mods):
+            setattr(self, v, m)
+        arrows = []
+        for name, s, t in self.ARROWS:
+            f = given[name]
+            f = ModuleMorphism(mods[s], mods[t], getattr(f, "matrix", f), check=check)
+            setattr(self, name, f)
+            arrows.append((s, t, f))
+        self.arrows = tuple(arrows)
+        self._letters = None
+        if check and self.RELATIONS:
+            ok, report = self.verify(self.RELATIONS)
+            if not ok:
+                bad = [name for name, good in report if not good]
+                raise ValueError(f"{type(self).__name__} relations fail: {bad}")
+
+    @property
+    def dom(self):
+        return self._modules[0].dom
+
+    def modules(self):
+        return self._modules
+
+    def maps(self):
+        """{arrow name: ModuleMorphism}, in the order of ARROWS."""
+        return {name: f for (name, _, _), (_, _, f) in zip(self.ARROWS, self.arrows)}
+
+    def letters(self):
+        """{letter: Mat}: the matrix of each arrow, and the identity matrix
+        id<k> of vertex k - 1; the map that evaluate reads."""
+        if self._letters is None:
+            self._letters = {name: f.matrix for name, f in self.maps().items()}
+            for k, m in enumerate(self._modules, 1):
+                self._letters[f"id{k}"] = Mat.identity(self.dom, m.gens)
+        return self._letters
+
+    def evaluate(self, expr):
+        """The matrix of a rings.Expr: each word multiplied right to left
+        with every letter read as its matrix, and the words summed with
+        their coefficients."""
+        if expr.src is None:
+            raise ValueError("zero expression has no shape; compare via defect")
+        mats, d = self.letters(), self.dom
+        acc = Mat.zeros(d, self._modules[expr.dst - 1].gens, self._modules[expr.src - 1].gens)
+        for w, c in expr.terms.items():
+            m = mats[w[-1]]
+            for g in reversed(w[:-1]):
+                m = mats[g] * m
+            acc = acc + m.scale(d.canon(c))
+        return acc
+
+    def verify(self, relations):
+        """Check identities, given as (name, defect) pairs; returns
+        (ok, [(name, holds)]).  An identity holds when every column of the
+        defect's matrix is 0 in the module of its target vertex."""
+        report = [(name, not defect.terms or self._modules[defect.dst - 1].element_is_zero(
+            self.evaluate(defect))) for name, defect in relations]
+        return all(good for _, good in report), report
+
+    def direct_sum(self, other):
+        """The direct sum with a representation of the same quiver."""
+        if type(other) is not type(self) or other.dom != self.dom:
+            raise ValueError("a direct sum needs two representations of one quiver over one domain")
+        mods = [direct_sum([a, b])[0] for a, b in zip(self._modules, other._modules)]
+        mats = [Mat.direct_sum(self.dom, [f.matrix, g.matrix])
+                for (_, _, f), (_, _, g) in zip(self.arrows, other.arrows)]
+        return type(self)(*mods, *mats, check=False)
+
+    def truncate(self, q):
+        """The quotient by q: q times every generator joins the relations of
+        each vertex, and the arrows keep their matrices, which respect q."""
+        mods = [FpPresentation(m.dom, m.gens, m.relations.hstack(Mat.diag(m.dom, [q] * m.gens)))
+                for m in self._modules]
+        return type(self)(*mods, *(f.matrix for _, _, f in self.arrows), check=False)
+
+    def invariant_factors(self):
+        """FpPresentation.invariant_factors of each vertex."""
+        return tuple(m.invariant_factors() for m in self._modules)

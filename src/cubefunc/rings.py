@@ -3,8 +3,9 @@ the identity lists that govern cubic diagrams and their idempotent calculus.
 
 A word is a tuple of generator names composed right to left, so the word
 ("h1", "h") means h1 after h.  Expressions are rational linear combinations
-of words between fixed levels; they can be multiplied formally and
-evaluated against any concrete diagram.
+of words between fixed levels; they can be multiplied formally, and a
+presentation.QuiverRep evaluates them and checks identities written with
+them.
 """
 
 from __future__ import annotations
@@ -28,15 +29,26 @@ GEN_TYPES = {
     "id3": (3, 3),
 }
 
+# every letter a word may use: the cubic letters and the arrows of the
+# other quivers of presentation.QuiverRep (strings_bands.BModuleDiagram and
+# WDiagram, wildness.A11Module), each arrow from vertex s to t at levels
+# s + 1 and t + 1
+LETTERS = {
+    **GEN_TYPES,
+    "a1": (1, 2), "b1": (2, 1), "a2": (2, 3), "b2": (3, 2),
+    "xi": (1, 2), "eta": (2, 1),
+    "a": (1, 1), "b": (1, 1),
+}
+
 
 def word_type(word):
     """(source, target) of a composable word, or raise."""
     if not word:
         raise ValueError("empty word has no fixed type; use an identity letter")
-    src = GEN_TYPES[word[-1]][0]
+    src = LETTERS[word[-1]][0]
     cur = src
     for g in reversed(word):
-        s, t = GEN_TYPES[g]
+        s, t = LETTERS[g]
         if s != cur:
             raise ValueError(f"word {word} is not composable at {g}")
         cur = t
@@ -121,26 +133,6 @@ class Expr:
             parts.append(f"{c}*{'.'.join(w)}")
         return "Expr(" + " + ".join(parts) + ")"
 
-    def evaluate(self, diagram):
-        """The matrix of this expression on a CubicDiagram."""
-        return _evaluate(self, _gen_matrices(diagram))
-
-
-def _evaluate(expr, mats):
-    """The matrix of expr with each letter read as the matrix mats[letter]:
-    each word multiplied right to left, and the words summed with their
-    coefficients.  The identity letters give the shapes of the levels."""
-    if expr.src is None:
-        raise ValueError("zero expression has no shape; compare via defect")
-    d = mats["id1"].dom
-    acc = Mat.zeros(d, mats[f"id{expr.dst}"].rows, mats[f"id{expr.src}"].rows)
-    for w, c in expr.terms.items():
-        m = mats[w[-1]]
-        for g in reversed(w[:-1]):
-            m = mats[g] * m
-        acc = acc + m.scale(d.canon(c))
-    return acc
-
 
 def _concat(w1, w2):
     """Compose words, dropping identity letters where composable."""
@@ -151,21 +143,6 @@ def _concat(w1, w2):
         # both factors were identities; keep one
         return (w1[-1],) if w1 else w2
     return w
-
-
-def _gen_matrices(diagram):
-    d = diagram.dom
-    return {
-        "h": diagram.h.matrix,
-        "p": diagram.p.matrix,
-        "h1": diagram.h1.matrix,
-        "h2": diagram.h2.matrix,
-        "p1": diagram.p1.matrix,
-        "p2": diagram.p2.matrix,
-        "id1": Mat.identity(d, diagram.F1.gens),
-        "id2": Mat.identity(d, diagram.F2.gens),
-        "id3": Mat.identity(d, diagram.F3.gens),
-    }
 
 
 H = Expr.gen("h")
@@ -235,15 +212,7 @@ def verify_relations(diagram, char2=None):
     """
     if char2 is None:
         char2 = diagram.dom.characteristic == 2
-    levels = {1: diagram.F1, 2: diagram.F2, 3: diagram.F3}
-    report = []
-    for name, defect in _relation_defects(char2):
-        # the defect must vanish as a map of presented modules: every column
-        # of its matrix is 0 in the target module
-        zero = not defect.terms or levels[defect.dst].element_is_zero(
-            defect.evaluate(diagram))
-        report.append((name, zero))
-    return all(zero for _, zero in report), report
+    return diagram.verify(_relation_defects(char2))
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +228,10 @@ def a11_subring():
     matches its multiplication table against span{(1,1,1),(2,0,0),(0,6,0)}
     inside Z^3.
     """
-    from .faithful import shared_representation, word_lattice, _vec
+    from .faithful import shared_representation, word_lattice
 
     rep = shared_representation(ZZ_)
-    one, ph, bar = (_evaluate(x, rep.gen_blocks) for x in (ID1, P * H, PBAR * HBAR))
+    one, ph, bar = (rep.diagram.evaluate(x) for x in (ID1, P * H, PBAR * HBAR))
     a = ph - bar
     # the naive reading b = ph fails b^2 = 6b (ph has eigenvalue 2 on the
     # degree-2 part of the representable); the barred composite is the one
@@ -280,7 +249,7 @@ def a11_subring():
     # the integral corner at level 1 is spanned by {1, a, b}
     corner = word_lattice(rep).blocks[1, 1]
     basis = [one, a, b]
-    vecs = [_vec(m) for m in basis]
+    vecs = [m.flat() for m in basis]
     report["corner rank 3"] = corner.rank == 3 and _lattice(rep.dom, vecs).rank == 3
     report["{1,a,b} spans the corner"] = _same_lattice(rep.dom, vecs, corner.basis)
     # multiplication table against the Z^3 model
@@ -290,7 +259,7 @@ def a11_subring():
     for i in range(3):
         for j in range(3):
             prod = basis[i] * basis[j]
-            coords = mat_solve(bmat, Mat.column(ZZ_, _vec(prod)))
+            coords = mat_solve(bmat, Mat.column(ZZ_, prod.flat()))
             if coords is None:
                 table_ok = False
                 continue
@@ -371,10 +340,10 @@ def verify_prop31_identities():
     checked as an exact identity of level blocks over Z[1/2].  Each element
     is evaluated once, as its level block, so a product of two elements
     that do not compose fails on its shapes instead of vanishing."""
-    from .faithful import hom_lattice, shared_representation, word_lattice, _vec
+    from .faithful import hom_lattice, shared_representation, word_lattice
 
     rep = shared_representation(Z_HALF)
-    E = {k: _evaluate(v, rep.gen_blocks) for k, v in halved_elements().items()}
+    E = {k: rep.diagram.evaluate(v) for k, v in halved_elements().items()}
     E.update(rep.gen_blocks)
     half = Z_HALF.canon(Fraction(1, 2))
 
@@ -445,16 +414,16 @@ def verify_prop31_identities():
     words = word_lattice(rep)
     for lvl, (names, count) in claims.items():
         corner = words.blocks[lvl, lvl]
-        vecs = [_vec(E[name]) for name in names]
+        vecs = [E[name].flat() for name in names]
         report[f"level {lvl} basis is independent"] = _lattice(rep.dom, vecs).rank == count
         report[f"level {lvl} basis spans the corner"] = corner.rank == count and _same_lattice(
             rep.dom, vecs, corner.basis
         )
     # g A2 = A2 g = <g1, g2>
     gm, a2 = E["g"], hom_lattice(rep, 2, 2)
-    g12 = [_vec(E["g1"]), _vec(E["g2"])]
-    report["g*A2 = <g1,g2>"] = _same_lattice(rep.dom, [_vec(gm * m) for m in a2], g12)
-    report["A2*g = <g1,g2>"] = _same_lattice(rep.dom, [_vec(m * gm) for m in a2], g12)
+    g12 = [E["g1"].flat(), E["g2"].flat()]
+    report["g*A2 = <g1,g2>"] = _same_lattice(rep.dom, [(gm * m).flat() for m in a2], g12)
+    report["A2*g = <g1,g2>"] = _same_lattice(rep.dom, [(m * gm).flat() for m in a2], g12)
     report["ok"] = all(v for k, v in report.items() if isinstance(v, bool))
     return report
 
@@ -471,13 +440,11 @@ def verify_A_alt_structure():
     generated by id1; membership is decided level block by level block in
     the integral word lattice of the faithful representation.
     """
-    from .faithful import hom_lattice, ideal_lattice, shared_representation, word_lattice, _vec
+    from .faithful import hom_lattice, ideal_lattice, shared_representation, word_lattice
 
     rep = shared_representation(ZZ_)
     ideal = ideal_lattice(rep, "id1")
-
-    def block(expr):
-        return _evaluate(expr, rep.gen_blocks)
+    block = rep.diagram.evaluate
 
     def member(expr):
         return expr.src is None or ideal.has(expr.src, expr.dst, block(expr))
@@ -584,7 +551,7 @@ def verify_A_alt_structure():
     corner = word_lattice(rep).blocks[3, 3]
     elems = [block(x) for x in (f1, f2, al1, al2, beta)]
     report["corner spanned by f1,f2,a1,a2,beta"] = _same_lattice(
-        rep.dom, ideal.blocks[3, 3].basis + [_vec(x) for x in elems], corner.basis
+        rep.dom, ideal.blocks[3, 3].basis + [x.flat() for x in elems], corner.basis
     )
 
     def model_mul(x, y):

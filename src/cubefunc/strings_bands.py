@@ -2,12 +2,9 @@
 diagrams over Z_(2) built from words in xi and eta.
 
 A module over the quadruple ring is the same thing as a three-term diagram
-M1 <-> M2 <-> M3 with maps a1, b1, a2, b2 subject to
-
-    a1 b1 a1 = 3 a1,   b1 a1 b1 = 3 b1,
-    a2 b2 a2 = 3 a2,   b2 a2 b2 = 3 b2,
-    b1 b2 = 0,         a2 a1 = 0,
-    a1 b1 + b2 a2 = 3 id on M2.
+M1 <-> M2 <-> M3 with maps a1, b1, a2, b2 subject to the identities
+BModuleDiagram.RELATIONS; it and the xi/eta diagrams (WDiagram) are
+presentation.QuiverReps on their quivers.
 
 String and band modules are presented over the three indecomposable
 projectives by relations written with the operator table theta(i, j).
@@ -28,11 +25,12 @@ from collections import namedtuple
 
 import numpy as np
 
-from .domains import Z_HALF, Zloc, _is_prime
+from .domains import Z_HALF, Zloc, is_prime
 from . import gf2
 from .matrix import LatticeSpan, Mat
 from .polys import companion_matrix, primary_root, reciprocal
-from .presentation import FpPresentation, ModuleMorphism, compose
+from .presentation import FpPresentation, QuiverRep
+from .rings import ID1, ID2, ID3, Expr
 
 PARTNER = {1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5}        # the relation ~
 MERGE = {1: 1, 2: 2, 3: 2, 4: 4, 5: 4, 6: 6}           # classes of -
@@ -51,100 +49,46 @@ def nu(i):
     raise ValueError(f"index {i} out of range")
 
 
-class BModuleDiagram:
-    """Three presented groups with the four structure maps."""
+A1, B1, A2, B2 = map(Expr.gen, ("a1", "b1", "a2", "b2"))
 
-    def __init__(self, M1, M2, M3, a1, b1, a2, b2, check=True):
-        self.M1, self.M2, self.M3 = M1, M2, M3
-        self.a1, self.b1, self.a2, self.b2 = a1, b1, a2, b2
-        self.dom = M1.dom
-        if check:
-            ok, report = self.verify_relations()
-            if not ok:
-                bad = [name for name, good in report if not good]
-                raise ValueError(f"diagram relations fail: {bad}")
+# theta(i, j) as a word in the four maps; it maps level nu(i) to level
+# nu(j).  Indices 3 and 4 both live on level 2; 3 faces the M1 side and 4
+# the M3 side, so their reflections are a1 b1 and its complement b2 a2
+THETA = {
+    (1, 1): ID1 * 3 - B1 * A1, (2, 2): B1 * A1, (2, 3): A1, (3, 2): B1,
+    (3, 3): A1 * B1, (4, 4): B2 * A2, (4, 5): A2, (5, 4): B2,
+    (5, 5): A2 * B2, (6, 6): ID3 * 3 - A2 * B2,
+}
 
-    @staticmethod
-    def from_matrices(dom, sizes, a1, b1, a2, b2, rels=(None, None, None), check=True):
-        M = [FpPresentation(dom, sizes[i], rels[i]) for i in range(3)]
-        mk = lambda s, t, m: ModuleMorphism(M[s - 1], M[t - 1], m, check=check)
-        return BModuleDiagram(
-            M[0], M[1], M[2],
-            mk(1, 2, a1), mk(2, 1, b1), mk(2, 3, a2), mk(3, 2, b2),
-            check=check,
-        )
 
-    def modules(self):
-        return (self.M1, self.M2, self.M3)
+class BModuleDiagram(QuiverRep):
+    """A module over the quadruple ring: three presented groups
+    M1 <-> M2 <-> M3 with the maps a1: M1 -> M2, b1: M2 -> M1,
+    a2: M2 -> M3 and b2: M3 -> M2."""
 
-    def verify_relations(self):
-        a1, b1, a2, b2 = self.a1, self.b1, self.a2, self.b2
-        id2 = ModuleMorphism(
-            self.M2, self.M2, Mat.identity(self.dom, self.M2.gens), check=False
-        )
-        checks = [
-            ("a1 b1 a1 = 3 a1", compose(compose(a1, b1), a1) - a1.scale(3)),
-            ("b1 a1 b1 = 3 b1", compose(compose(b1, a1), b1) - b1.scale(3)),
-            ("a2 b2 a2 = 3 a2", compose(compose(a2, b2), a2) - a2.scale(3)),
-            ("b2 a2 b2 = 3 b2", compose(compose(b2, a2), b2) - b2.scale(3)),
-            ("b1 b2 = 0", compose(b1, b2)),
-            ("a2 a1 = 0", compose(a2, a1)),
-            ("a1 b1 + b2 a2 = 3 id2", compose(a1, b1) + compose(b2, a2) - id2.scale(3)),
-        ]
-        report = [(name, defect.is_zero()) for name, defect in checks]
-        return all(good for _, good in report), report
+    VERTICES = ("M1", "M2", "M3")
+    ARROWS = (("a1", 0, 1), ("b1", 1, 0), ("a2", 1, 2), ("b2", 2, 1))
+    RELATIONS = (
+        ("a1 b1 a1 = 3 a1", A1 * B1 * A1 - A1 * 3),
+        ("b1 a1 b1 = 3 b1", B1 * A1 * B1 - B1 * 3),
+        ("a2 b2 a2 = 3 a2", A2 * B2 * A2 - A2 * 3),
+        ("b2 a2 b2 = 3 b2", B2 * A2 * B2 - B2 * 3),
+        ("b1 b2 = 0", B1 * B2),
+        ("a2 a1 = 0", A2 * A1),
+        ("a1 b1 + b2 a2 = 3 id2", A1 * B1 + B2 * A2 - ID2 * 3),
+    )
 
     def theta(self, i, j):
-        """The operator table; theta(i, j) maps level nu(i) to level nu(j)."""
-        a1, b1, a2, b2 = self.a1, self.b1, self.a2, self.b2
-        if (i, j) == (1, 1):
-            id1 = ModuleMorphism(
-                self.M1, self.M1, Mat.identity(self.dom, self.M1.gens), check=False
-            )
-            return id1.scale(3) - compose(b1, a1)
-        if (i, j) == (2, 2):
-            return compose(b1, a1)
-        if (i, j) == (2, 3):
-            return a1
-        if (i, j) == (3, 2):
-            return b1
-        # indices 3 and 4 both live on level 2; 3 faces the M1 side and 4 the
-        # M3 side, so their reflections are a1 b1 and its complement b2 a2
-        if (i, j) == (3, 3):
-            return compose(a1, b1)
-        if (i, j) == (4, 4):
-            return compose(b2, a2)
-        if (i, j) == (4, 5):
-            return a2
-        if (i, j) == (5, 4):
-            return b2
-        if (i, j) == (5, 5):
-            return compose(a2, b2)
-        if (i, j) == (6, 6):
-            id3 = ModuleMorphism(
-                self.M3, self.M3, Mat.identity(self.dom, self.M3.gens), check=False
-            )
-            return id3.scale(3) - compose(a2, b2)
-        raise ValueError(f"theta({i}{j}) undefined: need {i} - {j}")
+        """The matrix of the operator theta(i, j), from level nu(i) to
+        level nu(j)."""
+        if (i, j) not in THETA:
+            raise ValueError(f"theta({i}{j}) undefined: need {i} - {j}")
+        return self.evaluate(THETA[i, j])
 
-    def direct_sum(self, other):
-        def stack(f, g):
-            return Mat.direct_sum(self.dom, [f.matrix, g.matrix])
 
-        sizes = [a.gens + b.gens for a, b in zip(self.modules(), other.modules())]
-        rels = [
-            Mat.direct_sum(self.dom, [a.relations, b.relations])
-            for a, b in zip(self.modules(), other.modules())
-        ]
-        return BModuleDiagram.from_matrices(
-            self.dom, sizes,
-            stack(self.a1, other.a1), stack(self.b1, other.b1),
-            stack(self.a2, other.a2), stack(self.b2, other.b2),
-            rels=tuple(rels), check=False,
-        )
-
-    def invariant_factors(self):
-        return tuple(m.invariant_factors() for m in self.modules())
+def _free(dom, sizes, *maps):
+    """The BModuleDiagram on free modules of the given ranks."""
+    return BModuleDiagram(*(FpPresentation.free(dom, n) for n in sizes), *maps)
 
 
 def projective_diagram(c, dom=Z_HALF):
@@ -152,23 +96,12 @@ def projective_diagram(c, dom=Z_HALF):
     generator is the first basis vector of level c."""
     z = lambda r, co: Mat.zeros(dom, r, co)
     if c == 1:
-        return BModuleDiagram.from_matrices(
-            dom, (2, 1, 0),
-            a1=Mat(dom, [[1, 3]]), b1=Mat(dom, [[0], [1]]),
-            a2=z(0, 1), b2=z(1, 0),
-        )
+        return _free(dom, (2, 1, 0), Mat(dom, [[1, 3]]), Mat(dom, [[0], [1]]), z(0, 1), z(1, 0))
     if c == 2:
-        return BModuleDiagram.from_matrices(
-            dom, (1, 2, 1),
-            a1=Mat(dom, [[0], [1]]), b1=Mat(dom, [[1, 3]]),
-            a2=Mat(dom, [[1, 0]]), b2=Mat(dom, [[3], [-1]]),
-        )
+        return _free(dom, (1, 2, 1), Mat(dom, [[0], [1]]), Mat(dom, [[1, 3]]),
+                     Mat(dom, [[1, 0]]), Mat(dom, [[3], [-1]]))
     if c == 3:
-        return BModuleDiagram.from_matrices(
-            dom, (0, 1, 2),
-            a1=z(1, 0), b1=z(0, 1),
-            a2=Mat(dom, [[0], [1]]), b2=Mat(dom, [[1, 3]]),
-        )
+        return _free(dom, (0, 1, 2), z(1, 0), z(0, 1), Mat(dom, [[0], [1]]), Mat(dom, [[1, 3]]))
     raise ValueError("component must be 1, 2 or 3")
 
 
@@ -177,17 +110,17 @@ def irreducible_torsion_free(i, dom=Z_HALF):
     z = lambda r, co: Mat.zeros(dom, r, co)
     one = lambda x: Mat(dom, [[x]])
     if i == 1:
-        return BModuleDiagram.from_matrices(dom, (1, 0, 0), z(0, 1), z(1, 0), z(0, 0), z(0, 0))
+        return _free(dom, (1, 0, 0), z(0, 1), z(1, 0), z(0, 0), z(0, 0))
     if i == 2:
-        return BModuleDiagram.from_matrices(dom, (1, 1, 0), one(1), one(3), z(0, 1), z(1, 0))
+        return _free(dom, (1, 1, 0), one(1), one(3), z(0, 1), z(1, 0))
     if i == 3:
-        return BModuleDiagram.from_matrices(dom, (1, 1, 0), one(3), one(1), z(0, 1), z(1, 0))
+        return _free(dom, (1, 1, 0), one(3), one(1), z(0, 1), z(1, 0))
     if i == 4:
-        return BModuleDiagram.from_matrices(dom, (0, 1, 1), z(1, 0), z(0, 1), one(1), one(3))
+        return _free(dom, (0, 1, 1), z(1, 0), z(0, 1), one(1), one(3))
     if i == 5:
-        return BModuleDiagram.from_matrices(dom, (0, 1, 1), z(1, 0), z(0, 1), one(3), one(1))
+        return _free(dom, (0, 1, 1), z(1, 0), z(0, 1), one(3), one(1))
     if i == 6:
-        return BModuleDiagram.from_matrices(dom, (0, 0, 1), z(0, 0), z(0, 0), z(1, 0), z(0, 1))
+        return _free(dom, (0, 0, 1), z(0, 0), z(0, 0), z(1, 0), z(0, 1))
     raise ValueError("index must be in 1..6")
 
 
@@ -200,49 +133,20 @@ def build_named(kind, p, k, dom=Z_HALF):
     """
     if k < 0:
         raise ValueError("truncation exponent must be nonnegative")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError("p must be prime")
     if kind in ("ext2", "sym2"):
         if p < 3:
             raise ValueError("quadratic quotients need p >= 3")
         from .functors import builtin, extract_diagram
 
-        d = extract_diagram(builtin(kind))
-        return truncate_diagram(d, p ** k)
+        return extract_diagram(builtin(kind)).truncate(p ** k)
     i = kind
     if i not in (1, 2, 4, 6):
         raise ValueError("torsion-free index must be one of 1, 2, 4, 6")
     if p <= 3:
         raise ValueError("these quotients are taken at primes p > 3")
-    base = irreducible_torsion_free(i, dom)
-    q = p ** k
-    rels = tuple(
-        Mat.diag(dom, [q] * m.gens) if m.gens else Mat.zeros(dom, 0, 0)
-        for m in base.modules()
-    )
-    return BModuleDiagram.from_matrices(
-        dom, tuple(m.gens for m in base.modules()),
-        base.a1.matrix, base.b1.matrix, base.a2.matrix, base.b2.matrix,
-        rels=rels, check=False,
-    )
-
-
-def truncate_diagram(d, q):
-    """Quotient every level of a cubic diagram by q."""
-    from .functors import CubicDiagram
-
-    def cut(pres):
-        extra = Mat.diag(pres.dom, [q] * pres.gens)
-        if pres.relations.cols:
-            extra = pres.relations.hstack(extra)
-        return extra
-
-    return CubicDiagram.from_matrices(
-        d.dom,
-        d.h.matrix, d.p.matrix, d.h1.matrix, d.h2.matrix,
-        d.p1.matrix, d.p2.matrix,
-        rels=tuple(cut(p) for p in (d.F1, d.F2, d.F3)),
-    )
+    return irreducible_torsion_free(i, dom).truncate(p ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +322,7 @@ class _FreeCover:
             self.diagram = self.diagram.direct_sum(piece)
         if self.diagram is None:
             z = Mat.zeros(dom, 0, 0)
-            self.diagram = BModuleDiagram.from_matrices(dom, (0, 0, 0), z, z, z, z)
+            self.diagram = _free(dom, (0, 0, 0), z, z, z, z)
         self.offsets = []
         tally = [0, 0, 0]
         for c, piece in zip(self.comps, pieces):
@@ -443,32 +347,23 @@ def _quotient_by(cover, relation_vectors):
     spans = [LatticeSpan(dom, s) for s in sizes]
     frontier = []
     for lvl, col in relation_vectors:
-        vec = [col.a[r][0] for r in range(col.rows)]
-        if spans[lvl - 1].insert(vec):
-            frontier.append((lvl, col))
-    arrows = [
-        (1, 2, free.a1.matrix), (2, 1, free.b1.matrix),
-        (2, 3, free.a2.matrix), (3, 2, free.b2.matrix),
-    ]
+        if spans[lvl - 1].insert(col.flat()):
+            frontier.append((lvl - 1, col))
     while frontier:
         nxt = []
-        for lvl, col in frontier:
-            for s, t, m in arrows:
-                if s != lvl:
+        for v, col in frontier:
+            for s, t, f in free.arrows:
+                if s != v:
                     continue
-                img = m * col
-                vec = [img.a[r][0] for r in range(img.rows)]
-                if any(not dom.is_zero(x) for x in vec) and spans[t - 1].insert(vec):
+                img = f.matrix * col
+                vec = img.flat()
+                if any(not dom.is_zero(x) for x in vec) and spans[t].insert(vec):
                     nxt.append((t, img))
         frontier = nxt
-    rels = tuple(
-        span.to_matrix() if span.rank else Mat.zeros(dom, sizes[l], 0)
-        for l, span in enumerate(spans)
-    )
-    return BModuleDiagram.from_matrices(
-        dom, tuple(sizes),
-        free.a1.matrix, free.b1.matrix, free.a2.matrix, free.b2.matrix,
-        rels=rels, check=True,
+    return BModuleDiagram(
+        *(FpPresentation(dom, n, span.to_matrix() if span.rank else Mat.zeros(dom, n, 0))
+          for n, span in zip(sizes, spans)),
+        *(f.matrix for _, _, f in free.arrows),
     )
 
 
@@ -481,8 +376,7 @@ def build_string_module(d, dom=Z_HALF):
         """3^{k_pos} theta(i_pos, j_pos) applied to g_m, as a column."""
         i, j, kexp = d.i[pos - 1], d.j[pos - 1], d.k[pos - 1]
         _, col = cover.generator_vector(m - 1)
-        th = free.theta(i, j)
-        out = th.matrix * col
+        out = free.theta(i, j) * col
         return nu(j), out.scale(dom.canon(3 ** kexp))
 
     rel_vectors = []
@@ -517,8 +411,7 @@ def build_band_module(b, dom=Z_HALF):
 
     def theta_at(pos):
         i, j, kexp = d.i[pos - 1], d.j[pos - 1], d.k[pos - 1]
-        th = free.theta(i, j)
-        return nu(j), th.matrix, dom.canon(3 ** kexp)
+        return nu(j), free.theta(i, j), dom.canon(3 ** kexp)
 
     rel_vectors = []
     for m in range(1, n):
@@ -648,17 +541,13 @@ def _endo_basis_mod(module, p, k):
     eye = lambda n: np.eye(n, dtype=np.int64)
     # (terms, aux): terms are (level, coefficients of vec E_level)
     blocks = []
-    for s, t, f in [
-        (1, 2, module.a1.matrix), (2, 1, module.b1.matrix),
-        (2, 3, module.a2.matrix), (3, 2, module.b2.matrix),
-    ]:
-        F, ns = _mat_mod(f, q), sizes[s - 1]
-        terms = [(t, np.kron(eye(sizes[t - 1]), F.T)), (s, -np.kron(F, eye(ns)))]
-        blocks.append((terms, -np.kron(rels[t - 1], eye(ns))))
-    for lvl in range(1, 4):
-        R = rels[lvl - 1]
+    for s, t, f in module.arrows:
+        F, ns = _mat_mod(f.matrix, q), sizes[s]
+        terms = [(t, np.kron(eye(sizes[t]), F.T)), (s, -np.kron(F, eye(ns)))]
+        blocks.append((terms, -np.kron(rels[t], eye(ns))))
+    for lvl, R in enumerate(rels):
         if R.shape[1]:
-            terms = [(lvl, np.kron(eye(sizes[lvl - 1]), R.T))]
+            terms = [(lvl, np.kron(eye(sizes[lvl]), R.T))]
             blocks.append((terms, -np.kron(R, eye(R.shape[1]))))
     width = total + sum(aux.shape[1] for _, aux in blocks)
     A = np.zeros((sum(aux.shape[0] for _, aux in blocks), width), dtype=np.int64)
@@ -666,7 +555,7 @@ def _endo_basis_mod(module, p, k):
     for terms, aux in blocks:
         h, w = aux.shape
         for lvl, coef in terms:
-            A[row:row + h, offs[lvl - 1]:offs[lvl - 1] + sizes[lvl - 1] ** 2] += coef
+            A[row:row + h, offs[lvl]:offs[lvl] + sizes[lvl] ** 2] += coef
         A[row:row + h, col:col + w] = aux
         row, col = row + h, col + w
     _, exps, V = _snf_mod(A, p, k)
@@ -776,7 +665,7 @@ def indecomposability_probe(module, level=3, prime=3):
     dom = module.dom
     if not isinstance(level, int) or level < 1:
         raise ValueError(f"level must be an integer >= 1, not {level!r}")
-    if not isinstance(prime, int) or not _is_prime(prime):
+    if not isinstance(prime, int) or not is_prime(prime):
         raise ValueError(f"prime must be a prime number, not {prime!r}")
     if dom.kind not in ("Z", "loc", "inv"):
         raise ValueError(f"the probe needs Z, Z_(p) or Z[1/S], not {dom}")
@@ -874,25 +763,18 @@ class WordDatum4:
                     raise ValueError("cyclic words admit no infinite summand")
 
 
-class WDiagram:
+XI, ETA = Expr.gen("xi"), Expr.gen("eta")
+
+
+class WDiagram(QuiverRep):
     """Two presented Z_(2)-modules with maps xi: W1 -> W2, eta: W2 -> W1."""
 
-    def __init__(self, W1, W2, xi, eta):
-        self.W1, self.W2 = W1, W2
-        self.xi, self.eta = xi, eta
-
-    def verify(self):
-        checks = {
-            "2 xi = 0": self.xi.scale(2),
-            "2 eta = 0": self.eta.scale(2),
-            "eta xi = 0": compose(self.eta, self.xi),
-        }
-        return {name: defect.is_zero() for name, defect in checks.items()}
+    VERTICES = ("W1", "W2")
+    ARROWS = (("xi", 0, 1), ("eta", 1, 0))
+    RELATIONS = (("2 xi = 0", XI * 2), ("2 eta = 0", ETA * 2), ("eta xi = 0", ETA * XI))
 
     def torsion_free_rank(self):
-        return (
-            self.W1.invariant_factors()[1] + self.W2.invariant_factors()[1]
-        )
+        return sum(free for _, free in self.invariant_factors())
 
 
 def _cyclic_block(e, n):
@@ -961,6 +843,4 @@ def build_W(w):
         for l in range(0, m - 1):
             place(eta_m, l, l + 1, gamma(xis[l]))
         place(eta_m, m - 1, 0, gamma(xis[m - 1]), frob=frob)
-    xi = ModuleMorphism(W1, W2, xi_m, check=True)
-    eta = ModuleMorphism(W2, W1, eta_m, check=True)
-    return WDiagram(W1, W2, xi, eta)
+    return WDiagram(W1, W2, xi_m, eta_m)

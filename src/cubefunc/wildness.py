@@ -3,7 +3,8 @@ and the cubic diagrams they induce.
 
 The point of this machinery is an embedding of matrix-tuple classification
 into cubic diagrams: pairs of matrices over Z/4 give modules over the
-level-1 endomorphism ring, and inducing up to levels 2 and 3 turns them
+level-1 endomorphism ring (A11Module, a presentation.QuiverRep on one vertex
+with the loops a and b), and inducing up to levels 2 and 3 turns them
 into full diagrams without collapsing the isomorphism problem.
 
 The deciders work on the mod-2 action tuples, which is exact: a module
@@ -44,8 +45,8 @@ import numpy as np
 from .domains import ZZ, Zmod
 from .functors import CubicDiagram
 from .matrix import Mat, solve as mat_solve
-from .presentation import FpPresentation
-from .rings import H, HBAR, ID1, P, PBAR
+from .presentation import FpPresentation, QuiverRep
+from .rings import H, HBAR, ID1, P, PBAR, Expr
 
 Z4 = Zmod(4)
 
@@ -89,30 +90,22 @@ class SigmaModule:
         return SigmaModule(data["n"], data["rank"], data["action"])
 
 
-class A11Module:
-    """An abelian group with two commuting-to-zero operators a and b
-    satisfying a^2 = 2a, b^2 = 6b and ab = ba = 0."""
+A, B = Expr.gen("a"), Expr.gen("b")
 
-    def __init__(self, pres, a, b, check=True):
-        self.pres = pres
-        self.a = a
-        self.b = b
-        if check:
-            ok, bad = self.verify()
-            if not ok:
-                raise ValueError(f"operator identities fail: {bad}")
 
-    def verify(self):
-        """Check the defining identities as endomorphisms of the group."""
-        a, b = self.a, self.b
-        defects = {
-            "a^2 = 2a": a * a - a.scale(2),
-            "b^2 = 6b": b * b - b.scale(6),
-            "ab = 0": a * b,
-            "ba = 0": b * a,
-        }
-        bad = [name for name, d in defects.items() if not self.pres.element_is_zero(d)]
-        return not bad, bad
+class A11Module(QuiverRep):
+    """An abelian group M with two operators a and b satisfying
+    a^2 = 2a, b^2 = 6b and ab = ba = 0: a module over the level-1
+    endomorphism ring A(1, 1)."""
+
+    VERTICES = ("M",)
+    ARROWS = (("a", 0, 0), ("b", 0, 0))
+    RELATIONS = (
+        ("a^2 = 2a", A * A - A * 2),
+        ("b^2 = 6b", B * B - B * 6),
+        ("ab = 0", A * B),
+        ("ba = 0", B * A),
+    )
 
 
 def phi_restrict(l):
@@ -132,7 +125,7 @@ def phi_restrict(l):
 
 def _as_columns(ms):
     """The matrices ms, each flattened row by row into one column."""
-    return Mat.hstack_all(ZZ, [Mat.column(ZZ, [x for row in m.a for x in row]) for m in ms])
+    return Mat.hstack_all(ZZ, [Mat.column(ZZ, m.flat()) for m in ms])
 
 
 @lru_cache(maxsize=None)
@@ -196,36 +189,36 @@ def induce_cubic(m):
     w*a (x) v = w (x) a*v together with the inherited relations of F1.
     """
     data = _induction_data()
-    g = m.pres.gens
-    rel = m.pres.relations
+    g = m.M.gens
+    rel = m.M.relations
+    a, b = m.a.matrix, m.b.matrix
     k2, k3 = data["k2"], data["k3"]
     eye_g = Mat.identity(ZZ, g)
 
     def tensor_rels(k, ra, rb):
         blocks = [
-            ra.kron(eye_g) - Mat.identity(ZZ, k).kron(m.a),
-            rb.kron(eye_g) - Mat.identity(ZZ, k).kron(m.b),
+            ra.kron(eye_g) - Mat.identity(ZZ, k).kron(a),
+            rb.kron(eye_g) - Mat.identity(ZZ, k).kron(b),
         ]
-        if rel is not None and rel.cols:
+        if rel.cols:
             blocks.append(Mat.identity(ZZ, k).kron(rel))
         out = blocks[0]
-        for b in blocks[1:]:
-            out = out.hstack(b)
+        for blk in blocks[1:]:
+            out = out.hstack(blk)
         return out
 
     rel2 = tensor_rels(k2, data["ra2"], data["rb2"])
     rel3 = tensor_rels(k3, data["ra3"], data["rb3"])
     c0, ca, cb = (data["p"].submatrix([t], range(k2)) for t in range(3))
-    p_mat = c0.kron(eye_g) + ca.kron(m.a) + cb.kron(m.b)
-    return CubicDiagram.from_matrices(
-        ZZ,
+    p_mat = c0.kron(eye_g) + ca.kron(a) + cb.kron(b)
+    return CubicDiagram(
+        m.M, FpPresentation(ZZ, rel2.rows, rel2), FpPresentation(ZZ, rel3.rows, rel3),
         h=data["h"].kron(eye_g),
         p=p_mat,
         h1=data["h1"].kron(eye_g),
         h2=data["h2"].kron(eye_g),
         p1=data["p1"].kron(eye_g),
         p2=data["p2"].kron(eye_g),
-        rels=(rel if rel is not None else Mat.zeros(ZZ, g, 0), rel2, rel3),
     )
 
 
@@ -318,8 +311,8 @@ def brute_force_a11_iso(m, mp):
     runs over all invertible matrices mod 4, independent of any mod-2
     reduction argument.
     """
-    ra = m.pres.gens
-    rb = mp.pres.gens
+    ra = m.M.gens
+    rb = mp.M.gens
     if ra != rb:
         return IsoVerdict(False, None, "rank mismatch")
     if ra > 3:
@@ -327,7 +320,8 @@ def brute_force_a11_iso(m, mp):
     mod4 = lambda op: np.array([[x % 4 for x in row] for row in op.a],
                                dtype=np.uint8).reshape(ra, ra)
     us = _gl4(ra)
-    hits = _batch_conjugacy(us, [mod4(m.a), mod4(m.b)], [mod4(mp.a), mod4(mp.b)], 4)
+    hits = _batch_conjugacy(us, [mod4(m.a.matrix), mod4(m.b.matrix)],
+                            [mod4(mp.a.matrix), mod4(mp.b.matrix)], 4)
     if hits.size:
         return IsoVerdict(True, us[hits[0]].tolist(), "exhaustive mod 4")
     return IsoVerdict(False, None, "exhaustive mod 4")

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from cubefunc import gf2
 from cubefunc.domains import GF3, ZZ, Z_HALF, Zloc
 from cubefunc.matrix import Mat, det, smith_normal_form, solve
+from cubefunc.presentation import FpPresentation
 from cubefunc.strings_bands import (
     BandData3,
     BModuleDiagram,
     StringDiagram3,
+    WDiagram,
     WordDatum4,
     build_band_module,
     build_named,
@@ -22,7 +24,7 @@ from cubefunc.strings_bands import (
     irreducible_torsion_free,
     projective_diagram,
 )
-from cubefunc.strings_bands import _coordinates, _levels, _probe_algebra, _snf_mod
+from cubefunc.strings_bands import _coordinates, _free, _levels, _probe_algebra, _snf_mod
 
 
 def inv(m):
@@ -64,7 +66,7 @@ L_RANKS = {
 @pytest.mark.parametrize("c", [1, 2, 3])
 def test_projective_diagrams(c):
     d = projective_diagram(c)
-    ok, checks = d.verify_relations()
+    ok, checks = d.verify(BModuleDiagram.RELATIONS)
     assert ok, checks
     assert inv(d) == tuple(((), r) for r in FREE_RANKS[c])
 
@@ -72,7 +74,7 @@ def test_projective_diagrams(c):
 @pytest.mark.parametrize("i", range(1, 7))
 def test_irreducible_torsion_free(i):
     d = irreducible_torsion_free(i)
-    ok, checks = d.verify_relations()
+    ok, checks = d.verify(BModuleDiagram.RELATIONS)
     assert ok, checks
     assert inv(d) == tuple(((), r) for r in L_RANKS[i])
 
@@ -81,14 +83,7 @@ def test_relation_check_rejects_bad_diagram():
     p = projective_diagram(2)
     bad = p.a1.matrix.scale(2)
     with pytest.raises(ValueError):
-        BModuleDiagram.from_matrices(
-            Z_HALF,
-            tuple(m.gens for m in p.modules()),
-            bad,
-            p.b1.matrix,
-            p.a2.matrix,
-            p.b2.matrix,
-        )
+        BModuleDiagram(*p.modules(), bad, p.b1, p.a2, p.b2)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +156,7 @@ STRING_CASES = [
 @pytest.mark.parametrize("d,expected", STRING_CASES)
 def test_string_module_invariants(d, expected):
     m = build_string_module(d)
-    ok, checks = m.verify_relations()
+    ok, checks = m.verify(BModuleDiagram.RELATIONS)
     assert ok, checks
     assert inv(m) == expected
 
@@ -217,7 +212,7 @@ BAND_CASES = [
 @pytest.mark.parametrize("b,expected", BAND_CASES)
 def test_band_module_invariants(b, expected):
     m = build_band_module(b)
-    ok, checks = m.verify_relations()
+    ok, checks = m.verify(BModuleDiagram.RELATIONS)
     assert ok, checks
     assert inv(m) == expected
 
@@ -326,7 +321,7 @@ def test_probe_rejects_bad_level_and_prime():
     with pytest.raises(ValueError):
         indecomposability_probe(local, prime=5)  # 5 is a unit of Z_(3)
     z = lambda r, c: Mat.zeros(GF3, r, c)
-    over_field = BModuleDiagram.from_matrices(GF3, (1, 0, 0), z(0, 1), z(1, 0), z(0, 0), z(0, 0))
+    over_field = _free(GF3, (1, 0, 0), z(0, 1), z(1, 0), z(0, 0), z(0, 0))
     with pytest.raises(ValueError):
         indecomposability_probe(over_field)
 
@@ -341,10 +336,10 @@ def test_probe_at_another_prime():
 @pytest.mark.parametrize("level", [1, 3])
 def test_probe_refuses_the_zero_module(level):
     z = lambda r, c: Mat.zeros(Z_HALF, r, c)
-    empty = BModuleDiagram.from_matrices(Z_HALF, (0, 0, 0), z(0, 0), z(0, 0), z(0, 0), z(0, 0))
-    killed = BModuleDiagram.from_matrices(
-        Z_HALF, (1, 0, 0), z(0, 1), z(1, 0), z(0, 0), z(0, 0),
-        rels=(Mat(Z_HALF, [[1]]), None, None),
+    empty = _free(Z_HALF, (0, 0, 0), z(0, 0), z(0, 0), z(0, 0), z(0, 0))
+    killed = BModuleDiagram(
+        FpPresentation(Z_HALF, 1, Mat(Z_HALF, [[1]])), FpPresentation.zero(Z_HALF),
+        FpPresentation.zero(Z_HALF), z(0, 1), z(1, 0), z(0, 0), z(0, 0),
     )
     for m in (empty, killed):
         with pytest.raises(ValueError, match="the zero module has no summands"):
@@ -638,11 +633,12 @@ def test_word_validation():
 
 def test_word_modules():
     w = build_W(WordDatum4([("xi", None)]))
-    assert w.verify() == {"2 xi = 0": True, "2 eta = 0": True, "eta xi = 0": True}
+    assert w.verify(WDiagram.RELATIONS) == (
+        True, [("2 xi = 0", True), ("2 eta = 0", True), ("eta xi = 0", True)])
     assert w.torsion_free_rank() == 1
 
     w = build_W(WordDatum4([("xi", 2), ("eta", 3), ("xi", 1)]))
-    assert all(w.verify().values())
+    assert w.verify(WDiagram.RELATIONS)[0]
     assert w.torsion_free_rank() == 0
     t1, f1 = w.W1.invariant_factors()
     t2, f2 = w.W2.invariant_factors()
@@ -655,5 +651,5 @@ def test_cyclic_word_is_torsion():
     w = build_W(
         WordDatum4([("xi", 2), ("eta", 3), ("xi", 1), ("eta", 2)], poly=[1, 1, 1])
     )
-    assert all(w.verify().values())
+    assert w.verify(WDiagram.RELATIONS)[0]
     assert w.torsion_free_rank() == 0

@@ -40,16 +40,16 @@ def test_restrict_trivial():
 def test_restrict_identity_scalar():
     l = SigmaModule(2, 1, [[[1]], [[0]]])
     m = phi_restrict(l)
-    assert m.a.a == [[2]]
+    assert m.a.matrix.a == [[2]]
     # 2a = 4 = 0 on Z/4, matching a^2 = 4
-    ok, bad = m.verify()
-    assert ok, bad
+    ok, report = m.verify(A11Module.RELATIONS)
+    assert ok, report
 
 
 def test_restrict_jordan():
     l = SigmaModule(2, 2, [[[0, 1], [0, 0]], [[0, 0], [0, 0]]])
     m = phi_restrict(l)
-    assert m.a.a == [[0, 2], [0, 0]]
+    assert m.a.matrix.a == [[0, 2], [0, 0]]
 
 
 def test_restrict_rejects_wrong_generator_count():
@@ -65,6 +65,18 @@ def test_operator_identities_enforced():
     pres = FpPresentation.free(ZZ, 1)
     with pytest.raises(ValueError):
         A11Module(pres, Mat(ZZ, [[1]]), Mat(ZZ, [[0]]))
+
+
+def test_operators_must_be_endomorphisms_of_the_group():
+    # a = [[2, 1], [0, 0]] satisfies every identity on Z + Z/2, but it sends
+    # the relator 2 e2 to 2 e1, which is not 0: it is no map of the group
+    from cubefunc.domains import ZZ
+    from cubefunc.matrix import Mat
+    from cubefunc.presentation import FpPresentation
+
+    group = FpPresentation(ZZ, 2, Mat(ZZ, [[0], [2]]))
+    with pytest.raises(ValueError, match="does not respect the relations"):
+        A11Module(group, Mat(ZZ, [[2, 1], [0, 0]]), Mat(ZZ, [[0, 0], [0, 0]]))
 
 
 class TestInduction:

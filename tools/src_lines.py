@@ -18,6 +18,8 @@ an import of it (from .owner import name, from cubefunc.owner import name)
 or an attribute of a module bound by an import (owner.name).  Names that
 only tests read are listed: they belong in tests/, or nowhere.
 
+Exits 1 if a module reads a private name of another, else 0.
+
     python3 tools/src_lines.py
 """
 
@@ -140,7 +142,7 @@ def main():
     for line in unread:
         print(f"  {line}")
     print(f"total {len(unread)}")
-    return 0
+    return 1 if private else 0
 
 
 if __name__ == "__main__":
