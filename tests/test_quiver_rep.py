@@ -14,8 +14,8 @@ from functools import lru_cache
 import pytest
 
 from cubefunc.domains import ZZ
-from cubefunc.matrix import Mat
 from cubefunc.functors import FUNCTOR_IDS, CubicDiagram, builtin, extract_diagram
+from cubefunc.matrix import Mat
 from cubefunc.rings import LETTERS, cubic_relations, verify_relations
 from cubefunc.strings_bands import (
     BandData3,
@@ -176,8 +176,8 @@ def test_truncations_keep_the_identities(kind):
             assert _report(x.truncate(q))[0]
 
 
-def test_a11_module_truncation_is_over_z():
-    # the truncation keeps the domain and the operators
+def test_truncating_an_a11_module_quotients_its_group():
+    # Z/4 truncated at 2 is Z/2; the domain and the operators stay
     m = phi_restrict(SigmaModule(2, 1, [[[1]], [[0]]]))
     t = m.truncate(2)
     assert t.dom == ZZ and t.a.matrix == m.a.matrix
