@@ -354,7 +354,7 @@ class CubicDiagram(QuiverRep):
     identities (rings.cubic_relations)."""
 
     VERTICES = ("F1", "F2", "F3")
-    ARROWS = (("h", 0, 1), ("p", 1, 0), ("h1", 1, 2), ("h2", 1, 2), ("p1", 2, 1), ("p2", 2, 1))
+    ARROWS = ("h", "p", "h1", "h2", "p1", "p2")
 
     def to_json(self):
         d = {"schema": "cubefunc/diagram/1"}
@@ -366,7 +366,7 @@ class CubicDiagram(QuiverRep):
     def from_json(d):
         rels = [Mat.from_json(d[v]) for v in CubicDiagram.VERTICES]
         return CubicDiagram(*(FpPresentation(r.dom, r.rows, r) for r in rels),
-                            **{name: Mat.from_json(d[name]) for name, _, _ in CubicDiagram.ARROWS})
+                            **{name: Mat.from_json(d[name]) for name in CubicDiagram.ARROWS})
 
 
 def _dup_matrix(m, k):

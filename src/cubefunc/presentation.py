@@ -26,6 +26,7 @@ from .matrix import (
     smith_normal_form,
     smith_solve,
 )
+from .rings import LETTERS
 
 
 class FpPresentation:
@@ -141,33 +142,8 @@ class ModuleMorphism:
     def __hash__(self):
         raise TypeError("module morphisms are not hashable")
 
-    def __add__(self, other):
-        return ModuleMorphism(
-            self.source, self.target, self.matrix + other.matrix, check=False
-        )
-
-    def __sub__(self, other):
-        return ModuleMorphism(
-            self.source, self.target, self.matrix - other.matrix, check=False
-        )
-
-    def __neg__(self):
-        return ModuleMorphism(self.source, self.target, -self.matrix, check=False)
-
-    def scale(self, c):
-        return ModuleMorphism(
-            self.source, self.target, self.matrix.scale(c), check=False
-        )
-
     def is_zero(self):
         return self.target.element_is_zero(self.matrix)
-
-
-def compose(g, f):
-    """g after f."""
-    if f.target.gens != g.source.gens:
-        raise ValueError("composition shape mismatch")
-    return ModuleMorphism(f.source, g.target, g.matrix * f.matrix, check=False)
 
 
 def _lattice_preimage(f_matrix, target_relations):
@@ -202,35 +178,24 @@ def image(f):
 
 
 def direct_sum(summands):
-    """Direct sum with split injections and projections."""
+    """The direct sum: the generators of the summands in order, their
+    relation matrices block-diagonal."""
     if not summands:
         raise ValueError("need at least one summand")
     d = summands[0].dom
-    total = sum(p.gens for p in summands)
     rels = Mat.direct_sum(d, [p.relations for p in summands])
-    pres = FpPresentation(d, total, rels)
-    injections, projections = [], []
-    offset = 0
-    for p in summands:
-        inj = Mat.zeros(d, total, p.gens)
-        prj = Mat.zeros(d, p.gens, total)
-        for i in range(p.gens):
-            inj.a[offset + i][i] = d.one()
-            prj.a[i][offset + i] = d.one()
-        injections.append(ModuleMorphism(p, pres, inj, check=False))
-        projections.append(ModuleMorphism(pres, p, prj, check=False))
-        offset += p.gens
-    return pres, injections, projections
+    return FpPresentation(d, sum(p.gens for p in summands), rels)
 
 
 class QuiverRep:
     """A representation of a quiver in presented modules over one domain.
 
     A subclass names its quiver: VERTICES, the vertex names, and ARROWS,
-    (name, source, target) triples with 0-based vertex indices.  The
-    constructor takes the module of each vertex and then the map along each
-    arrow, a Mat or a ModuleMorphism, in that order, by position or by
-    name; each becomes an attribute of that name.  With check=True every
+    the arrow names; rings.LETTERS types each arrow, and a letter of type
+    (s, t) is an arrow from vertex s - 1 to vertex t - 1.  The constructor
+    takes the module of each vertex and then the map along each arrow, a
+    Mat or a ModuleMorphism, in that order, by position or by name; each
+    becomes an attribute of that name.  With check=True every
     arrow is checked to respect the module relations, and the identities in
     RELATIONS are verified; a failure raises ValueError.
 
@@ -243,7 +208,7 @@ class QuiverRep:
     RELATIONS = ()
 
     def __init__(self, *parts, check=True, **named):
-        names = self.VERTICES + tuple(name for name, _, _ in self.ARROWS)
+        names = self.VERTICES + self.ARROWS
         given = dict(zip(names, parts), **named)
         if len(parts) + len(named) != len(names) or set(given) != set(names):
             raise TypeError(f"{type(self).__name__} takes {', '.join(names)}, each once")
@@ -252,7 +217,8 @@ class QuiverRep:
         for v, m in zip(self.VERTICES, mods):
             setattr(self, v, m)
         arrows = []
-        for name, s, t in self.ARROWS:
+        for name in self.ARROWS:
+            s, t = (k - 1 for k in LETTERS[name])
             f = given[name]
             f = ModuleMorphism(mods[s], mods[t], getattr(f, "matrix", f), check=check)
             setattr(self, name, f)
@@ -274,7 +240,7 @@ class QuiverRep:
 
     def maps(self):
         """{arrow name: ModuleMorphism}, in the order of ARROWS."""
-        return {name: f for (name, _, _), (_, _, f) in zip(self.ARROWS, self.arrows)}
+        return {name: f for name, (_, _, f) in zip(self.ARROWS, self.arrows)}
 
     def letters(self):
         """{letter: Mat}: the matrix of each arrow, and the identity matrix
@@ -312,7 +278,7 @@ class QuiverRep:
         """The direct sum with a representation of the same quiver."""
         if type(other) is not type(self) or other.dom != self.dom:
             raise ValueError("a direct sum needs two representations of one quiver over one domain")
-        mods = [direct_sum([a, b])[0] for a, b in zip(self._modules, other._modules)]
+        mods = [direct_sum([a, b]) for a, b in zip(self._modules, other._modules)]
         mats = [Mat.direct_sum(self.dom, [f.matrix, g.matrix])
                 for (_, _, f), (_, _, g) in zip(self.arrows, other.arrows)]
         return type(self)(*mods, *mats, check=False)

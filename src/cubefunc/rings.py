@@ -31,8 +31,9 @@ GEN_TYPES = {
 
 # every letter a word may use: the cubic letters and the arrows of the
 # other quivers of presentation.QuiverRep (strings_bands.BModuleDiagram and
-# WDiagram, wildness.A11Module), each arrow from vertex s to t at levels
-# s + 1 and t + 1
+# WDiagram, wildness.A11Module).  The one record of each arrow's type: a
+# QuiverRep reads a letter of type (s, t) as an arrow from vertex s - 1 to
+# vertex t - 1
 LETTERS = {
     **GEN_TYPES,
     "a1": (1, 2), "b1": (2, 1), "a2": (2, 3), "b2": (3, 2),

@@ -67,7 +67,7 @@ class BModuleDiagram(QuiverRep):
     a2: M2 -> M3 and b2: M3 -> M2."""
 
     VERTICES = ("M1", "M2", "M3")
-    ARROWS = (("a1", 0, 1), ("b1", 1, 0), ("a2", 1, 2), ("b2", 2, 1))
+    ARROWS = ("a1", "b1", "a2", "b2")
     RELATIONS = (
         ("a1 b1 a1 = 3 a1", A1 * B1 * A1 - A1 * 3),
         ("b1 a1 b1 = 3 b1", B1 * A1 * B1 - B1 * 3),
@@ -770,7 +770,7 @@ class WDiagram(QuiverRep):
     """Two presented Z_(2)-modules with maps xi: W1 -> W2, eta: W2 -> W1."""
 
     VERTICES = ("W1", "W2")
-    ARROWS = (("xi", 0, 1), ("eta", 1, 0))
+    ARROWS = ("xi", "eta")
     RELATIONS = (("2 xi = 0", XI * 2), ("2 eta = 0", ETA * 2), ("eta xi = 0", ETA * XI))
 
     def torsion_free_rank(self):

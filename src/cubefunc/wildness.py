@@ -99,7 +99,7 @@ class A11Module(QuiverRep):
     endomorphism ring A(1, 1)."""
 
     VERTICES = ("M",)
-    ARROWS = (("a", 0, 0), ("b", 0, 0))
+    ARROWS = ("a", "b")
     RELATIONS = (
         ("a^2 = 2a", A * A - A * 2),
         ("b^2 = 6b", B * B - B * 6),

@@ -1,11 +1,10 @@
 """One presented quiver-representation type for every diagram kind.
 
 CubicDiagram, BModuleDiagram, WDiagram and A11Module are
-presentation.QuiverReps on their own quivers.  Their arrows are the letters
-that rings.Expr types, and direct sums and truncations agree with the
-summands (ROADMAP aim 3): the relation report of X + Y is the report of X
-and of Y, relation by relation, and truncating a sum gives the sum of the
-truncations.
+presentation.QuiverReps on their own quivers.  Direct sums and truncations
+agree with the summands (ROADMAP aim 3): the relation report of X + Y is
+the report of X and of Y, relation by relation, and truncating a sum gives
+the sum of the truncations.
 """
 
 import random
@@ -16,7 +15,7 @@ import pytest
 from cubefunc.domains import ZZ
 from cubefunc.functors import FUNCTOR_IDS, CubicDiagram, builtin, extract_diagram
 from cubefunc.matrix import Mat
-from cubefunc.rings import LETTERS, cubic_relations, verify_relations
+from cubefunc.rings import cubic_relations, verify_relations
 from cubefunc.strings_bands import (
     BandData3,
     BModuleDiagram,
@@ -28,18 +27,6 @@ from cubefunc.strings_bands import (
     build_W,
 )
 from cubefunc.wildness import A11Module, SigmaModule, phi_restrict
-
-QUIVERS = (CubicDiagram, BModuleDiagram, WDiagram, A11Module)
-
-
-@pytest.mark.parametrize("cls", QUIVERS, ids=lambda c: c.__name__)
-def test_arrows_are_the_letters_of_words(cls):
-    # an arrow from vertex s to vertex t is a letter of type (s + 1, t + 1)
-    for name, s, t in cls.ARROWS:
-        assert LETTERS[name] == (s + 1, t + 1), name
-    for name, defect in cls.RELATIONS:
-        assert {g for w in defect.terms for g in w} <= LETTERS.keys(), name
-
 
 def test_arrows_are_checked_module_maps():
     d = extract_diagram(builtin("sym2"))

@@ -34,7 +34,7 @@ def rand_sigma(rng, rank, n=2):
 def test_restrict_trivial():
     l = SigmaModule(2, 1, [[[0]], [[0]]])
     m = phi_restrict(l)
-    assert m.a.is_zero() and m.b.is_zero()
+    assert m.a.matrix.is_zero() and m.b.matrix.is_zero()
 
 
 def test_restrict_identity_scalar():
