@@ -4,7 +4,8 @@ A cubic space is a diagram
 
     F1  <--p--/--h-->  F2  <--p_i--/--h_i-->  F3      (i = 1, 2)
 
-subject to the char-2 relation list (see CubicSpace2.verify).  The module
+subject to the char-2 identity list, rings.cubic_relations(char2=True),
+which CubicSpace2 reads and evaluates on its matrices.  The module
 provides the classification pipeline of the source paper over GF(2):
 splitting off the multiplicity of the trivial diagram, the six-block
 normal form of the (h, p) pair, the staircase form of h1, the word calculus
@@ -51,10 +52,12 @@ from collections import namedtuple
 
 import numpy as np
 
+from .domains import GF2
 from .polys import (
     companion_matrix, poly_deg, poly_pow, poly_trim, primary_polys,
     primary_root, reciprocal,
 )
+from .rings import LETTERS, cubic_relations
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +224,26 @@ def reduce_mod(vecs, span, dim):
 class Rep2:
     """A representation of a quiver over GF(2): the space GF(2)^dims[v] at
     each vertex v and, for each arrow (s, t, m), the matrix m of a map from
-    vertex s to vertex t.  A cubic space is a representation of the cubic
-    quiver (CubicSpace2); an action tuple (a_1, .., a_n) is one of the
-    quiver with one vertex and n loops."""
+    vertex s to vertex t, with entries 0 and 1.  A cubic space is a
+    representation of the cubic quiver (CubicSpace2); an action tuple
+    (a_1, .., a_n) is one of the quiver with one vertex and n loops."""
+
+    dom = GF2
 
     def __init__(self, dims, arrows):
         self.dims = tuple(dims)
-        self.arrows = tuple((s, t, np.asarray(m, dtype=np.uint8)) for s, t, m in arrows)
-        for k, (s, t, m) in enumerate(self.arrows):
+        checked = []
+        for k, (s, t, given) in enumerate(arrows):
+            given = np.asarray(given)
+            m = given.astype(np.uint8, copy=False)
             if m.shape != (self.dims[t], self.dims[s]):
                 raise ValueError(f"arrow {k} must be {(self.dims[t], self.dims[s])}")
+            # the cast to uint8 changes every entry that is not an integer
+            # from 0 to 255
+            if (m > 1).any() or (m is not given and (m != given).any()):
+                raise ValueError(f"arrow {k} has an entry other than 0 and 1")
+            checked.append((s, t, m))
+        self.arrows = tuple(checked)
 
     def _with_maps(self, dims, maps):
         """The representation of the same quiver with these maps."""
@@ -274,50 +287,54 @@ class Rep2:
 
 class CubicSpace2(Rep2):
     """A char-2 cubic diagram: the representation of the cubic quiver with
-    spaces F1, F2, F3 at vertices 0, 1, 2 and the arrows
-    h: F1->F2, p: F2->F1, h_i: F2->F3, p_i: F3->F2, in that order."""
+    spaces F1, F2, F3 at vertices 0, 1, 2 and the arrows ARROWS, typed by
+    rings.LETTERS: h: F1->F2, p: F2->F1, h_i: F2->F3, p_i: F3->F2.  With
+    check=True the identities RELATIONS, the defects lhs - rhs of
+    rings.cubic_relations(char2=True), must hold."""
 
-    QUIVER = ((0, 1), (1, 0), (1, 2), (1, 2), (2, 1), (2, 1))
+    ARROWS = ("h", "p", "h1", "h2", "p1", "p2")
+    RELATIONS = tuple((name, lhs - rhs) for name, lhs, rhs in cubic_relations(char2=True))
 
     def __init__(self, h, p, h1, h2, p1, p2, check=True):
-        maps = [np.asarray(m, dtype=np.uint8) for m in (h, p, h1, h2, p1, p2)]
-        super().__init__((maps[0].shape[1], maps[0].shape[0], maps[2].shape[0]),
-                         [(s, t, m) for (s, t), m in zip(self.QUIVER, maps)])
-        self.h, self.p, self.h1, self.h2, self.p1, self.p2 = maps
+        super().__init__((np.shape(h)[1], np.shape(h)[0], np.shape(h1)[0]),
+                         [(LETTERS[a][0] - 1, LETTERS[a][1] - 1, m)
+                          for a, m in zip(self.ARROWS, (h, p, h1, h2, p1, p2))])
+        self.h, self.p, self.h1, self.h2, self.p1, self.p2 = (m for _, _, m in self.arrows)
         if check:
-            bad = [name for name, ok in self.verify().items() if not ok]
-            if bad:
-                raise ValueError("cubic relations fail: " + "; ".join(bad))
+            _fail_unless_cubic(self)
 
     def _with_maps(self, dims, maps):
         return CubicSpace2(*maps, check=False)
 
-    def verify(self):
-        """Exact relation checks; returns {relation name: bool}."""
-        h, p, h1, h2, p1, p2 = self.h, self.p, self.h1, self.h2, self.p1, self.p2
-        # shared subproducts: h1 h = h2 h iff (h1 + h2) h = 0, and
-        # p1 h1 p1 = p1 (h1 p1), so 21 products check all 12 relations
-        hp = _mul(h, p)
-        h1p1, h2p2 = _mul(h1, p1), _mul(h2, p2)
-        x, y = _mul(h1p1, h2p2), _mul(h2p2, h1p1)
-        lhs7 = _mul(h1, hp) ^ h1 ^ h2
-        rhs7 = _mul(x, h1) ^ _mul(y, h2)
-        lhs8 = _mul(hp, p1) ^ p1 ^ p2
-        rhs8 = _mul(p1, y) ^ _mul(p2, x)
-        return {
-            "h1 p2 = 0": not _mul(h1, p2).any(),
-            "h2 p1 = 0": not _mul(h2, p1).any(),
-            "h1 h = h2 h": not _mul(h1 ^ h2, h).any(),
-            "p p1 = p p2": not _mul(p, p1 ^ p2).any(),
-            "h1 p1 h1 = 0": not _mul(h1p1, h1).any(),
-            "p1 h1 p1 = 0": not _mul(p1, h1p1).any(),
-            "h2 p2 h2 = 0": not _mul(h2p2, h2).any(),
-            "p2 h2 p2 = 0": not _mul(p2, h2p2).any(),
-            "h p h = 0": not _mul(hp, h).any(),
-            "p h p = 0": not _mul(p, hp).any(),
-            "(h1 h) p + h1 + h2 = h1p1h2p2h1 + h2p2h1p1h2": not (lhs7 ^ rhs7).any(),
-            "h (p p1) + p1 + p2 = p1h2p2h1p1 + p2h1p1h2p2": not (lhs8 ^ rhs8).any(),
-        }
+    def verify(self, relations):
+        """Check identities, given as (name, defect) pairs with defect a
+        rings.Expr in the arrow names and id1, id2, id3, as
+        presentation.QuiverRep.verify does; returns (ok, [(name, holds)]).
+        Each word is multiplied right to left over GF(2), and a suffix
+        shared by words of one call is multiplied once."""
+        products = {(a,): m for a, (_, _, m) in zip(self.ARROWS, self.arrows)}
+        products.update(((f"id{k}",), eye(n)) for k, n in enumerate(self.dims, 1))
+
+        def product(word):
+            if word not in products:
+                products[word] = _mul(products[word[:1]], product(word[1:]))
+            return products[word]
+
+        report = []
+        for name, defect in relations:
+            acc = None
+            for word, c in defect.terms.items():
+                if self.dom.canon(c):
+                    acc = product(word) if acc is None else acc ^ product(word)
+            report.append((name, acc is None or not acc.any()))
+        return all(good for _, good in report), report
+
+
+def _fail_unless_cubic(space):
+    ok, report = space.verify(space.RELATIONS)
+    if not ok:
+        raise ValueError("cubic relations fail: "
+                         + "; ".join(name for name, good in report if not good))
 
 
 def zero_space():
@@ -343,9 +360,7 @@ def split_trivial(space):
     on F2 cut out the trivial part; the remainder is the diagram on their
     common complement and satisfies h1 p1 = h1 h p p1 there.
     """
-    bad = [name for name, ok in space.verify().items() if not ok]
-    if bad:
-        raise ValueError("cubic relations fail: " + "; ".join(bad))
+    _fail_unless_cubic(space)
     h1, h2, p1, p2 = space.h1, space.h2, space.p1, space.p2
     e1 = mats(h1, p1, h2, p2)
     e2 = mats(h2, p2, h1, p1)

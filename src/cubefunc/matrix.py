@@ -6,12 +6,14 @@ Each elimination job has one kernel per kind of ring:
 - over Z, Z_(p) and Z[1/S] (denominators cleared), Smith forms run on
   ``_snf_euclidean`` and column Hermite forms on the ``LatticeSpan`` fold
   over Z (``LatticeSpan._fold_int``);
-- over a field, Smith forms and column echelon forms run on ``_rref``.
+- over Z/p, Smith forms and column echelon forms run on the GF(p) kernel
+  of gf2 (``pivot_columns``, ``nullspace`` and ``solve`` at p), whose
+  int64 arithmetic needs p^2 < 2^63; a larger p raises
+  UnsupportedDomainError.
 
-The numpy kernels live with their callers: GF(p) row reduction in gf2
-(``_eliminate``), Smith forms over Z/p^k in strings_bands (``_snf_mod``).
-Here everything is list-of-lists with canonical domain elements; no floats
-ever.
+The numpy kernels live with their callers: GF(p) row reduction in gf2,
+Smith forms over Z/p^k in strings_bands (``_snf_mod``).  Here everything is
+list-of-lists with canonical domain elements; no floats ever.
 ``Mat(dom, entries)`` canonicalizes what it is given.  Arithmetic and
 slicing results are built from entries that are canonical already and are
 trusted, not re-canonicalized: the domain's element operations return
@@ -316,59 +318,39 @@ def _check_same_domain(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _rref(rows, dom):
-    """Gauss-Jordan elimination over the field ``dom``.
+def _field_array(m):
+    """The entries of m over Z/p as an int64 array, and p.  The GF(p)
+    kernel of gf2 multiplies two entries in int64, so p^2 < 2^63."""
+    p = m.dom.m
+    if p * p >= 2**63:
+        raise UnsupportedDomainError(f"GF(p) elimination overflows int64 at p = {p}")
+    import numpy as np
 
-    Returns (R, U, pivots): R is the reduced row echelon form of the list of
-    rows (each pivot 1, the rest of its column 0), U the invertible row
-    operations with U * rows == R, and pivots the pivot column of each
-    nonzero row of R, which come first."""
-    d = dom
-    a = [row[:] for row in rows]
-    n = len(a)
-    one, zero = d.one(), d.zero()
-    U = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    pivots = []
-    for c in range(len(a[0]) if a else 0):
-        r = len(pivots)
-        if r == n:
-            break
-        piv = next((i for i in range(r, n) if not d.is_zero(a[i][c])), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            U[r], U[piv] = U[piv], U[r]
-        inv = d.inv(a[r][c])
-        a[r] = [d.mul(inv, x) for x in a[r]]
-        U[r] = [d.mul(inv, x) for x in U[r]]
-        for i in range(n):
-            if i != r and not d.is_zero(a[i][c]):
-                f = a[i][c]
-                a[i] = [d.sub(x, d.mul(f, y)) for x, y in zip(a[i], a[r])]
-                U[i] = [d.sub(x, d.mul(f, y)) for x, y in zip(U[i], U[r])]
-        pivots.append(c)
-    return a, U, pivots
+    return np.array(m.a, dtype=np.int64).reshape(m.rows, m.cols), p
 
 
 def _snf_field(m):
-    """SNF over a field: U m V = diag(1,...,1,0,...) with rank ones.  U is
-    the RREF transform; V takes the pivot columns first, then e_j - R[:, j]
-    (read in pivot coordinates) for each free column j."""
-    d = m.dom
-    R, U, pivots = _rref(m.a, d)
+    """SNF over Z/p: U m V = diag(1,...,1,0,...) with rank ones.  V takes
+    the pivot columns first, then the nullspace basis e_j - R[:, j] of the
+    reduced form R for each free column j; U inverts the pivot columns of m
+    completed to a basis by unit vectors."""
+    import numpy as np
+
+    from . import gf2
+
+    a, p = _field_array(m)
+    pivots = gf2.pivot_columns(a, p)
     r = len(pivots)
-    one = d.one()
-    v = Mat.zeros(d, m.cols, m.cols)
-    free = [j for j in range(m.cols) if j not in pivots]
-    for k, j in enumerate(pivots + free):
-        v.a[j][k] = one
-        if k >= r:
-            for i, p in enumerate(pivots):
-                if not d.is_zero(R[i][j]):
-                    v.a[p][k] = d.neg(R[i][j])
-    s = Mat.diag(d, [one] * r, m.rows, m.cols)
-    return Mat._trusted(d, U, m.rows, m.rows), s, v
+    v = np.zeros((m.cols, m.cols), dtype=np.int64)
+    v[pivots, np.arange(r)] = 1
+    v[:, r:] = gf2.nullspace(a, p)
+    one = np.eye(m.rows, dtype=np.int64)
+    full = np.hstack([a[:, pivots], one])
+    u = gf2.solve(full[:, gf2.pivot_columns(full, p)], one, p)
+    d = m.dom
+    return (Mat._trusted(d, u.tolist(), m.rows, m.rows),
+            Mat.diag(d, [d.one()] * r, m.rows, m.cols),
+            Mat._trusted(d, v.tolist(), m.cols, m.cols))
 
 
 def _snf_euclidean(a):
@@ -604,8 +586,15 @@ def column_hermite(m):
     and fields; over a field it is the reduced column echelon form."""
     d = m.dom
     if d.is_field:
-        R, _, pivots = _rref(m.transpose().a, d)
-        return Mat._trusted(d, _from_columns(R[:len(pivots)], m.rows), m.rows, len(pivots))
+        from . import gf2
+
+        # b: a basis of the column span; top: its rows at the pivot rows,
+        # which are invertible, so b top^-1 is the reduced form
+        a, p = _field_array(m)
+        b = a[:, gf2.pivot_columns(a, p)]
+        top = b[gf2.pivot_columns(b.T, p)]
+        h = gf2.solve(top.T, b.T, p).T
+        return Mat._trusted(d, h.tolist(), m.rows, h.shape[1])
     if d.kind not in _NATIVE:
         raise UnsupportedDomainError(f"Hermite form not implemented over {d}")
     za, den = (m.a, 1) if d.kind == "Z" else _clear_denominators(m.a)

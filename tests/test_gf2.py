@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, note, settings, strategies as st
 
 from cubefunc import gf2
+from cubefunc.domains import GF2
+from cubefunc.functors import FUNCTOR_IDS, CubicDiagram, builtin, extract_diagram
 from cubefunc.gf2 import (
     BandDatum5,
     CubicSpace2,
@@ -26,6 +28,9 @@ from cubefunc.gf2 import (
     split_indecomposable,
     zero_space,
 )
+from cubefunc.matrix import Mat
+from cubefunc.presentation import FpPresentation
+from cubefunc.rings import verify_relations
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 # sizes on both sides of the 64-bit word boundary
@@ -368,7 +373,7 @@ def test_split_of_direct_sums(a, b):
     (_, first), (_, second) = split_indecomposable(x)
     for part in (first, second):
         assert sum(part.dims) > 0
-        assert all(part.verify().values())
+        assert part.verify(CubicSpace2.RELATIONS)[0]
     assert tuple(i + j for i, j in zip(first.dims, second.dims)) == x.dims
 
 
@@ -482,7 +487,7 @@ def test_match_summands_of_swapped_sums(a, b):
     rng = np.random.default_rng(len(repr((a, b))))
     y = realize(b).direct_sum(realize(a))
     y = y.conjugate(*(random_invertible(rng, n) for n in y.dims))
-    assert isinstance(y, CubicSpace2) and all(y.verify().values())
+    assert isinstance(y, CubicSpace2) and y.verify(CubicSpace2.RELATIONS)[0]
     f = gf2.match_summands(x, y)
     assert f is not None
     _assert_iso(f, x, y)
@@ -673,8 +678,9 @@ NAMES = ("h", "p", "h1", "h2", "p1", "p2")
 
 
 def _verify_reference(x):
-    """The twelve relations of CubicSpace2.verify, each from its own chain
-    of int64 products reduced mod 2."""
+    """The twelve identities of rings.cubic_relations(char2=True), under
+    its names and in its order, each from its own chain of int64 products
+    reduced mod 2."""
     m = {k: getattr(x, k).astype(np.int64) for k in NAMES}
 
     def prod(*names):
@@ -686,20 +692,20 @@ def _verify_reference(x):
     zero = lambda a: not (a % 2).any()
     h1, h2, p1, p2 = m["h1"], m["h2"], m["p1"], m["p2"]
     return {
-        "h1 p2 = 0": zero(prod("h1", "p2")),
-        "h2 p1 = 0": zero(prod("h2", "p1")),
-        "h1 h = h2 h": zero(prod("h1", "h") + prod("h2", "h")),
-        "p p1 = p p2": zero(prod("p", "p1") + prod("p", "p2")),
-        "h1 p1 h1 = 0": zero(prod("h1", "p1", "h1")),
-        "p1 h1 p1 = 0": zero(prod("p1", "h1", "p1")),
-        "h2 p2 h2 = 0": zero(prod("h2", "p2", "h2")),
-        "p2 h2 p2 = 0": zero(prod("p2", "h2", "p2")),
-        "h p h = 0": zero(prod("h", "p", "h")),
-        "p h p = 0": zero(prod("p", "h", "p")),
-        "(h1 h) p + h1 + h2 = h1p1h2p2h1 + h2p2h1p1h2": zero(
+        "h1*p2 = 0": zero(prod("h1", "p2")),
+        "h2*p1 = 0": zero(prod("h2", "p1")),
+        "h1*h = h2*h": zero(prod("h1", "h") + prod("h2", "h")),
+        "p*p1 = p*p2": zero(prod("p", "p1") + prod("p", "p2")),
+        "h1*p1*h1 = 2h1": zero(prod("h1", "p1", "h1")),
+        "h2*p2*h2 = 2h2": zero(prod("h2", "p2", "h2")),
+        "p1*h1*p1 = 2p1": zero(prod("p1", "h1", "p1")),
+        "p2*h2*p2 = 2p2": zero(prod("p2", "h2", "p2")),
+        "h*p*h = 2(h + (p1+p2)*hbar)": zero(prod("h", "p", "h")),
+        "p*h*p = 2(p + pbar*(h1+h2))": zero(prod("p", "h", "p")),
+        "hbar*p + h1 + h2 = h1p1h2p2h1 + h2p2h1p1h2": zero(
             prod("h1", "h", "p") + h1 + h2
             + prod("h1", "p1", "h2", "p2", "h1") + prod("h2", "p2", "h1", "p1", "h2")),
-        "h (p p1) + p1 + p2 = p1h2p2h1p1 + p2h1p1h2p2": zero(
+        "h*pbar + p1 + p2 = p1h2p2h1p1 + p2h1p1h2p2": zero(
             prod("h", "p", "p1") + p1 + p2
             + prod("p1", "h2", "p2", "h1", "p1") + prod("p2", "h1", "p1", "h2", "p2")),
     }
@@ -721,8 +727,8 @@ def test_verify_matches_relation_by_relation_reference():
         spaces.append(CubicSpace2(*(rng.integers(0, 2, size=s) for s in shapes),
                                   check=False))
     for x in spaces:
-        assert list(x.verify().items()) == list(_verify_reference(x).items())
-    assert all(all(x.verify().values()) for x in spaces[:len(DATA)])
+        assert x.verify(CubicSpace2.RELATIONS)[1] == list(_verify_reference(x).items())
+    assert all(x.verify(CubicSpace2.RELATIONS)[0] for x in spaces[:len(DATA)])
 
 
 def test_breaking_one_relation_alone_fails_exactly_its_key():
@@ -733,15 +739,96 @@ def test_breaking_one_relation_alone_fails_exactly_its_key():
                 mats = {k: getattr(x, k).copy() for k in NAMES}
                 mats[name][idx] ^= 1
                 y = CubicSpace2(*(mats[k] for k in NAMES), check=False)
-                got = y.verify()
-                assert list(got.items()) == list(_verify_reference(y).items())
-                bad = [k for k, ok in got.items() if not ok]
+                _, got = y.verify(CubicSpace2.RELATIONS)
+                assert got == list(_verify_reference(y).items())
+                bad = [k for k, ok in got if not ok]
                 if len(bad) == 1:
                     broken_alone.add(bad[0])
     # single entry flips break each of these relations without any other;
-    # the four cubic ones ("h1 p1 h1 = 0", ...) never fail alone here
+    # the four cubic ones ("h1*p1*h1 = 2h1", ...) never fail alone here
     assert broken_alone == set(_verify_reference(zero_space())) - {
-        "h1 p1 h1 = 0", "p1 h1 p1 = 0", "h2 p2 h2 = 0", "p2 h2 p2 = 0"}
+        "h1*p1*h1 = 2h1", "h2*p2*h2 = 2h2", "p1*h1*p1 = 2p1", "p2*h2*p2 = 2p2"}
+
+
+def test_rep2_refuses_entries_other_than_0_and_1():
+    # mod 2 this is the zero space; an entry 2 used to fail the cubic
+    # relations with a false message instead
+    with pytest.raises(ValueError, match="arrow 2 has an entry other than 0 and 1"):
+        CubicSpace2([[0]], [[0]], [[2]], [[0]], [[0]], [[0]])
+    for entry in (2, -1, 256, 0.5):
+        with pytest.raises(ValueError, match="arrow 0 has an entry other than 0 and 1"):
+            gf2.Rep2((1,), [(0, 0, [[entry]])])
+    assert CubicSpace2([[0]], [[0]], [[0]], [[0]], [[0]], [[0]]).dims == (1, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the built-in functors mod 2 (ROADMAP item 2)
+# ---------------------------------------------------------------------------
+
+
+def _mod2_space(fid):
+    """The cubic diagram of a built-in functor over Z, each arrow reduced
+    mod 2; its vertex modules are free, so this is its reduction."""
+    d = extract_diagram(builtin(fid))
+    return CubicSpace2(*(np.array(f.matrix.a, dtype=np.int64).reshape(f.matrix.rows, f.matrix.cols) % 2
+                         for f in d.maps().values()), check=False)
+
+
+def _gf2_diagram(x):
+    """The CubicDiagram over GF(2) on the matrices of a cubic space."""
+    mat = lambda m: Mat(GF2, m.tolist()) if m.shape[0] else Mat.zeros(GF2, *m.shape)
+    return CubicDiagram(*(FpPresentation.free(GF2, n) for n in x.dims),
+                        *(mat(m) for _, _, m in x.arrows))
+
+
+def _single_flips(x, seed, count=8):
+    """count cubic spaces, each x with one entry of one arrow flipped."""
+    rng = np.random.default_rng(seed)
+    mats = [m for _, _, m in x.arrows]
+    arrows = [k for k, m in enumerate(mats) if m.size]
+    out = []
+    for _ in range(count if arrows else 0):
+        k = arrows[int(rng.integers(len(arrows)))]
+        flipped = [m.copy() for m in mats]
+        flipped[k][tuple(int(rng.integers(n)) for n in flipped[k].shape)] ^= 1
+        out.append(CubicSpace2(*flipped, check=False))
+    return out
+
+
+@pytest.mark.parametrize("fid", FUNCTOR_IDS)
+def test_one_record_two_evaluators(fid):
+    x = _mod2_space(fid)
+    assert verify_relations(x)[0]
+    flips = _single_flips(x, FUNCTOR_IDS.index(fid))
+    for y in [x] + flips:
+        want = verify_relations(_gf2_diagram(y))
+        assert y.verify(CubicSpace2.RELATIONS) == want
+        assert verify_relations(y) == want
+    # the flips reach spaces on which some identity fails
+    assert not flips or not all(verify_relations(y)[0] for y in flips)
+
+
+@pytest.mark.parametrize("fid, trivial, data", [
+    ("group_ring_trunc", 0, ("D[S5-R15~R1, 0]",)),
+    ("sym3", 0, ("D[S10-R15~R1]",)),
+    ("ext3", 0, ("D[S10]",)),
+    ("ext2_tensor_id", 1, ("D[S10]",)),
+    ("sym2", 0, ("D[R13]",)),
+    ("ext2", 0, ("D[R7, 1]",)),
+    pytest.param("tensor_cube", None, None, marks=pytest.mark.xfail(
+        strict=True, raises=ValueError,
+        reason="ROADMAP item 2: no string or band datum matches the tensor cube mod 2")),
+])
+def test_functor_decompositions_mod2(fid, trivial, data):
+    x = _mod2_space(fid)
+    report = decompose(x)
+    assert (report.trivial, report.points, tuple(map(repr, report.data))) == (trivial, 0, data)
+    rebuilt = realize(report.data[0])
+    for part in [realize(d) for d in report.data[1:]] + [gf2.trivial_space()] * trivial:
+        rebuilt = rebuilt.direct_sum(part)
+    f = gf2.match_summands(rebuilt, x)
+    assert f is not None
+    _assert_iso(f, rebuilt, x)
 
 
 SUMS = [(d,) for d in DATA] + list(itertools.combinations(DATA, 2))

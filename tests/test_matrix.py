@@ -212,6 +212,27 @@ def test_composite_modulus_snf_unsupported():
         smith_normal_form(m)
 
 
+# the primes on either side of 2^31.5: the GF(p) kernel multiplies two
+# entries in int64, so p^2 < 2^63 must hold
+BELOW_INT64_SQUARE, ABOVE_INT64_SQUARE = 3037000493, 3037000507
+
+
+def test_field_forms_refuse_a_prime_whose_square_overflows_int64():
+    from cubefunc.domains import UnsupportedDomainError
+
+    assert BELOW_INT64_SQUARE**2 < 2**63 <= ABOVE_INT64_SQUARE**2
+    m = Mat(GF(ABOVE_INT64_SQUARE), [[1, 2], [3, 4]])
+    for form in (smith_normal_form, column_hermite):
+        with pytest.raises(UnsupportedDomainError, match="int64"):
+            form(m)
+    # the third row is (-1, 5) [[1, 2], [3, 4]]^-1 = (19/2, -7/2)
+    p = BELOW_INT64_SQUARE
+    m = Mat(GF(p), [[1, 2], [3, 4], [-1, 5]])
+    check_snf(m)
+    half = pow(2, -1, p)
+    assert column_hermite(m) == Mat(m.dom, [[1, 0], [0, 1], [19 * half, -7 * half]])
+
+
 def test_gf_is_the_integers_mod_a_prime():
     assert GF(3) == Zmod(3) and GF3 == Zmod(3) and GF2 == Zmod(2)
     for q in (4, 6):

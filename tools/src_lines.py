@@ -18,6 +18,12 @@ an import of it (from .owner import name, from cubefunc.owner import name)
 or an attribute of a module bound by an import (owner.name).  Names that
 only tests read are listed: they belong in tests/, or nowhere.
 
+Then, in the same way, prints each method of a module-level class under
+src/ (dunders aside) whose name no file under src/, perfbench/ or tools/
+reads as an attribute (x.name), as "module.Class.name", and their number.
+Attributes are not resolved to their class, so a method is read as soon as
+any object's attribute of its name is.  This list is informational.
+
 Exits 1 if a module reads a private name of another, else 0.
 
     python3 tools/src_lines.py
@@ -102,19 +108,44 @@ def reads(tree, module, modules):
     return out
 
 
-def unread_names(modules):
-    """Sorted "module.name" of every module-level name under src/ that no
-    file under src/, perfbench/ or tools/ reads."""
+def defined_methods(tree):
+    """(class, method) of each function in a top-level class body, dunders
+    aside."""
+    return [(node.name, item.name) for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("__")]
+
+
+def reader_trees():
+    """(module name or None, tree) of every file under src/, perfbench/
+    and tools/; the module name is given for the package's own modules."""
     package = os.path.join(ROOT, PACKAGE)
-    seen = set()
     for reader in READERS:
         for base, _, files in sorted(os.walk(os.path.join(REPO, reader))):
             for name in sorted(files):
                 if name.endswith(".py"):
                     own = name[:-3] if base == package else None
-                    seen |= reads(_parse(os.path.join(base, name)), own, modules)
+                    yield own, _parse(os.path.join(base, name))
+
+
+def unread_names(modules, trees):
+    """Sorted "module.name" of every module-level name under src/ that no
+    reader tree reads."""
+    seen = set()
+    for own, tree in trees:
+        seen |= reads(tree, own, modules)
     return [f"{mod}.{name}" for mod, tree in modules.items()
             for name in sorted(defined_names(tree)) if (mod, name) not in seen]
+
+
+def unread_methods(modules, trees):
+    """Sorted "module.Class.method" of every method under src/ whose name
+    no reader tree reads as an attribute."""
+    seen = {node.attr for _, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    return [f"{mod}.{cls}.{name}" for mod, tree in modules.items()
+            for cls, name in sorted(defined_methods(tree)) if name not in seen]
 
 
 def main():
@@ -136,12 +167,14 @@ def main():
     for line in private:
         print(f"  {line}")
     print(f"total {len(private)}")
-    print()
-    print("module-level names under src/ that nothing under src/, perfbench/ or tools/ reads")
-    unread = unread_names(modules)
-    for line in unread:
-        print(f"  {line}")
-    print(f"total {len(unread)}")
+    trees = list(reader_trees())
+    for kind, unread in (("module-level names", unread_names(modules, trees)),
+                         ("methods", unread_methods(modules, trees))):
+        print()
+        print(f"{kind} under src/ that nothing under src/, perfbench/ or tools/ reads")
+        for line in unread:
+            print(f"  {line}")
+        print(f"total {len(unread)}")
     return 1 if private else 0
 
 
