@@ -3,6 +3,21 @@ the associated three-level diagram of structure maps.
 
 A functor F is given by its value rank on Z^n together with the induced
 matrix F(A) for any integer matrix A, relative to a frozen basis order.
+BuiltinFunctor holds rank, evaluate and act; each construction is one
+subclass that gives the basis labels and the integer matrix F(A):
+
+- Tensor(k), the k-th tensor power, as the iterated Kronecker product;
+- Sym(k), the k-th symmetric power, on sorted k-multisets;
+- Ext(k), the k-th exterior power for k = 2, 3, by closed-form minors;
+- Product(F, G), the tensor product F (x) G, as the Kronecker product of
+  the factors' matrices;
+- GroupRingTrunc, the group ring Z[A] truncated above degree 3 in the
+  augmentation ideal.
+
+builtin(fid, base) builds the seven built-in functors of FUNCTOR_IDS from
+these; tensor_cube is Tensor(3) and ext2_tensor_id is Product(Ext(2),
+Tensor(1)).
+
 The cross-effect pieces are cut out with the recursive idempotents
 f(k1...km) built from the coordinate projections of a direct sum, and the
 structure maps are three-step compositions through F(diagonal) and
@@ -17,23 +32,12 @@ and never the 2^m images at once.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations, combinations_with_replacement, product
-from math import comb
 
 from .domains import ZZ
 from .matrix import Mat, column_hermite, solve as mat_solve
 from .presentation import FpPresentation, QuiverRep
-
-
-FUNCTOR_IDS = (
-    "group_ring_trunc",
-    "tensor_cube",
-    "sym3",
-    "ext3",
-    "ext2_tensor_id",
-    "sym2",
-    "ext2",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -88,44 +92,17 @@ def _power_series_column(a_col, maxdeg=3):
 
 
 class BuiltinFunctor:
-    """One of the fixed built-in functors over a coefficient domain.
+    """A functor on free abelian groups over a coefficient domain.
 
-    act(a) takes an integer matrix (as Mat over Z or a plain list of lists)
-    and returns the induced matrix over the base domain, in the basis order
-    given by basis(n).
+    A subclass gives the frozen ordered basis labels basis(n) of F(Z^n) and
+    the induced integer matrix _act_int(a, m, n) of an m x n integer matrix
+    a, as a list of rows.  act(a) takes an integer matrix (as Mat over Z or
+    Z/p or a plain list of lists) and returns the induced matrix over the
+    base domain.
     """
 
-    def __init__(self, fid, base=ZZ):
-        if fid not in FUNCTOR_IDS:
-            raise ValueError(f"unknown functor id {fid!r}")
-        self.fid = fid
+    def __init__(self, base=ZZ):
         self.base = base
-
-    def __repr__(self):
-        return f"BuiltinFunctor({self.fid}, {self.base})"
-
-    # -- bases ----------------------------------------------------------
-
-    def basis(self, n):
-        """Frozen ordered basis labels of F(Z^n)."""
-        idx = range(n)
-        if self.fid == "group_ring_trunc":
-            out = []
-            for d in (1, 2, 3):
-                out.extend(combinations_with_replacement(idx, d))
-            return out
-        if self.fid == "tensor_cube":
-            return list(product(idx, repeat=3))
-        if self.fid == "sym3":
-            return list(combinations_with_replacement(idx, 3))
-        if self.fid == "sym2":
-            return list(combinations_with_replacement(idx, 2))
-        if self.fid == "ext3":
-            return list(combinations(idx, 3))
-        if self.fid == "ext2":
-            return list(combinations(idx, 2))
-        # ext2_tensor_id
-        return [(pair, i) for pair in combinations(idx, 2) for i in idx]
 
     def rank(self, n):
         return len(self.basis(n))
@@ -134,14 +111,10 @@ class BuiltinFunctor:
         """F(Z^n) as a free presentation over the base domain."""
         return FpPresentation.free(self.base, self.rank(n))
 
-    # -- matrix action ----------------------------------------------------
-
     def act(self, a):
-        """The induced matrix F(a) for an integer matrix a: Z^n -> Z^m."""
-        if isinstance(a, Mat):
-            rows = [[int(x) for x in row] for row in a.a]
-        else:
-            rows = [[int(x) for x in row] for row in a]
+        """The induced matrix F(a) for an integer matrix a: Z^n -> Z^m.
+        ValueError if an entry of a is not an integer."""
+        rows = [[_integer(x) for x in row] for row in (a.a if isinstance(a, Mat) else a)]
         m = len(rows)
         n = len(rows[0]) if rows else 0
         entries = self._act_int(rows, m, n)
@@ -151,90 +124,127 @@ class BuiltinFunctor:
         out.cols = self.rank(n)  # kept even when a value is the zero module
         return out
 
+
+class _Power(BuiltinFunctor):
+    """The k-th power of one of the three kinds below."""
+
+    def __init__(self, k, base=ZZ):
+        super().__init__(base)
+        self.k = k
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.k}, {self.base})"
+
+
+class Tensor(_Power):
+    """The k-th tensor power, basis the k-tuples in lexicographic order."""
+
+    def basis(self, n):
+        return list(product(range(n), repeat=self.k))
+
     def _act_int(self, a, m, n):
-        fid = self.fid
-        if fid == "group_ring_trunc":
-            return self._act_group_ring(a, m, n)
-        if fid == "tensor_cube":
-            out_basis = {b: i for i, b in enumerate(product(range(m), repeat=3))}
-            cols = []
-            for (j1, j2, j3) in product(range(n), repeat=3):
-                col = [0] * len(out_basis)
-                for i1 in range(m):
-                    x1 = a[i1][j1]
-                    if not x1:
-                        continue
-                    for i2 in range(m):
-                        x2 = a[i2][j2]
-                        if not x2:
-                            continue
-                        for i3 in range(m):
-                            x3 = a[i3][j3]
-                            if x3:
-                                col[out_basis[(i1, i2, i3)]] += x1 * x2 * x3
-                cols.append(col)
-            return _cols_to_rows(cols, len(out_basis))
-        if fid in ("sym3", "sym2"):
-            d = 3 if fid == "sym3" else 2
-            out_basis = {
-                b: i for i, b in enumerate(combinations_with_replacement(range(m), d))
-            }
-            cols = []
-            for js in combinations_with_replacement(range(n), d):
-                col = [0] * len(out_basis)
-                for iis in product(range(m), repeat=d):
-                    c = 1
-                    for i, j in zip(iis, js):
-                        c *= a[i][j]
-                        if not c:
-                            break
-                    if c:
-                        col[out_basis[tuple(sorted(iis))]] += c
-                cols.append(col)
-            return _cols_to_rows(cols, len(out_basis))
-        if fid in ("ext3", "ext2"):
-            d = 3 if fid == "ext3" else 2
-            rows_out = list(combinations(range(m), d))
-            cols_in = list(combinations(range(n), d))
-            out = []
-            for iis in rows_out:
-                row = []
-                for js in cols_in:
-                    row.append(_minor(a, iis, js))
-                out.append(row)
-            return out
-        # ext2_tensor_id
-        e2 = BuiltinFunctor("ext2", ZZ)
-        left = e2._act_int(a, m, n)
-        lr = len(list(combinations(range(m), 2)))
-        lc = len(list(combinations(range(n), 2)))
-        out = [[0] * (lc * n) for _ in range(lr * m)]
-        for i in range(lr):
-            for j in range(lc):
-                x = left[i][j]
-                if not x:
-                    continue
-                for k in range(m):
-                    for l in range(n):
-                        out[i * m + k][j * n + l] = x * a[k][l]
+        out = a
+        for _ in range(self.k - 1):
+            out = _kron(out, a)
         return out
 
-    def _act_group_ring(self, a, m, n):
-        src = self.basis(n)
-        dst = self.basis(m)
-        dst_idx = {b: i for i, b in enumerate(dst)}
+
+class Sym(_Power):
+    """The k-th symmetric power, basis the sorted k-multisets."""
+
+    def basis(self, n):
+        return list(combinations_with_replacement(range(n), self.k))
+
+    def _act_int(self, a, m, n):
+        out_basis = {b: i for i, b in enumerate(self.basis(m))}
+        cols = []
+        for js in self.basis(n):
+            col = [0] * len(out_basis)
+            for iis in product(range(m), repeat=self.k):
+                c = 1
+                for i, j in zip(iis, js):
+                    c *= a[i][j]
+                    if not c:
+                        break
+                if c:
+                    col[out_basis[tuple(sorted(iis))]] += c
+            cols.append(col)
+        return _cols_to_rows(cols, len(out_basis))
+
+
+class Ext(_Power):
+    """The k-th exterior power for k = 2 or 3, basis the sorted k-subsets;
+    its matrix entries are the k x k minors."""
+
+    def __init__(self, k, base=ZZ):
+        if k not in (2, 3):
+            raise ValueError(f"Ext({k}) is not built in: k must be 2 or 3")
+        super().__init__(k, base)
+
+    def basis(self, n):
+        return list(combinations(range(n), self.k))
+
+    def _act_int(self, a, m, n):
+        cols_in = self.basis(n)
+        return [[_minor(a, iis, js) for js in cols_in] for iis in self.basis(m)]
+
+
+class Product(BuiltinFunctor):
+    """The tensor product F(A) (x) G(A), basis the pairs (x, y) of the
+    factors' labels in row-major order.  Only the factors' integer
+    matrices are read, so their base domains do not matter."""
+
+    def __init__(self, f, g, base=ZZ):
+        super().__init__(base)
+        self.f, self.g = f, g
+
+    def __repr__(self):
+        return f"Product({self.f}, {self.g}, {self.base})"
+
+    def basis(self, n):
+        return list(product(self.f.basis(n), self.g.basis(n)))
+
+    def _act_int(self, a, m, n):
+        return _kron(self.f._act_int(a, m, n), self.g._act_int(a, m, n))
+
+
+class GroupRingTrunc(BuiltinFunctor):
+    """The group ring Z[A] modulo the fourth power of its augmentation
+    ideal, basis the monomials in v_i = e_i - 1 of degree 1 to 3."""
+
+    def __repr__(self):
+        return f"GroupRingTrunc({self.base})"
+
+    def basis(self, n):
+        return [b for d in (1, 2, 3) for b in combinations_with_replacement(range(n), d)]
+
+    def _act_int(self, a, m, n):
+        dst_idx = {b: i for i, b in enumerate(self.basis(m))}
         images = [_power_series_column([a[i][j] for i in range(m)]) for j in range(n)]
         cols = []
-        for mono in src:
+        for mono in self.basis(n):
             poly = {(): 1}
             for j in mono:
                 poly = _trunc_mul(poly, images[j])
             poly.pop((), None)
-            col = [0] * len(dst)
+            col = [0] * len(dst_idx)
             for mset, c in poly.items():
                 col[dst_idx[mset]] = c
             cols.append(col)
-        return _cols_to_rows(cols, len(dst))
+        return _cols_to_rows(cols, len(dst_idx))
+
+
+def _integer(x):
+    """x as an int; ValueError if x is not an integer."""
+    i = int(x)
+    if i != x:
+        raise ValueError(f"a functor acts on integer matrices, not on the entry {x!r}")
+    return i
+
+
+def _kron(x, y):
+    """Kronecker product of two integer matrices given as lists of rows."""
+    return [[p * q for p in xr for q in yr] for xr in x for yr in y]
 
 
 def _cols_to_rows(cols, nrows):
@@ -425,5 +435,22 @@ def extract_diagram(f):
     )
 
 
+# id -> constructor taking the base domain; faithful and the benchmark
+# read the ids in this order
+_BUILTINS = {
+    "group_ring_trunc": GroupRingTrunc,
+    "tensor_cube": partial(Tensor, 3),
+    "sym3": partial(Sym, 3),
+    "ext3": partial(Ext, 3),
+    "ext2_tensor_id": partial(Product, Ext(2), Tensor(1)),
+    "sym2": partial(Sym, 2),
+    "ext2": partial(Ext, 2),
+}
+FUNCTOR_IDS = tuple(_BUILTINS)
+
+
 def builtin(fid, base=ZZ):
-    return BuiltinFunctor(fid, base)
+    """The built-in functor named fid over the base domain."""
+    if fid not in _BUILTINS:
+        raise ValueError(f"unknown functor id {fid!r}")
+    return _BUILTINS[fid](base)

@@ -16,7 +16,8 @@ Matrices are uint8 arrays of zeros and ones.  Every row reduction runs on
 one kernel, _eliminate(a, p), the reduced row echelon form over GF(p):
 uint8 with XOR row updates at p = 2, int64 with modular row updates at odd
 p.  rank, nullspace, solve and pivot_columns take p (default 2), and the
-3-local probe of strings_bands reaches the kernel through them over GF(3).
+3-local probe of strings_bands reaches the kernel through them over GF(3),
+and the Z/p forms of matrix through row_reduce.
 
 One type, Rep2, holds a representation of a quiver over GF(2): a space at
 each vertex and a matrix on each arrow.  A cubic space is a Rep2 on the
@@ -126,6 +127,12 @@ def _eliminate(a, p=2):
         if lead == rows:
             break
     return r, piv
+
+
+def row_reduce(a, p=2):
+    """The reduced row echelon form R of a over GF(p) and its pivot
+    columns; the Smith and Hermite forms of matrix over Z/p read both."""
+    return _eliminate(a, p)
 
 
 def pivot_columns(a, p=2):

@@ -7,7 +7,7 @@ Each elimination job has one kernel per kind of ring:
   ``_snf_euclidean`` and column Hermite forms on the ``LatticeSpan`` fold
   over Z (``LatticeSpan._fold_int``);
 - over Z/p, Smith forms and column echelon forms run on the GF(p) kernel
-  of gf2 (``pivot_columns``, ``nullspace`` and ``solve`` at p), whose
+  of gf2, one reduced row echelon form each (``row_reduce`` at p), whose
   int64 arithmetic needs p^2 < 2^63; a larger p raises
   UnsupportedDomainError.
 
@@ -233,9 +233,6 @@ class Mat:
     def col(self, j):
         return Mat._trusted(self.dom, [[row[j]] for row in self.a], self.rows, 1)
 
-    def columns(self):
-        return [self.col(j) for j in range(self.cols)]
-
     def flat(self):
         """The entries row by row, as one list."""
         return [x for row in self.a for x in row]
@@ -330,27 +327,28 @@ def _field_array(m):
 
 
 def _snf_field(m):
-    """SNF over Z/p: U m V = diag(1,...,1,0,...) with rank ones.  V takes
-    the pivot columns first, then the nullspace basis e_j - R[:, j] of the
-    reduced form R for each free column j; U inverts the pivot columns of m
-    completed to a basis by unit vectors."""
+    """SNF over Z/p: U m V = diag(1,...,1,0,...) with rank ones, read off
+    the reduced form [R | U] of [m | I], in which U m = R.  V takes the
+    pivot columns of R first, then the nullspace basis e_j - R[:, j] for
+    each free column j."""
     import numpy as np
 
     from . import gf2
 
     a, p = _field_array(m)
-    pivots = gf2.pivot_columns(a, p)
+    rows, cols = a.shape
+    red, piv = gf2.row_reduce(np.hstack([a, np.eye(rows, dtype=np.int64)]), p)
+    pivots = [c for c in piv if c < cols]
     r = len(pivots)
-    v = np.zeros((m.cols, m.cols), dtype=np.int64)
+    free = sorted(set(range(cols)) - set(pivots))
+    v = np.zeros((cols, cols), dtype=np.int64)
     v[pivots, np.arange(r)] = 1
-    v[:, r:] = gf2.nullspace(a, p)
-    one = np.eye(m.rows, dtype=np.int64)
-    full = np.hstack([a[:, pivots], one])
-    u = gf2.solve(full[:, gf2.pivot_columns(full, p)], one, p)
+    v[free, np.arange(r, cols)] = 1
+    v[pivots, r:] = -red[:r, free].astype(np.int64) % p
     d = m.dom
-    return (Mat._trusted(d, u.tolist(), m.rows, m.rows),
-            Mat.diag(d, [d.one()] * r, m.rows, m.cols),
-            Mat._trusted(d, v.tolist(), m.cols, m.cols))
+    return (Mat._trusted(d, red[:, cols:].tolist(), rows, rows),
+            Mat.diag(d, [d.one()] * r, rows, cols),
+            Mat._trusted(d, v.tolist(), cols, cols))
 
 
 def _snf_euclidean(a):
@@ -588,13 +586,10 @@ def column_hermite(m):
     if d.is_field:
         from . import gf2
 
-        # b: a basis of the column span; top: its rows at the pivot rows,
-        # which are invertible, so b top^-1 is the reduced form
+        # the nonzero rows of the reduced row echelon form of m^T, transposed
         a, p = _field_array(m)
-        b = a[:, gf2.pivot_columns(a, p)]
-        top = b[gf2.pivot_columns(b.T, p)]
-        h = gf2.solve(top.T, b.T, p).T
-        return Mat._trusted(d, h.tolist(), m.rows, h.shape[1])
+        red, piv = gf2.row_reduce(a.T, p)
+        return Mat._trusted(d, red[: len(piv)].T.tolist(), m.rows, len(piv))
     if d.kind not in _NATIVE:
         raise UnsupportedDomainError(f"Hermite form not implemented over {d}")
     za, den = (m.a, 1) if d.kind == "Z" else _clear_denominators(m.a)

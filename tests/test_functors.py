@@ -1,6 +1,8 @@
+import json
+import os
 import random
 import tracemalloc
-from itertools import product
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -9,8 +11,10 @@ from cross_effect_oracle import cross_effect_ranks, signed_sum_table
 from cubefunc import functors
 from cubefunc.domains import ZZ, GF2, Z_HALF, Zloc
 from cubefunc.functors import (
-    BuiltinFunctor,
     FUNCTOR_IDS,
+    Product,
+    Sym,
+    Tensor,
     builtin,
     cross_effect_idempotents,
     extract_diagram,
@@ -34,6 +38,15 @@ EXPECTED_RANKS = {
     "ext2": (0, 1, 0),
 }
 
+# functors composed from the classes beyond the seven built-ins
+COMPOSED = {
+    "Tensor(1)": Tensor(1),
+    "Tensor(2)": Tensor(2),
+    "Product(Sym(2),Tensor(1))": Product(Sym(2), Tensor(1)),
+}
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "fixtures", "z_diagrams.json")
+
 
 def test_evaluate_ranks():
     assert builtin("group_ring_trunc").rank(1) == 3
@@ -43,10 +56,10 @@ def test_evaluate_ranks():
     assert builtin("sym3").rank(3) == 10
 
 
-@pytest.mark.parametrize("fid", FUNCTOR_IDS)
+@pytest.mark.parametrize("fid", FUNCTOR_IDS + tuple(COMPOSED))
 def test_functoriality(fid):
     rng = random.Random(hash(fid) % 10000)
-    f = builtin(fid)
+    f = COMPOSED.get(fid) or builtin(fid)
     for _ in range(20):
         n = rng.randint(1, 3)
         k = rng.randint(1, 3)
@@ -56,6 +69,39 @@ def test_functoriality(fid):
         assert f.act(a * b) == f.act(a) * f.act(b)
     for n in range(4):
         assert f.act(Mat.identity(ZZ, n)) == Mat.identity(ZZ, f.rank(n))
+
+
+def test_act_refuses_entries_that_are_not_integers():
+    f = builtin("sym2")
+    for a in (Mat(Z_HALF, [[Fraction(1, 2)]]), [[2.9]]):
+        with pytest.raises(ValueError, match="integer"):
+            f.act(a)
+    assert f.act([[2.0]]) == Mat(ZZ, [[4]])
+    assert f.act(Mat(GF2, [[1]])) == Mat(ZZ, [[1]])
+
+
+@pytest.mark.parametrize("fid, dims", [
+    ("Tensor(1)", (1, 0, 0)),
+    ("Tensor(2)", (1, 2, 0)),
+    ("Product(Sym(2),Tensor(1))", (1, 4, 3)),
+])
+def test_composed_diagrams(fid, dims):
+    d = extract_diagram(COMPOSED[fid])
+    assert tuple(m.gens for m in d.modules()) == dims
+    ok, report = verify_relations(d)
+    assert ok, [n for n, z in report if not z]
+
+
+def test_unknown_functor_id():
+    with pytest.raises(ValueError, match="unknown functor id"):
+        builtin("sym4")
+
+
+@pytest.mark.parametrize("fid", FUNCTOR_IDS)
+def test_diagram_matches_the_benchmark_fixture(fid):
+    with open(FIXTURE) as fh:
+        want = json.load(fh)
+    assert extract_diagram(builtin(fid, ZZ)).to_json() == want["diagrams"][fid]
 
 
 @pytest.mark.parametrize("fid", FUNCTOR_IDS)
@@ -201,28 +247,9 @@ def test_diagram_base_change(dom):
             assert got == mor.matrix.to_domain(dom), (fid, name)
 
 
-class _TensorFourth(BuiltinFunctor):
-    """The fourth tensor power, of degree 4."""
-
-    def __init__(self, base=ZZ):
-        self.fid = "tensor_fourth"
-        self.base = base
-
-    def basis(self, n):
-        return list(product(range(n), repeat=4))
-
-    def _act_int(self, a, m, n):
-        a2 = _kron(a, a)
-        return _kron(a2, a2)
-
-
-def _kron(x, y):
-    return [[p * q for p in xr for q in yr] for xr in x for yr in y]
-
-
 @pytest.mark.parametrize("dom", [ZZ, Z_HALF], ids=str)
 def test_degree_guard_fires(dom):
-    f = _TensorFourth(dom)
+    f = Tensor(4, dom)
     assert first_nonvanishing_above(f, 3) == 4
     with pytest.raises(ValueError, match="nonvanishing cross-effect in degree 4"):
         extract_diagram(f)

@@ -10,7 +10,9 @@ from hypothesis import given, note, settings, strategies as st
 
 from cubefunc import gf2
 from cubefunc.domains import GF2
-from cubefunc.functors import FUNCTOR_IDS, CubicDiagram, builtin, extract_diagram
+from cubefunc.functors import (
+    FUNCTOR_IDS, CubicDiagram, Product, Sym, Tensor, builtin, extract_diagram,
+)
 from cubefunc.gf2 import (
     BandDatum5,
     CubicSpace2,
@@ -766,10 +768,10 @@ def test_rep2_refuses_entries_other_than_0_and_1():
 # ---------------------------------------------------------------------------
 
 
-def _mod2_space(fid):
-    """The cubic diagram of a built-in functor over Z, each arrow reduced
-    mod 2; its vertex modules are free, so this is its reduction."""
-    d = extract_diagram(builtin(fid))
+def _mod2_space(f):
+    """The cubic diagram of a functor f over Z, each arrow reduced mod 2;
+    its vertex modules are free, so this is its reduction."""
+    d = extract_diagram(f)
     return CubicSpace2(*(np.array(f.matrix.a, dtype=np.int64).reshape(f.matrix.rows, f.matrix.cols) % 2
                          for f in d.maps().values()), check=False)
 
@@ -797,7 +799,7 @@ def _single_flips(x, seed, count=8):
 
 @pytest.mark.parametrize("fid", FUNCTOR_IDS)
 def test_one_record_two_evaluators(fid):
-    x = _mod2_space(fid)
+    x = _mod2_space(builtin(fid))
     assert verify_relations(x)[0]
     flips = _single_flips(x, FUNCTOR_IDS.index(fid))
     for y in [x] + flips:
@@ -820,7 +822,7 @@ def test_one_record_two_evaluators(fid):
         reason="ROADMAP item 2: no string or band datum matches the tensor cube mod 2")),
 ])
 def test_functor_decompositions_mod2(fid, trivial, data):
-    x = _mod2_space(fid)
+    x = _mod2_space(builtin(fid))
     report = decompose(x)
     assert (report.trivial, report.points, tuple(map(repr, report.data))) == (trivial, 0, data)
     rebuilt = realize(report.data[0])
@@ -829,6 +831,18 @@ def test_functor_decompositions_mod2(fid, trivial, data):
     f = gf2.match_summands(rebuilt, x)
     assert f is not None
     _assert_iso(f, rebuilt, x)
+
+
+@pytest.mark.parametrize("f, trivial, points, data", [
+    (Tensor(1), 0, 1, ()),
+    (Tensor(2), 0, 0, ("D[R1~R15]",)),
+    (Product(Sym(2), Tensor(1)), 1, 0, ("D[S10-R15~R1]",)),
+], ids=["Tensor(1)", "Tensor(2)", "Product(Sym(2),Tensor(1))"])
+def test_composed_functor_decompositions_mod2(f, trivial, points, data):
+    x = _mod2_space(f)
+    report = decompose(x)
+    assert (report.trivial, report.points, tuple(map(repr, report.data))) == (trivial, points, data)
+    assert tuple(map(sum, zip(*report.summand_dims()))) == x.dims
 
 
 SUMS = [(d,) for d in DATA] + list(itertools.combinations(DATA, 2))
