@@ -12,12 +12,15 @@ normal form of the (h, p) pair, the staircase form of h1, the word calculus
 over the bunch of semichains, and realize / decompose as mutually inverse
 constructions (strings, bands and the trivial diagram).
 
-Matrices are uint8 arrays of zeros and ones.  Every row reduction runs on
-one kernel, _eliminate(a, p), the reduced row echelon form over GF(p):
-uint8 with XOR row updates at p = 2, int64 with modular row updates at odd
-p.  rank, nullspace, solve and pivot_columns take p (default 2), and the
-3-local probe of strings_bands reaches the kernel through them over GF(3),
-and the Z/p forms of matrix through row_reduce.
+Matrices are uint8 arrays of zeros and ones, and a batch of square
+matrices is a uint8 stack [C, n, n], which _mul multiplies as it does one
+matrix.  Every row reduction runs on one kernel, _eliminate(a, p), the
+reduced row echelon form over GF(p): uint8 with XOR row updates at p = 2,
+int64 with modular row updates at odd p.  rank, nullspace, solve and
+pivot_columns take p (default 2), and the 3-local probe of strings_bands
+reaches the kernel through them over GF(3), and the Z/p forms of matrix
+through row_reduce.  _quotient reads a quotient map and its section off
+one reduced form, for the staircase and for local_algebra alike.
 
 One type, Rep2, holds a representation of a quiver over GF(2): a space at
 each vertex and a matrix on each arrow.  A cubic space is a Rep2 on the
@@ -37,14 +40,16 @@ Representation Theory of Artin Algebras) make the deciders exact:
   nilpotent, and squaring fixes only span{1} on the commutative End/J.  A
   local End comes with that certificate (Locality); otherwise an element
   that is neither nilpotent nor invertible splits the representation by
-  Fitting's lemma.  The steps after a packed screen of the basis are
-  written once for every GF(p), on structure constants (local_algebra),
-  and also decide the 3-local probe of strings_bands over GF(3);
+  Fitting's lemma.  The steps after a screen of the basis elements in one
+  batch are written once for every GF(p), on structure constants
+  (local_algebra), and also decide the 3-local probe of strings_bands over
+  GF(3);
 - if x or y is indecomposable and x ~ y, the maps x -> y that are not
   isomorphisms form a proper subspace of Hom(x, y), so every basis of
-  Hom(x, y) has an invertible element.  find_isomorphism tests the basis
-  elements only, on bit-packed rows, and its None is a proof under that
-  hypothesis; match_summands applies it to each pair of summands.
+  Hom(x, y) has an invertible element.  invertible_element tests the
+  basis elements only, in one batch, so the None of find_isomorphism is a
+  proof under that hypothesis; match_summands applies it to each pair of
+  summands.
 
 Band polynomials come from polys.py.
 """
@@ -206,21 +211,25 @@ def extend_basis(inner, ambient):
     return ambient[:, extra]
 
 
-def quotient_map(span, dim):
-    """A map F -> F/span as a matrix whose kernel is exactly the span,
-    together with a section (columns completing span to a basis)."""
-    comp = extend_basis(span, eye(dim))
-    full = np.concatenate([span, comp], axis=1)
-    inv = inverse(full)
-    return inv[span.shape[1]:], comp
+def _quotient(rows, dim, p):
+    """(quot, section) for GF(p)^dim modulo the span of some rows: quot has
+    kernel exactly the span, and quot section = 1.  Both are read off the
+    reduced form R of the rows: the section is the unit vectors at the free
+    columns, and quot is 1 there and -R[:, free]^T at the pivots."""
+    r, piv = _eliminate(rows, p)
+    is_free = np.ones(dim, dtype=bool)
+    is_free[piv] = False
+    section = np.eye(dim, dtype=r.dtype)[:, is_free]
+    quot = section.T.copy()
+    quot[:, piv] = -r[: len(piv), is_free].T % p
+    return quot, section
 
 
-def reduce_mod(vecs, span, dim):
-    """Project columns of vecs into a fixed complement of the span."""
-    if span.shape[1] == 0:
-        return np.array(vecs, copy=True)
-    qm, comp = quotient_map(span, dim)
-    return _mul(comp, _mul(qm, vecs))
+def reduce_mod(vecs, span):
+    """Project columns of vecs along the column span onto the complement
+    that _quotient's section spans."""
+    quot, section = _quotient(span.T, span.shape[0], 2)
+    return _mul(section, _mul(quot, vecs))
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +525,8 @@ def staircase_H(h1, v):
     M34 = span([M2, Hb[2], Hb[3]])
     M5 = span([M34, Hb[4]])
 
-    def ker_mod(mat, mod):
-        if mod.shape[1] == 0:
-            return nullspace(mat)
-        qm, _ = quotient_map(mod, d3)
-        return nullspace(_mul(qm, mat))
+    quot = lambda mod: _quotient(mod.T, d3, 2)[0]
+    ker_mod = lambda mat, mod: nullspace(_mul(quot(mod), mat))
 
     # coupled splitting of the common V1/V6 index set
     A, B = Hb[0], Hb[5]
@@ -538,8 +544,8 @@ def staircase_H(h1, v):
     C2 = np.concatenate([k5, c6], axis=1)
 
     # V3 / V4: only their common image admits matched pivots
-    qm2, _ = quotient_map(M2, d3) if M2.shape[1] else (eye(d3), None)
-    A3, A4 = _mul(qm2, Hb[2]), _mul(qm2, Hb[3])
+    q2 = quot(M2)
+    A3, A4 = _mul(q2, Hb[2]), _mul(q2, Hb[3])
     shared = intersect_columns(column_space(A3), column_space(A4))
     k7 = nullspace(A3)
     c8 = solve(A3, shared)
@@ -567,16 +573,13 @@ def staircase_H(h1, v):
     # the new F3 flag: one group of rows per pivot family
     g1 = _mul(A, g3c)
     g2 = _mul(A, g4c)
-    g3 = reduce_mod(_mul(Hb[1], c6), M1, d3)
-    g4 = reduce_mod(_mul(Hb[2], c8), M2, d3)
-    g5 = reduce_mod(_mul(Hb[2], c9),
-                    np.concatenate([M2, g4], axis=1), d3)
-    g6 = reduce_mod(_mul(Hb[3], c12),
-                    np.concatenate([M2, g4], axis=1), d3)
-    g7 = reduce_mod(_mul(Hb[4], c14), M34, d3)
-    g8 = reduce_mod(_mul(B, g2c), M5, d3)
-    g9 = reduce_mod(_mul(B, g4c),
-                    np.concatenate([M5, g8], axis=1), d3)
+    g3 = reduce_mod(_mul(Hb[1], c6), M1)
+    g4 = reduce_mod(_mul(Hb[2], c8), M2)
+    g5 = reduce_mod(_mul(Hb[2], c9), np.concatenate([M2, g4], axis=1))
+    g6 = reduce_mod(_mul(Hb[3], c12), np.concatenate([M2, g4], axis=1))
+    g7 = reduce_mod(_mul(Hb[4], c14), M34)
+    g8 = reduce_mod(_mul(B, g2c), M5)
+    g9 = reduce_mod(_mul(B, g4c), np.concatenate([M5, g8], axis=1))
     partial = np.concatenate([g1, g2, g3, g4, g5, g6, g7, g8, g9], axis=1)
     g10 = extend_basis(partial, eye(d3))
     basis3 = np.concatenate([partial, g10], axis=1)
@@ -1223,7 +1226,11 @@ def hom_basis(x, y):
 
     The basis is the nullspace of the stacked Kronecker system: with f
     flattened row by row, y_a f_s = f_t x_a reads
-    (y_a kron I) vec f_s = (I kron x_a^T) vec f_t."""
+    (y_a kron I) vec f_s = (I kron x_a^T) vec f_t.  x and y must have
+    the same vertex count and the same (s, t) list of arrows, or
+    ValueError is raised."""
+    if len(x.dims) != len(y.dims) or [a[:2] for a in x.arrows] != [a[:2] for a in y.arrows]:
+        raise ValueError("x and y are representations of different quivers")
     dims_x, dims_y = x.dims, y.dims
     nvars = [dx * dy for dx, dy in zip(dims_x, dims_y)]
     off = np.cumsum([0] + nvars)
@@ -1243,34 +1250,16 @@ def hom_basis(x, y):
 
 
 # ---------------------------------------------------------------------------
-# bit-packed batches of GF(2) matrices
+# batches of GF(2) matrices
 # ---------------------------------------------------------------------------
 #
-# A batch of C matrices with r rows and c columns is a uint64 array
-# [C, r, ceil(c / 64)]: column j of a row is bit j % 64 of its word j // 64.
-# Adding rows is xor of words, and each function below runs a few numpy
-# operations per column over the whole batch.
-
-
-def _pack(mats):
-    """0/1 matrices [..., r, c] as packed rows [..., r, ceil(c / 64)]."""
-    mats = np.asarray(mats, dtype=np.uint8)
-    cols = mats.shape[-1]
-    if cols % 64:
-        wide = np.zeros(mats.shape[:-1] + (cols + (-cols % 64),), dtype=np.uint8)
-        wide[..., :cols] = mats
-        mats = wide
-    words = np.packbits(mats, axis=-1, bitorder="little").view("<u8")
-    return words.astype(np.uint64, copy=False)
-
-
-def _column(a, j):
-    """Column j of a packed batch [C, r, W], as 0/1 words [C, r]."""
-    return (a[:, :, j >> 6] >> (j & 63)) & 1
+# A batch of C square matrices of size n is a uint8 stack [C, n, n] of zeros
+# and ones.  _mul multiplies whole stacks, and _full_rank runs a few numpy
+# operations per column over the whole batch, adding rows by xor.
 
 
 def _full_rank(a):
-    """Which square matrices of a packed batch [C, n, W] are invertible.
+    """Which square matrices of a batch [C, n, n] are invertible.
 
     Elimination without row swaps: each column takes its pivot among the
     rows not yet used and clears the column in every other row; a column
@@ -1281,7 +1270,7 @@ def _full_rank(a):
     live = np.arange(C)
     free = np.ones((C, n), dtype=bool)
     for col in range(n):
-        bit = _column(a, col).astype(bool)
+        bit = a[:, :, col].astype(bool)
         cand = bit & free
         has = cand.any(axis=1)
         if not has.all():
@@ -1297,15 +1286,6 @@ def _full_rank(a):
     return ok
 
 
-def _matmul(a, b):
-    """Products a[i] @ b[i] of packed batches [C, r, W'] and [C, n, W]:
-    row k of a product is the sum of the rows j of b with a[i, k, j] = 1."""
-    out = np.zeros(a.shape[:2] + b.shape[2:], dtype=np.uint64)
-    for j in range(b.shape[1]):
-        out ^= _column(a, j)[:, :, None] * b[:, j, None, :]
-    return out
-
-
 def _stable_exponent(n):
     """r >= 1 with 2^r >= n: f^(2^r) has the stable kernel and image of an
     endomorphism f of an n-dimensional space."""
@@ -1313,15 +1293,15 @@ def _stable_exponent(n):
 
 
 def _stable_power(a):
-    """The power f^(2^r) of _stable_exponent of a packed batch [C, n, W]."""
+    """The power f^(2^r) of _stable_exponent of a batch [C, n, n]."""
     for _ in range(_stable_exponent(a.shape[1])):
-        a = _matmul(a, a)
+        a = _mul(a, a)
     return a
 
 
 def _invertible(batch):
-    """Which morphisms of a batch (one packed [C, n, W] array per
-    component) are invertible in every component."""
+    """Which morphisms of a batch (one [C, n, n] stack per component) are
+    invertible in every component."""
     ok = np.ones(len(batch[0]), dtype=bool)
     for g in batch:
         live = np.flatnonzero(ok)
@@ -1341,12 +1321,9 @@ def _mixed(batch):
 
 
 def _pack_basis(basis, dims):
-    """A basis of square morphisms as one packed [E, n, W] per component."""
-    return [
-        _pack(np.array([f[c] for f in basis], dtype=np.uint8)
-              .reshape(len(basis), n, n))
-        for c, n in enumerate(dims)
-    ]
+    """A basis of square morphisms as one stack [E, n, n] per component."""
+    return [np.array([f[c] for f in basis], dtype=np.uint8).reshape(len(basis), n, n)
+            for c, n in enumerate(dims)]
 
 
 def _first(mask):
@@ -1354,7 +1331,7 @@ def _first(mask):
     return int(hits[0]) if hits.size else None
 
 
-def _invertible_element(basis, dims):
+def invertible_element(basis, dims):
     """The first invertible element of a basis of morphisms, or None."""
     hit = _first(_invertible(_pack_basis(basis, dims))) if basis else None
     return None if hit is None else basis[hit]
@@ -1403,20 +1380,6 @@ def _row_basis(rows, p):
     form."""
     r, piv = _eliminate(rows, p)
     return r[: len(piv)]
-
-
-def _quotient(rows, dim, p):
-    """(quot, section) for GF(p)^dim modulo the span of some rows: quot has
-    kernel exactly the span, and quot section = 1.  Both are read off the
-    reduced form R of the rows: the section is the unit vectors at the free
-    columns, and quot is 1 there and -R[:, free]^T at the pivots."""
-    r, piv = _eliminate(rows, p)
-    is_free = np.ones(dim, dtype=bool)
-    is_free[piv] = False
-    section = np.eye(dim, dtype=r.dtype)[:, is_free]
-    quot = section.T.copy()
-    quot[:, piv] = -r[: len(piv), is_free].T % p
-    return quot, section
 
 
 def _structure(flat, dims):
@@ -1574,8 +1537,8 @@ def _locality(basis, dims):
     Returns (True, Locality) when it is, else (False, f) with f an element
     that is neither.
 
-    The basis elements are screened for one that is neither, on packed
-    rows; then local_algebra decides on the structure constants, with a
+    The basis elements are screened for one that is neither, in one batch;
+    then local_algebra decides on the structure constants, with a
     nontrivial idempotent as f when A is not local."""
     if len(basis) == 1:                   # A = GF(2) 1, a field
         return True, Locality([], 1, list(basis))
@@ -1605,16 +1568,16 @@ def find_isomorphism(x, y):
     rad(End y) phi, a proper linear subspace of Hom(x, y), and every basis
     of Hom(x, y) has an invertible element (likewise when x is
     indecomposable).  So the basis elements are tested for invertibility in
-    one packed batch and the first invertible one is returned.  decompose
-    meets the hypothesis: every part that reaches identify was certified
-    indecomposable by split_indecomposable.  match_summands decides any
-    pair."""
+    one batch (invertible_element) and the first invertible one is
+    returned.  decompose meets the hypothesis: every part that reaches
+    identify was certified indecomposable by split_indecomposable.
+    match_summands decides any pair."""
     if x.dims != y.dims:
         return None
     basis = hom_basis(x, y)
     if not basis:
         return None if sum(x.dims) else ()
-    return _invertible_element(basis, x.dims)
+    return invertible_element(basis, x.dims)
 
 
 def split_indecomposable(x):
@@ -1635,8 +1598,7 @@ def split_indecomposable(x):
     local, g = _locality(hom_basis(x, x), x.dims)
     if local:
         return None, g
-    for _ in range(_stable_exponent(sum(x.dims))):
-        g = tuple(_mul(m, m) for m in g)
+    g = tuple(_stable_power(m[None])[0] for m in g)
     return tuple((inc, x.restrict(*inc)) for inc in (tuple(nullspace(m) for m in g),
                                                      tuple(column_space(m) for m in g)))
 

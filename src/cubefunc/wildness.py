@@ -269,12 +269,13 @@ def iso_test_mod2(l, lp):
     I kron a_i^T + b_i kron I.  If A and B are isomorphic, Hom(A, B) and
     End(A) have the same dimension, so different dimensions prove them
     non-isomorphic ("hom dimension").  Otherwise ("hom space"), an
-    invertible element of the Hom basis is a witness
-    (gf2.find_isomorphism).  Failing that, gf2.match_summands splits both
-    tuples into indecomposables, and by Krull-Schmidt A ~ B iff their
-    summands match one to one up to isomorphism: the witness is assembled
-    from the summand isomorphisms, and a summand without a partner proves
-    non-isomorphism.  The module docstring lists every method."""
+    invertible element of that same Hom basis is a witness
+    (gf2.invertible_element), so Hom(A, B) is solved once.  Failing that,
+    gf2.match_summands splits both tuples into indecomposables, and by
+    Krull-Schmidt A ~ B iff their summands match one to one up to
+    isomorphism: the witness is assembled from the summand isomorphisms,
+    and a summand without a partner proves non-isomorphism.  The module
+    docstring lists every method."""
     if l.n != lp.n or l.rank != lp.rank:
         return IsoVerdict(False, None, "shape mismatch")
     from . import gf2
@@ -282,9 +283,10 @@ def iso_test_mod2(l, lp):
     if l.rank == 0:
         return IsoVerdict(True, [], "hom space")
     x, y = l.mod2_rep(), lp.mod2_rep()
-    if len(gf2.hom_basis(x, y)) != len(gf2.hom_basis(x, x)):
+    basis = gf2.hom_basis(x, y)
+    if len(basis) != len(gf2.hom_basis(x, x)):
         return IsoVerdict(False, None, "hom dimension")
-    u = gf2.find_isomorphism(x, y)
+    u = gf2.invertible_element(basis, x.dims)
     if u is None:
         u = gf2.match_summands(x, y)
     if u is None:

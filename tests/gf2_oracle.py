@@ -2,8 +2,8 @@
 over any GF(p), independent of their kernels.
 
 - first_combination, the exhaustive oracle: it enumerates all 2^E
-  combinations of a basis of square morphisms on gf2's bit-packed batch
-  kernel, in chunks of at most chunk_words words.  Combination i is the
+  combinations of a basis of square morphisms on gf2's batch kernel, as
+  uint8 stacks [C, n, n] of at most chunk_bytes bytes.  Combination i is the
   sum of the basis elements at the set bits of i (the order of
   bit_matrix), so the first hit is the same in any chunking.  The
   deciders use linear algebra; the tests compare them with this search on
@@ -22,7 +22,7 @@ import numpy as np
 
 from cubefunc import gf2
 
-CHUNK_WORDS = 1 << 18
+CHUNK_BYTES = 1 << 21
 
 
 def word(text, cyclic=False):
@@ -38,10 +38,10 @@ def bit_matrix(count, width):
 
 
 def combinations(basis, lo, count):
-    """Combinations lo .. lo + count - 1 of a packed basis [E, r, W], in
-    the order of bit_matrix.  count is a power of two dividing lo: the
-    low bits are filled in by doubling, the high ones are common."""
-    out = np.empty((count,) + basis.shape[1:], dtype=np.uint64)
+    """Combinations lo .. lo + count - 1 of a basis stacked as [E, n, n]
+    uint8, in the order of bit_matrix.  count is a power of two dividing
+    lo: the low bits are filled in by doubling, the high ones are common."""
+    out = np.empty((count,) + basis.shape[1:], dtype=np.uint8)
     out[0] = 0
     low = count.bit_length() - 1
     for e in range(low):
@@ -53,7 +53,7 @@ def combinations(basis, lo, count):
 
 
 def combination(basis, i, dims):
-    """Combination i of a basis of square morphisms, unpacked."""
+    """Combination i of a basis of square morphisms, one at a time."""
     out = tuple(gf2.zeros(n, n) for n in dims)
     for e, f in enumerate(basis):
         if i >> e & 1:
@@ -61,13 +61,13 @@ def combination(basis, i, dims):
     return out
 
 
-def first_combination(basis, dims, test, chunk_words=CHUNK_WORDS):
+def first_combination(basis, dims, test, chunk_bytes=CHUNK_BYTES):
     """The first combination of a basis of square GF(2) morphisms that
     passes test (gf2._invertible or gf2._mixed), or None."""
     comps = gf2._pack_basis(basis, dims)
     E = len(basis)
-    words = max(1, sum(c.shape[1] * c.shape[2] for c in comps))
-    size = 1 << min(E, max(0, (chunk_words // words).bit_length() - 1))
+    per = max(1, sum(n * n for n in dims))
+    size = 1 << min(E, max(0, (chunk_bytes // per).bit_length() - 1))
     for lo in range(0, 1 << E, size):
         hit = gf2._first(test([combinations(c, lo, size) for c in comps]))
         if hit is not None:

@@ -56,9 +56,13 @@ def test_evaluate_ranks():
     assert builtin("sym3").rank(3) == 10
 
 
-@pytest.mark.parametrize("fid", FUNCTOR_IDS + tuple(COMPOSED))
+FUNCTORIALITY_IDS = FUNCTOR_IDS + tuple(COMPOSED)
+
+
+@pytest.mark.parametrize("fid", FUNCTORIALITY_IDS)
 def test_functoriality(fid):
-    rng = random.Random(hash(fid) % 10000)
+    # seeded by the id's position, so that every run draws the same matrices
+    rng = random.Random(FUNCTORIALITY_IDS.index(fid))
     f = COMPOSED.get(fid) or builtin(fid)
     for _ in range(20):
         n = rng.randint(1, 3)

@@ -1,4 +1,4 @@
-"""The dense GF(2) layer, the bit-packed batch kernel, the Hom/End
+"""The dense GF(2) layer, the batch kernel on uint8 stacks, the Hom/End
 deciders built on it and the decompose pipeline."""
 
 import itertools
@@ -35,7 +35,7 @@ from cubefunc.presentation import FpPresentation
 from cubefunc.rings import verify_relations
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
-# sizes on both sides of the 64-bit word boundary
+# matrix sizes from empty to past 64
 SIZES = (0, 1, 2, 5, 14, 63, 64, 65, 70)
 _seeds = st.integers(0, 2**32 - 1)
 _mul = gf2._mul
@@ -190,14 +190,8 @@ def test_gf2_matmul_parity_survives_uint8_wraparound(k):
 
 
 # ---------------------------------------------------------------------------
-# the bit-packed batch kernel
+# the batch kernel on uint8 stacks [C, n, n]
 # ---------------------------------------------------------------------------
-
-
-def _unpack(words, cols):
-    """Packed rows [..., r, W] back to 0/1 matrices [..., r, cols]."""
-    words = np.ascontiguousarray(words, dtype="<u8")
-    return np.unpackbits(words.view(np.uint8), axis=-1, count=cols, bitorder="little")
 
 
 def _random_square(rng, n, count):
@@ -236,27 +230,19 @@ def _power(m):
 
 
 @PROPERTY
-@given(st.sampled_from(SIZES), st.sampled_from(SIZES), _seeds)
-def test_pack_round_trip(r, c, seed):
-    m = np.random.default_rng(seed).integers(0, 2, size=(3, r, c), dtype=np.uint8)
-    words = gf2._pack(m)
-    assert words.dtype == np.uint64 and words.shape == (3, r, -(-c // 64))
-    assert np.array_equal(_unpack(words, c), m)
-
-
-@PROPERTY
 @given(st.sampled_from(SIZES), _seeds)
 def test_full_rank_matches_rank(n, seed):
     mats = _random_square(np.random.default_rng(seed), n, 6)
     want = [rank(m) == n for m in mats]
-    assert gf2._full_rank(gf2._pack(mats)).tolist() == want
+    assert gf2._full_rank(mats).tolist() == want
 
 
 @PROPERTY
 @given(st.sampled_from(SIZES), _seeds)
 def test_stable_power_matches_field_matmul(n, seed):
     mats = _nilpotent_like(np.random.default_rng(seed), n, 4)
-    got = _unpack(gf2._stable_power(gf2._pack(mats)), n)
+    got = gf2._stable_power(mats)
+    assert got.dtype == np.uint8 and got.shape == mats.shape
     for m, g in zip(mats, got):
         assert np.array_equal(g, _power(m))
 
@@ -267,11 +253,10 @@ def test_combination_order_matches_bit_matrix(n, E, seed):
     basis = np.random.default_rng(seed).integers(0, 2, size=(E, n, n), dtype=np.uint8)
     coeffs = gf2_oracle.bit_matrix(1 << E, E).astype(np.int64)
     want = (coeffs @ basis.reshape(E, n * n).astype(np.int64) % 2).reshape(1 << E, n, n)
-    packed = gf2._pack(basis)
     for size in {1 << k for k in range(E + 1)}:
-        got = np.concatenate([gf2_oracle.combinations(packed, lo, size)
+        got = np.concatenate([gf2_oracle.combinations(basis, lo, size)
                               for lo in range(0, 1 << E, size)])
-        assert np.array_equal(_unpack(got, n), want)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
     for i in (0, (1 << E) - 1, (1 << E) // 3):
         (one,) = gf2_oracle.combination([(b,) for b in basis], i, (n,))
         assert np.array_equal(one, want[i])
@@ -294,22 +279,21 @@ def test_batch_predicates_match_reference(dims, seed):
     rng = np.random.default_rng(seed)
     batch = [_nilpotent_like(rng, n, 8) for n in dims]
     inv, mixed = _reference_masks(batch)
-    packed = [gf2._pack(g) for g in batch]
-    assert np.array_equal(gf2._invertible(packed), inv)
-    assert np.array_equal(gf2._mixed(packed), mixed)
+    assert np.array_equal(gf2._invertible(batch), inv)
+    assert np.array_equal(gf2._mixed(batch), mixed)
 
 
 @PROPERTY
 @given(st.lists(st.sampled_from((1, 2, 3, 5)), min_size=1, max_size=3),
-       st.integers(0, 7), st.sampled_from((1, 8, 1 << 18)), _seeds)
-def test_first_combination_in_any_chunking(dims, E, chunk_words, seed):
+       st.integers(0, 7), st.sampled_from((1, 8, 64, gf2_oracle.CHUNK_BYTES)), _seeds)
+def test_first_combination_in_any_chunking(dims, E, chunk_bytes, seed):
     rng = np.random.default_rng(seed)
     basis = list(zip(*[_nilpotent_like(rng, n, E) for n in dims])) if E else []
     allc = [gf2_oracle.combination(basis, i, dims) for i in range(1 << E)]
     inv, mixed = _reference_masks([np.array([f[c] for f in allc]) for c in range(len(dims))])
     first = lambda mask: allc[np.flatnonzero(mask)[0]] if mask.any() else None
     for test, mask in ((gf2._invertible, inv), (gf2._mixed, mixed)):
-        got = gf2_oracle.first_combination(basis, dims, test, chunk_words)
+        got = gf2_oracle.first_combination(basis, dims, test, chunk_bytes)
         want = first(mask)
         assert (got is None) == (want is None)
         if got is not None:
@@ -431,6 +415,57 @@ def test_find_isomorphism_agrees_with_the_exhaustive_oracle(seed):
 def test_zero_space_has_no_summands():
     with pytest.raises(ValueError, match="the zero space has no summands"):
         split_indecomposable(zero_space())
+
+
+_NIL = [[0, 1], [0, 0]]
+_LOOP = gf2.Rep2((2,), [(0, 0, _NIL)])
+
+
+@pytest.mark.parametrize("x, y", [
+    (_LOOP, gf2.Rep2((2,), [])),
+    (_LOOP, gf2.Rep2((2,), [(0, 0, _NIL)] * 2)),
+    (_LOOP, gf2.Rep2((2, 2), [(0, 0, _NIL)])),
+    (gf2.Rep2((1, 1), [(0, 1, [[1]])]), gf2.Rep2((1, 1), [(1, 0, [[1]])])),
+], ids=["a loop against none", "one loop against two", "one vertex against two",
+        "an arrow against its reverse"])
+def test_hom_basis_refuses_representations_of_different_quivers(x, y):
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(ValueError, match="different quivers"):
+            hom_basis(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the staircase: the strata budget is an isomorphism invariant and additive
+# ---------------------------------------------------------------------------
+
+# the realized DATA and the seeds of random_space draws
+STAIRCASE_SOURCES = DATA + list(range(20))
+
+
+def _staircase_space(source):
+    if isinstance(source, int):
+        return gf2.random_space(np.random.default_rng(source))
+    return realize(source)
+
+
+@pytest.mark.parametrize("k, source", list(enumerate(STAIRCASE_SOURCES)),
+                         ids=[f"random_space({s})" if isinstance(s, int) else repr(s)
+                              for s in STAIRCASE_SOURCES])
+def test_strata_budget_is_invariant_under_a_change_of_basis(k, source):
+    x = _staircase_space(source)
+    rng = np.random.default_rng(1000 + k)
+    y = x.conjugate(*(random_invertible(rng, n) for n in x.dims))
+    assert gf2._strata_budget(y) == gf2._strata_budget(x)
+
+
+@pytest.mark.parametrize("a, b", list(itertools.combinations_with_replacement(DATA, 2)),
+                         ids=repr)
+def test_strata_budget_is_additive_over_direct_sums(a, b):
+    (budget_a, points_a), (budget_b, points_b) = (gf2._strata_budget(realize(d))
+                                                  for d in (a, b))
+    budget, points = gf2._strata_budget(realize(a).direct_sum(realize(b)))
+    assert budget == {s: budget_a[s] + budget_b[s] for s in budget_a}
+    assert points == points_a + points_b
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ byte-identical output, so a refactor can be checked with
     python3 tools/dump_outputs.py | sha1sum
     python3 tools/dump_outputs.py $(seq 0 20) | sha1sum
 
-on both trees.
+on both trees.  tools/dump_outputs.sha1 holds these two sums, in this
+order, for the committed tree, and CI fails when either differs; a change
+that alters an answer on purpose updates the file and says why.
 """
 
 import os
